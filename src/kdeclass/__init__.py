@@ -73,6 +73,7 @@ from .selector import (
     SelectorConfig,
     bootstrap_err,
     cv_err,
+    error_surface,
     normal_deriv_roughness,
     pilot_bandwidth,
     sample_scale,
@@ -115,8 +116,9 @@ __all__ = [
     "optimal_bandwidths", "BandwidthPlan", "RiskReport", "multi_t",
     "multi_optimal_constants",
     # selector
-    "SelectorConfig", "SelectionResult", "select_bandwidths", "bootstrap_err",
-    "cv_err", "pilot_bandwidth", "sample_scale", "normal_deriv_roughness",
+    "SelectorConfig", "SelectionResult", "select_bandwidths", "error_surface",
+    "bootstrap_err", "cv_err", "pilot_bandwidth", "sample_scale",
+    "normal_deriv_roughness",
     # simulate
     "DEFAULT_N_LIST", "ExperimentConfig", "SlopeFit", "StudyRow",
     "StudyResult", "TailStudyResult", "CvComparisonResult", "fit_slope",

@@ -84,14 +84,18 @@ def fit_classifier(x_data, y_data, h1: float, h2: float, p: float = 0.5,
 # ----------------------------------------------------------------------
 # rules
 # ----------------------------------------------------------------------
-def classify_a0(pair: DensityPair, x: float) -> Label:
-    """Optimal rule from the true densities; ties go to the first population."""
-    d = float(pair.delta(x))
+def _body_label(d: float) -> Label:
+    """Body-rule label of a deltahat value; ties go to the first population."""
     if d > 0.0:
         return Label(FROM_F, "body")
     if d < 0.0:
         return Label(FROM_G, "body")
     return Label(FROM_F, "body", tie_break=True)
+
+
+def classify_a0(pair: DensityPair, x: float) -> Label:
+    """Optimal rule from the true densities; ties go to the first population."""
+    return _body_label(float(pair.delta(x)))
 
 
 def classify_a1(clf: TrainedClassifier, x: float) -> Label | None:
@@ -100,12 +104,7 @@ def classify_a1(clf: TrainedClassifier, x: float) -> Label | None:
     gv = clf.ghat(x)
     if fv == 0.0 and gv == 0.0:
         return None
-    d = clf.p * fv - (1.0 - clf.p) * gv
-    if d > 0.0:
-        return Label(FROM_F, "body")
-    if d < 0.0:
-        return Label(FROM_G, "body")
-    return Label(FROM_F, "body", tie_break=True)
+    return _body_label(clf.p * fv - (1.0 - clf.p) * gv)
 
 
 def classify_tail(clf: TrainedClassifier, x: float, side: str) -> Label:
@@ -203,12 +202,7 @@ def classify_multivariate(x_data, y_data, h1: float, h2: float, x,
     gv = cd * float(np.sum(kernel(rg))) / (yd.shape[0] * h2**d)
     if fv == 0.0 and gv == 0.0:
         return None
-    dv = p * fv - (1.0 - p) * gv
-    if dv > 0.0:
-        return Label(FROM_F, "body")
-    if dv < 0.0:
-        return Label(FROM_G, "body")
-    return Label(FROM_F, "body", tie_break=True)
+    return _body_label(p * fv - (1.0 - p) * gv)
 
 
 # ----------------------------------------------------------------------
@@ -236,10 +230,6 @@ def _support_islands(clf: TrainedClassifier) -> list[tuple[float, float]]:
 
 _BASE_GRID = 2048
 _REFINE_WIDTH = 1e-10
-
-
-def _label_of_sign(d: float) -> str:
-    return FROM_F if d >= 0.0 else FROM_G
 
 
 def _scan_island(clf: TrainedClassifier, a: float, b: float,

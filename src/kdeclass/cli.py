@@ -13,7 +13,6 @@ names); explicit flags override the file.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .selector import SelectorConfig, select_bandwidths
 from .simulate import (
     DEFAULT_N_LIST,
     ExperimentConfig,
+    _write_csv,
     run_cv_comparison,
     run_study,
     run_tail_study,
@@ -82,7 +82,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common.add_argument("--grid", type=int, default=15,
                         help="candidate bandwidths per axis")
     common.add_argument("--c1", type=float, default=0.08,
-                        help="upper grid edge exponent: largest h is n^(-c1)")
+                        help="upper grid edge exponent n^(-c1), used only when "
+                        "fine_grid=False; the CLI keeps the default fine_grid=True")
     common.add_argument("--c2", type=float, default=0.45,
                         help="lower grid edge exponent: smallest h is n^(-c2)")
     common.add_argument("--config", default=None,
@@ -174,13 +175,10 @@ def _cmd_risk_surface(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / f"{args.pair}_risk_surface.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["h1", "h2", "err_boot"])
-            for i, h1 in enumerate(sel.grid_h1):
-                for j, h2 in enumerate(sel.grid_h2):
-                    w.writerow([repr(float(h1)), repr(float(h2)),
-                                repr(float(sel.err_surface[i, j]))])
+        _write_csv(out / f"{args.pair}_risk_surface.csv", ["h1", "h2", "err_boot"],
+                   ({"h1": h1, "h2": h2, "err_boot": sel.err_surface[i, j]}
+                    for i, h1 in enumerate(sel.grid_h1)
+                    for j, h2 in enumerate(sel.grid_h2)))
     return 0
 
 

@@ -97,32 +97,31 @@ class Density:
         raise NotImplementedError
 
     def ppf(self, q):
-        """Quantile function; numeric inversion of cdf by default."""
-        return _ppf_numeric(self, q)
+        """Quantile function; numeric inversion of cdf by default, from the
+        support's lower edge (or -1) and min(1, its upper edge)."""
+        lo, hi = self.support
+        return _invert_cdf(self.cdf, q, _finite_or(lo, -1.0),
+                           min(_finite_or(hi, 1.0), 1.0))
 
     def sample(self, n: int, rng: np.random.Generator):  # pragma: no cover - abstract
         raise NotImplementedError
 
 
-def _ppf_numeric(density: Density, q) -> float:
+def _invert_cdf(cdf, q, lo: float, hi: float) -> float:
+    """Solve cdf(x) = q: step lo down and hi up until they bracket q, then
+    refine with Brent's method."""
     q = float(q)
     if not 0.0 < q < 1.0:
         raise ParameterError("quantile level must lie strictly inside (0, 1)")
-    lo, hi = -1.0, 1.0
-    slo, shi = density.support
-    lo = max(lo, slo) if np.isfinite(slo) else lo
-    hi = min(hi, shi) if np.isfinite(shi) else hi
-    if np.isfinite(slo):
-        lo = slo
-    for _ in range(200):
-        if density.cdf(lo) < q:
+    for _ in range(300):
+        if cdf(lo) < q:
             break
         lo = lo * 2 if lo < 0 else lo - max(1.0, abs(lo))
-    for _ in range(200):
-        if density.cdf(hi) > q:
+    for _ in range(300):
+        if cdf(hi) > q:
             break
         hi = hi * 2 if hi > 0 else hi + max(1.0, abs(hi))
-    return brentq(lambda x: density.cdf(x) - q, lo, hi, xtol=1e-12, rtol=1e-14)
+    return brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-12, rtol=1e-14)
 
 
 class Normal(Density):
@@ -329,7 +328,7 @@ class CustomDensity(Density):
             return self._ppf(q)
         if self._cdf is None:
             raise ParameterError("custom density has no cdf to invert")
-        return _ppf_numeric(self, q)
+        return super().ppf(q)
 
     def sample(self, n, rng):
         if self._sampler is None:
@@ -371,20 +370,9 @@ class DensityPair:
         return self.p * self.f.cdf(x) + (1.0 - self.p) * self.g.cdf(x)
 
     def pooled_ppf(self, q: float) -> float:
-        q = float(q)
-        if not 0.0 < q < 1.0:
-            raise ParameterError("quantile level must lie strictly inside (0, 1)")
         lo = min(_finite_or(self.f.support[0], -1.0), _finite_or(self.g.support[0], -1.0))
         hi = max(_finite_or(self.f.support[1], 1.0), _finite_or(self.g.support[1], 1.0))
-        for _ in range(300):
-            if self.pooled_cdf(lo) < q:
-                break
-            lo = lo * 2 if lo < 0 else lo - max(1.0, abs(lo))
-        for _ in range(300):
-            if self.pooled_cdf(hi) > q:
-                break
-            hi = hi * 2 if hi > 0 else hi + max(1.0, abs(hi))
-        return brentq(lambda x: self.pooled_cdf(x) - q, lo, hi, xtol=1e-12, rtol=1e-14)
+        return _invert_cdf(self.pooled_cdf, q, lo, hi)
 
     def sample(self, which: str, n: int, rng: np.random.Generator):
         return self.density(which).sample(n, rng)

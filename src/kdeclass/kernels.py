@@ -120,20 +120,13 @@ class Kernel:
     # ------------------------------------------------------------------
     def moment(self, j: int) -> float:
         """j-th moment  int u**j K(u) du, exact (odd moments are exactly 0)."""
-        if j < 0 or j != int(j):
-            raise ParameterError("moment order must be a nonnegative integer")
-        j = int(j)
-        if j % 2 == 1:
-            return 0.0
-        s = self.support_halfwidth
-        total = Fraction(0)
-        for k, c in enumerate(self.poly_coeffs):
-            d = j + 2 * k
-            total += 2 * c * s ** (d + 1) / (d + 1)
-        return float(total)
+        return float(self.moment_exact(j))
 
     def moment_exact(self, j: int) -> Fraction:
         """Same as moment() but returning the exact rational value."""
+        if j < 0 or j != int(j):
+            raise ParameterError("moment order must be a nonnegative integer")
+        j = int(j)
         if j % 2 == 1:
             return Fraction(0)
         s = self.support_halfwidth

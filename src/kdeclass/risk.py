@@ -327,6 +327,23 @@ def predicted_excess(pair: DensityPair, cs: CrossingSet, m: int, n: int,
 _DEGENERATE_RTOL = 1e-9
 
 
+def _multistart_nelder_mead(fun, starts, maxiter: int, maxfev: int,
+                            context: str) -> np.ndarray:
+    """Best Nelder-Mead minimizer over the starts; OptimizationError (message
+    ending in `context`) when their minima differ by over 1e-8 relative."""
+    results = []
+    for x0 in starts:
+        res = minimize(fun, x0, method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-14,
+                                "maxiter": maxiter, "maxfev": maxfev})
+        results.append((res.fun, res.x))
+    best_val = min(v for v, _ in results)
+    spread = max(v for v, _ in results) - best_val
+    if spread > 1e-8 * max(1.0, abs(best_val)):
+        raise OptimizationError(f"restart spread {spread:.3g} exceeds tolerance{context}")
+    return min(results, key=lambda t: t[0])[1]
+
+
 def optimal_bandwidths(pair: DensityPair, cs: CrossingSet, n: int, r: float = 1.0,
                        kernel: Kernel = TRIWEIGHT) -> BandwidthPlan:
     """Asymptotically optimal bandwidth plan for the crossing set's regime.
@@ -376,20 +393,9 @@ def optimal_bandwidths(pair: DensityPair, cs: CrossingSet, n: int, r: float = 1.
     starts = np.log(np.array([[a, b]
                               for a in np.geomspace(0.1, 10.0, 4)
                               for b in np.geomspace(0.1, 10.0, 4)]))
-    results = []
-    for x0 in starts:
-        res = minimize(fun, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14,
-                                "maxiter": 4000, "maxfev": 8000})
-        results.append((res.fun, res.x))
-    best_val = min(v for v, _ in results)
-    spread = max(v for v, _ in results) - best_val
-    if spread > 1e-8 * max(1.0, abs(best_val)):
-        raise OptimizationError(
-            f"restart spread {spread:.3g} exceeds tolerance; objective may be "
-            "multimodal or the crossing set ill-conditioned"
-        )
-    best_x = min(results, key=lambda t: t[0])[1]
+    best_x = _multistart_nelder_mead(
+        fun, starts, 4000, 8000,
+        "; objective may be multimodal or the crossing set ill-conditioned")
     H1, H2 = float(np.exp(best_x[0])), float(np.exp(best_x[1]))
     rho = 0.2
     scale = float(n) ** (-rho)
@@ -475,18 +481,6 @@ def multi_optimal_constants(models, crossing_table, r,
     rng = np.random.default_rng(0)
     starts = [np.zeros(N)]
     starts += list(np.log(rng.uniform(0.1, 10.0, size=(15, N))))
-    results = []
-    for x0 in starts:
-        res = minimize(fun, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14,
-                                "maxiter": 8000, "maxfev": 16000})
-        results.append((res.fun, res.x))
-    best_val = min(v for v, _ in results)
-    spread = max(v for v, _ in results) - best_val
-    if spread > 1e-8 * max(1.0, abs(best_val)):
-        raise OptimizationError(
-            f"restart spread {spread:.3g} exceeds tolerance in the "
-            "multi-population minimization"
-        )
-    best_x = min(results, key=lambda t: t[0])[1]
+    best_x = _multistart_nelder_mead(fun, starts, 8000, 16000,
+                                     " in the multi-population minimization")
     return np.exp(best_x)

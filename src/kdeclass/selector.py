@@ -30,6 +30,7 @@ __all__ = [
     "normal_deriv_roughness",
     "sample_scale",
     "pilot_bandwidth",
+    "error_surface",
     "bootstrap_err",
     "select_bandwidths",
     "cv_err",
@@ -176,50 +177,21 @@ def pilot_bandwidth(data: np.ndarray, config: SelectorConfig | None = None) -> f
     return scale * _unit_pilot(data.size, config)
 
 
-def _replicate_grids(data: np.ndarray, pilot_h: float, bandwidths: np.ndarray,
-                     grid: np.ndarray, size: int, boot_iters: int,
-                     kernel: Kernel, rng: np.random.Generator) -> np.ndarray:
-    """Bootstrap-replicate density estimates on `grid` for every candidate
-    bandwidth: returns an array of shape (boot_iters, len(bandwidths),
-    len(grid)).  Each replicate is one smoothed-bootstrap draw from the
-    pilot estimate, shared across all candidate bandwidths."""
-    pilot = KdeEstimate(data, pilot_h, kernel)
-    out = np.empty((boot_iters, bandwidths.size, grid.size))
-    for b in range(boot_iters):
-        star = smoothed_bootstrap(pilot, size, rng)
-        for k, h in enumerate(bandwidths):
-            out[b, k] = KdeEstimate(star, float(h), kernel)(grid)
-    return out
+def _first_argmin(surface: np.ndarray) -> tuple[int, int]:
+    """Row-major first minimum (i, j): ties go to the smaller i, then j."""
+    return divmod(int(np.argmin(surface)), surface.shape[1])
 
 
-def bootstrap_err(x_data: np.ndarray, y_data: np.ndarray, h1: float, h2: float,
+def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
                   p: float = 0.5, config: SelectorConfig | None = None,
-                  rng: np.random.Generator | None = None,
-                  seed: int | None = 0) -> float:
-    """Smoothed-bootstrap estimate of the error of the rule trained at
-    (h1, h2): single-cell version of the surface used by select_bandwidths.
-    """
-    res = select_bandwidths(x_data, y_data, p, config, rng=rng, seed=seed,
-                            _grid_h1=np.array([float(h1)]),
-                            _grid_h2=np.array([float(h2)]))
-    return float(res.err_surface[0, 0])
+                  rng: np.random.Generator | None = None) -> np.ndarray:
+    """Smoothed-bootstrap error of the rule trained at each candidate pair:
+    cell (i, j) of the returned array is for (grid_h1[i], grid_h2[j]).
 
-
-def select_bandwidths(x_data: np.ndarray, y_data: np.ndarray, p: float = 0.5,
-                      config: SelectorConfig | None = None,
-                      rng: np.random.Generator | None = None,
-                      seed: int | None = 0,
-                      _grid_h1: np.ndarray | None = None,
-                      _grid_h2: np.ndarray | None = None) -> SelectionResult:
-    """Pick (h1, h2) on a log-spaced grid by minimizing the bootstrap error.
-
-    The grid spans [n^(-c2), fine_grid_factor * unit-scale pilot] by
-    default, or the fixed-exponent window [n^(-c2), n^(-c1)] when
-    config.fine_grid is False (see SelectorConfig).  For every replicate b the same resample pair
-    feeds every grid cell, and
+    For every replicate b the same resample pair feeds every grid cell, and
     the candidate-density evaluations factorize over the two axes, so the
-    grid costs O(grid_per_dim) kernel-estimate evaluations per replicate
-    rather than O(grid_per_dim^2).  The bootstrap error of cell (i, j) is
+    grid costs len(grid_h1) + len(grid_h2) kernel-estimate evaluations per
+    replicate rather than one per cell.  The bootstrap error of cell (i, j) is
 
         integral of p ftilde(t) P*{deltahat*(t) < 0}
                  + (1-p) gtilde(t) P*{deltahat*(t) >= 0}  dt
@@ -227,7 +199,8 @@ def select_bandwidths(x_data: np.ndarray, y_data: np.ndarray, p: float = 0.5,
     (trapezoid over quad_points abscissae; the >= on the second-population
     side mirrors the first-population tie-break of the trained rule), with
     ftilde/gtilde the pilot-smoothed estimates and P* the fraction over
-    replicates.  Ties in the surface go to the smaller h1, then smaller h2.
+    replicates.  rng defaults to a generator seeded with 0; its draws do
+    not depend on the candidates, so neither does any cell's value.
     """
     if config is None:
         config = SelectorConfig()
@@ -235,31 +208,15 @@ def select_bandwidths(x_data: np.ndarray, y_data: np.ndarray, p: float = 0.5,
         raise ParameterError("p must lie strictly between 0 and 1")
     x_data = np.asarray(x_data, dtype=float)
     y_data = np.asarray(y_data, dtype=float)
+    grid_h1 = np.asarray(grid_h1, dtype=float)
+    grid_h2 = np.asarray(grid_h2, dtype=float)
+    if np.any(grid_h1 <= 0) or np.any(grid_h2 <= 0):
+        raise ParameterError("candidate bandwidths must be positive")
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
 
     h3 = pilot_bandwidth(x_data, config)
     h4 = pilot_bandwidth(y_data, config)
-
-    n = y_data.size
-    if _grid_h1 is None:
-        lo = n ** (-config.c2)
-        if config.fine_grid:
-            hi = config.fine_grid_factor * _unit_pilot(n, config)
-        else:
-            hi = n ** (-config.c1)
-        if hi <= lo:
-            raise ParameterError(
-                "candidate window collapsed: its upper edge does not exceed "
-                f"the lower edge n^(-c2) = {lo:.3g}")
-        grid_h1 = np.geomspace(lo, hi, config.grid_per_dim)
-        grid_h2 = grid_h1.copy()
-    else:
-        grid_h1 = np.asarray(_grid_h1, dtype=float)
-        grid_h2 = np.asarray(_grid_h2, dtype=float)
-    if np.any(grid_h1 <= 0) or np.any(grid_h2 <= 0):
-        raise ParameterError("candidate bandwidths must be positive")
-
     s = config.kernel.support_halfwidth
     pad = max(h3, h4) * s
     lo_t = min(x_data.min(), y_data.min()) - pad
@@ -288,15 +245,57 @@ def select_bandwidths(x_data: np.ndarray, y_data: np.ndarray, p: float = 0.5,
     frac_lt = np.mean(p * fstar[:, :, None, :] < (1.0 - p) * gstar[:, None, :, :],
                       axis=0)
     integrand = p * fg * frac_lt + (1.0 - p) * gg * (1.0 - frac_lt)
-    surface = np.trapezoid(integrand, grid, axis=-1)
+    return np.trapezoid(integrand, grid, axis=-1)
 
-    flat = int(np.argmin(surface))  # row-major: first minimum has the
-    i, j = divmod(flat, grid_h2.size)  # smallest h1, then the smallest h2
+
+def bootstrap_err(x_data: np.ndarray, y_data: np.ndarray, h1: float, h2: float,
+                  p: float = 0.5, config: SelectorConfig | None = None,
+                  rng: np.random.Generator | None = None,
+                  seed: int | None = 0) -> float:
+    """Smoothed-bootstrap estimate of the error of the rule trained at
+    (h1, h2): single-cell version of error_surface.
+    """
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    return float(error_surface(x_data, y_data, [h1], [h2], p, config, rng)[0, 0])
+
+
+def select_bandwidths(x_data: np.ndarray, y_data: np.ndarray, p: float = 0.5,
+                      config: SelectorConfig | None = None,
+                      rng: np.random.Generator | None = None,
+                      seed: int | None = 0) -> SelectionResult:
+    """Pick (h1, h2) minimizing error_surface on a log-spaced grid.
+
+    Both axes take the same candidates in [n^(-c2), fine_grid_factor *
+    unit-scale pilot], or in [n^(-c2), n^(-c1)] when config.fine_grid is
+    False (see SelectorConfig), with n the second sample's size.  Ties go
+    to the smaller h1, then the smaller h2.
+    """
+    if config is None:
+        config = SelectorConfig()
+    if rng is None:
+        rng = np.random.default_rng(seed)
+
+    n = np.size(y_data)
+    lo = n ** (-config.c2)
+    if config.fine_grid:
+        hi = config.fine_grid_factor * _unit_pilot(n, config)
+    else:
+        hi = n ** (-config.c1)
+    if hi <= lo:
+        raise ParameterError(
+            "candidate window collapsed: its upper edge does not exceed "
+            f"the lower edge n^(-c2) = {lo:.3g}")
+    grid_h1 = np.geomspace(lo, hi, config.grid_per_dim)
+    grid_h2 = grid_h1.copy()
+
+    surface = error_surface(x_data, y_data, grid_h1, grid_h2, p, config, rng)
+    i, j = _first_argmin(surface)
     return SelectionResult(
         h1=float(grid_h1[i]),
         h2=float(grid_h2[j]),
-        h3=float(h3),
-        h4=float(h4),
+        h3=pilot_bandwidth(x_data, config),
+        h4=pilot_bandwidth(y_data, config),
         grid_h1=grid_h1,
         grid_h2=grid_h2,
         err_surface=surface,

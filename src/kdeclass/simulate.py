@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .classifier import FROM_G, classify_ahat, decision_segments, fit_classifier
+from .classifier import (FROM_G, TrainedClassifier, classify_ahat,
+                         decision_segments, fit_classifier)
 from .densities import DensityPair, make_pair
 from .errors import DegenerateRegressionError, ParameterError
-from .selector import SelectorConfig, sample_scale, select_bandwidths, cv_err
+from .kde import KdeEstimate
+from .selector import SelectorConfig, _first_argmin, sample_scale, select_bandwidths
 
 __all__ = [
     "DEFAULT_N_LIST",
@@ -170,32 +172,29 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     return result
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """CSV file with a header line and one line per dict row; csv writes
+    each float as its shortest round-trip repr."""
+    with open(path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, header)
+        w.writeheader()
+        w.writerows(rows)
+
+
 def _write_study(result: StudyResult, out_dir: str) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pair = result.pair_id
-
-    with open(out / f"{pair}_replicates.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pair", "n", "rep", "h1", "h2", "err_boot_min", "seed"])
-        for r in result.rows:
-            w.writerow([r.pair, r.n, r.rep, repr(r.h1), repr(r.h2),
-                        repr(r.err_boot_min), r.seed])
-
-    with open(out / f"{pair}_summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pair", "n", "mean_neglog_h1", "mean_neglog_h2",
-                    "sd_neglog_h1", "sd_neglog_h2"])
-        for row in result.summary:
-            w.writerow([row["pair"], row["n"], repr(row["mean_neglog_h1"]),
-                        repr(row["mean_neglog_h2"]), repr(row["sd_neglog_h1"]),
-                        repr(row["sd_neglog_h2"])])
-
-    with open(out / f"{pair}_slopes.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pair", "which", "slope", "intercept"])
-        for fit in (result.slope_h1, result.slope_h2):
-            w.writerow([pair, fit.which, repr(fit.slope), repr(fit.intercept)])
+    _write_csv(out / f"{pair}_replicates.csv",
+               ["pair", "n", "rep", "h1", "h2", "err_boot_min", "seed"],
+               map(asdict, result.rows))
+    _write_csv(out / f"{pair}_summary.csv",
+               ["pair", "n", "mean_neglog_h1", "mean_neglog_h2",
+                "sd_neglog_h1", "sd_neglog_h2"], result.summary)
+    _write_csv(out / f"{pair}_slopes.csv", ["pair", "which", "slope", "intercept"],
+               ({"pair": pair, "which": fit.which, "slope": fit.slope,
+                 "intercept": fit.intercept}
+                for fit in (result.slope_h1, result.slope_h2)))
 
     # gnuplot-compatible plot data; the reference lines with the two rate
     # exponents pass through the center of the h1 regression line.
@@ -232,17 +231,22 @@ class TailStudyResult:
     contrast_fraction: float
 
 
-def _tail_integral(pair: DensityPair, n: int, rep_seed, x0: float) -> float:
-    """One replicate of the integral over (x0, inf) of f at points the
-    trained composite rule assigns to the second population; the integral
-    is a sum of cdf differences over the rule's decision segments."""
+def _train_rate_rule(pair: DensityPair, n: int, rep_seed) -> TrainedClassifier:
+    """Rule trained on n draws per population at h = (IQR / 1.349) * n^(-1/5)."""
     rng = np.random.Generator(np.random.PCG64(rep_seed))
     x = pair.sample("f", n, rng)
     y = pair.sample("g", n, rng)
     rate = float(n) ** -0.2
     h1 = sample_scale(x, "iqr") * rate
     h2 = sample_scale(y, "iqr") * rate
-    clf = fit_classifier(x, y, h1, h2, pair.p)
+    return fit_classifier(x, y, h1, h2, pair.p)
+
+
+def _tail_integral(pair: DensityPair, n: int, rep_seed, x0: float) -> float:
+    """One replicate of the integral over (x0, inf) of f at points the
+    trained composite rule assigns to the second population; the integral
+    is a sum of cdf differences over the rule's decision segments."""
+    clf = _train_rate_rule(pair, n, rep_seed)
     segs = decision_segments(clf, x0, np.inf, "ahat")
     return float(sum(pair.f.cdf(b) - pair.f.cdf(a)
                      for a, b, lab in segs if lab == FROM_G))
@@ -252,13 +256,7 @@ def _contrast_fraction(pair: DensityPair, n: int, rep_seed,
                        grid: np.ndarray) -> float:
     """Fraction of far-tail grid points the trained composite rule assigns
     to the heavy(er)-tailed first population."""
-    rng = np.random.Generator(np.random.PCG64(rep_seed))
-    x = pair.sample("f", n, rng)
-    y = pair.sample("g", n, rng)
-    rate = float(n) ** -0.2
-    h1 = sample_scale(x, "iqr") * rate
-    h2 = sample_scale(y, "iqr") * rate
-    clf = fit_classifier(x, y, h1, h2, pair.p)
+    clf = _train_rate_rule(pair, n, rep_seed)
     hits = sum(1 for t in grid if classify_ahat(clf, float(t)).population == "f")
     return hits / grid.size
 
@@ -325,22 +323,11 @@ def run_tail_study(alpha: float = 2.0, beta: float = 2.5,
 def _write_tail(result: TailStudyResult, out_dir: str) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "tail_replicates.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "rep", "tail_integral", "scaled"])
-        for r in result.rows:
-            w.writerow([r["n"], r["rep"], repr(r["tail_integral"]),
-                        repr(r["scaled"])])
-    with open(out / "tail_summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "mean_scaled"])
-        for n, v in result.scaled_by_n:
-            w.writerow([n, repr(v)])
-    with open(out / "tail_contrast.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rep", "frac_from_f"])
-        for r in result.contrast_rows:
-            w.writerow([r["rep"], repr(r["frac_from_f"])])
+    _write_csv(out / "tail_replicates.csv", ["n", "rep", "tail_integral", "scaled"],
+               result.rows)
+    _write_csv(out / "tail_summary.csv", ["n", "mean_scaled"],
+               ({"n": n, "mean_scaled": v} for n, v in result.scaled_by_n))
+    _write_csv(out / "tail_contrast.csv", ["rep", "frac_from_f"], result.contrast_rows)
 
 
 # ----------------------------------------------------------------------
@@ -364,17 +351,19 @@ class CvComparisonResult:
         return self.iqr_log_h1_cv / self.iqr_log_h1_boot
 
 
-def _cv_argmin(x: np.ndarray, y: np.ndarray, p: float,
-               grid_h1: np.ndarray, grid_h2: np.ndarray, kernel) -> tuple[float, float]:
-    """Argmin of the leave-one-out error over the grid; ties go to the
-    smaller h1, then the smaller h2 (row-major first minimum)."""
-    surface = np.empty((grid_h1.size, grid_h2.size))
-    for i, h1 in enumerate(grid_h1):
-        for j, h2 in enumerate(grid_h2):
-            surface[i, j] = cv_err(x, y, float(h1), float(h2), p, kernel)
-    flat = int(np.argmin(surface))
-    i, j = divmod(flat, grid_h2.size)
-    return float(grid_h1[i]), float(grid_h2[j])
+def _cv_surface(x: np.ndarray, y: np.ndarray, p: float,
+                grid_h1: np.ndarray, grid_h2: np.ndarray, kernel) -> np.ndarray:
+    """Leave-one-out error over the grid: cell (i, j) is cv_err at
+    (grid_h1[i], grid_h2[j]) from the same vectors, but each vector depends
+    on one bandwidth, so each estimate is fitted once per candidate."""
+    q = 1.0 - p
+    fhats = [KdeEstimate(x, float(h), kernel) for h in grid_h1]
+    ghats = [KdeEstimate(y, float(h), kernel) for h in grid_h2]
+    f_vecs = [(p * f.loo_all(), p * f(ghats[0].data)) for f in fhats]
+    g_vecs = [(q * g.loo_all(), q * g(fhats[0].data)) for g in ghats]
+    return np.array([[p * np.mean(f_loo - g_at_x < 0.0)
+                      + q * np.mean(f_at_y - g_loo > 0.0)
+                      for g_loo, g_at_x in g_vecs] for f_loo, f_at_y in f_vecs])
 
 
 def _cv_cell(pair: DensityPair, n: int, rep: int, seed: int,
@@ -383,10 +372,10 @@ def _cv_cell(pair: DensityPair, n: int, rep: int, seed: int,
     x = pair.sample("f", n, rng)
     y = pair.sample("g", n, rng)
     sel = select_bandwidths(x, y, pair.p, config, rng=rng)
-    h1_cv, h2_cv = _cv_argmin(x, y, pair.p, sel.grid_h1, sel.grid_h2,
-                              config.kernel)
+    i, j = _first_argmin(_cv_surface(x, y, pair.p, sel.grid_h1, sel.grid_h2,
+                                     config.kernel))
     return {"rep": rep, "h1_boot": sel.h1, "h2_boot": sel.h2,
-            "h1_cv": h1_cv, "h2_cv": h2_cv}
+            "h1_cv": float(sel.grid_h1[i]), "h2_cv": float(sel.grid_h2[j])}
 
 
 def run_cv_comparison(pair_id: str = "class1a", n: int = 100, reps: int = 50,
@@ -417,10 +406,6 @@ def run_cv_comparison(pair_id: str = "class1a", n: int = 100, reps: int = 50,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / f"{pair_id}_cv_comparison.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rep", "h1_boot", "h2_boot", "h1_cv", "h2_cv"])
-            for r in rows:
-                w.writerow([r["rep"], repr(r["h1_boot"]), repr(r["h2_boot"]),
-                            repr(r["h1_cv"]), repr(r["h2_cv"])])
+        _write_csv(out / f"{pair_id}_cv_comparison.csv",
+                   ["rep", "h1_boot", "h2_boot", "h1_cv", "h2_cv"], rows)
     return result

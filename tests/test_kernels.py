@@ -152,6 +152,10 @@ def test_kernel_validation():
     with pytest.raises(ParameterError):
         TRIWEIGHT.moment(-2)
     with pytest.raises(ParameterError):
+        TRIWEIGHT.moment_exact(-2)
+    with pytest.raises(ParameterError):
+        TRIWEIGHT.moment_exact(1.5)
+    with pytest.raises(ParameterError):
         TRIWEIGHT.roughness(-1)
 
 

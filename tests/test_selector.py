@@ -19,13 +19,14 @@ from kdeclass import (
     SelectorConfig,
     bootstrap_err,
     cv_err,
+    error_surface,
     make_pair,
     normal_deriv_roughness,
     pilot_bandwidth,
     sample_scale,
     select_bandwidths,
 )
-from kdeclass.selector import _unit_pilot
+from kdeclass.selector import _first_argmin, _unit_pilot
 
 UNIT_PILOT_100 = 1.9330594687104183
 C6 = 45.81836500764786
@@ -193,12 +194,12 @@ def test_bootstrap_err_equals_surface_cell():
     cfg = _tight_config(boot_iters=25)
     gh1 = np.geomspace(0.2, 0.8, 3)
     gh2 = np.geomspace(0.25, 0.9, 3)
-    res = select_bandwidths(x, y, 0.5, cfg, seed=7, _grid_h1=gh1, _grid_h2=gh2)
+    surface = error_surface(x, y, gh1, gh2, 0.5, cfg, np.random.default_rng(7))
     for i in range(3):
         for j in range(3):
             cell = bootstrap_err(x, y, float(gh1[i]), float(gh2[j]),
                                  config=cfg, seed=7)
-            assert cell == res.err_surface[i, j]
+            assert cell == surface[i, j]
 
 
 # ----------------------------------------------------------------------
@@ -253,12 +254,13 @@ def test_select_bandwidths_tie_takes_first_candidate():
     cfg = _tight_config(boot_iters=15)
     # duplicated candidate values force exact surface ties; the first
     # (smallest-index) cell must win
-    res = select_bandwidths(x, y, 0.5, cfg, seed=2,
-                            _grid_h1=np.array([0.5, 0.5]),
-                            _grid_h2=np.array([0.4, 0.4]))
-    assert np.all(res.err_surface == res.err_surface[0, 0])
-    assert res.h1 == 0.5 and res.h2 == 0.4
-    assert res.err_min == res.err_surface[0, 0]
+    gh1, gh2 = np.array([0.5, 0.5]), np.array([0.4, 0.4])
+    surface = error_surface(x, y, gh1, gh2, 0.5, cfg, np.random.default_rng(2))
+    assert np.all(surface == surface[0, 0])
+    i, j = _first_argmin(surface)
+    assert (i, j) == (0, 0)
+    assert gh1[i] == 0.5 and gh2[j] == 0.4
+    assert surface[i, j] == surface[0, 0]
 
 
 def test_select_bandwidths_nested_grid_monotone():
@@ -270,11 +272,9 @@ def test_select_bandwidths_nested_grid_monotone():
     cfg = _tight_config(boot_iters=20)
     small = np.array([0.3, 0.9])
     large = np.array([0.3, 0.6, 0.9, 1.4])
-    res_small = select_bandwidths(x, y, 0.5, cfg, seed=11,
-                                  _grid_h1=small, _grid_h2=small)
-    res_large = select_bandwidths(x, y, 0.5, cfg, seed=11,
-                                  _grid_h1=large, _grid_h2=large)
-    assert res_large.err_min <= res_small.err_min
+    s_small = error_surface(x, y, small, small, 0.5, cfg, np.random.default_rng(11))
+    s_large = error_surface(x, y, large, large, 0.5, cfg, np.random.default_rng(11))
+    assert s_large[_first_argmin(s_large)] <= s_small[_first_argmin(s_small)]
 
 
 def test_select_bandwidths_rng_equivalent_to_seed():
@@ -295,8 +295,9 @@ def test_select_bandwidths_validation():
     with pytest.raises(ParameterError):
         select_bandwidths(x, y, 0.0)
     with pytest.raises(ParameterError):
-        select_bandwidths(x, y, 0.5, _tight_config(),
-                          _grid_h1=np.array([-0.5]), _grid_h2=np.array([0.5]))
+        error_surface(x, y, np.array([-0.5]), np.array([0.5]), 0.5, _tight_config())
+    with pytest.raises(ParameterError):
+        error_surface(x, y, [0.5], [0.5], 1.0, _tight_config())
     # a tiny factor collapses the window below its lower edge
     with pytest.raises(ParameterError):
         select_bandwidths(x, y, 0.5, _tight_config(fine_grid_factor=1e-6))

@@ -13,17 +13,22 @@ import pytest
 
 from kdeclass import (
     DEFAULT_N_LIST,
+    TRIWEIGHT,
     CvComparisonResult,
     DegenerateRegressionError,
     ExperimentConfig,
     ParameterError,
     SelectorConfig,
     SlopeFit,
+    cv_err,
     fit_slope,
+    make_pair,
     run_cv_comparison,
     run_study,
     run_tail_study,
 )
+from kdeclass.selector import _first_argmin
+from kdeclass.simulate import _cv_surface
 
 TINY_SELECTOR = SelectorConfig(boot_iters=20, grid_per_dim=5, quad_points=101)
 
@@ -307,6 +312,29 @@ def test_cv_selected_bandwidths_come_from_grid():
     for r in res.rows:
         assert r["h1_boot"] >= lo * (1 - 1e-12)
         assert r["h1_cv"] >= lo * (1 - 1e-12)
+
+
+def test_cv_surface_matches_brute_force_cv_err():
+    """Oracle: the surface built from per-bandwidth leave-one-out vectors
+    equals cv_err cell for cell, on grids with and without duplicated
+    candidates; its row-major first minimum is the first minimal cell also
+    where distinct bandwidths tie (CV errors are step functions of h)."""
+    pair = make_pair("class1a")
+    grids = [(np.geomspace(0.1, 2.0, 7), np.geomspace(0.15, 1.5, 6)),
+             (np.array([0.3, 0.3, 0.8, 0.8]), np.array([0.5, 0.25, 0.5]))]
+    ties = 0
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        x, y = pair.sample("f", 30, rng), pair.sample("g", 24, rng)
+        for gh1, gh2 in grids:
+            brute = np.array([[cv_err(x, y, float(a), float(b), pair.p)
+                               for b in gh2] for a in gh1])
+            surface = _cv_surface(x, y, pair.p, gh1, gh2, TRIWEIGHT)
+            assert np.array_equal(surface, brute)
+            minimal = np.flatnonzero(brute == brute.min())
+            assert _first_argmin(surface) == divmod(int(minimal[0]), gh2.size)
+            ties += minimal.size > 1
+    assert ties >= 3  # the tie rule was exercised, not only unique minima
 
 
 def test_spread_ratio_edge_cases():
