@@ -33,7 +33,7 @@ from .simulate import (
 _STUDY_PAIRS = ("class1a", "class1b", "class2a", "class2b")
 
 _INT_KEYS = {"reps", "n", "boot_iters", "grid", "threads", "seed"}
-_FLOAT_KEYS = {"c1", "c2", "alpha", "beta"}
+_FLOAT_KEYS = {"c2", "alpha", "beta"}
 _LIST_KEYS = {"n_list"}
 _STR_KEYS = {"pair", "out"}
 
@@ -81,9 +81,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                         help="bootstrap replicates per grid cell")
     common.add_argument("--grid", type=int, default=15,
                         help="candidate bandwidths per axis")
-    common.add_argument("--c1", type=float, default=0.08,
-                        help="upper grid edge exponent n^(-c1), used only when "
-                        "fine_grid=False; the CLI keeps the default fine_grid=True")
     common.add_argument("--c2", type=float, default=0.45,
                         help="lower grid edge exponent: smallest h is n^(-c2)")
     common.add_argument("--config", default=None,
@@ -126,7 +123,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def _selector_config(args) -> SelectorConfig:
     return SelectorConfig(boot_iters=args.boot_iters, grid_per_dim=args.grid,
-                          c1=args.c1, c2=args.c2)
+                          c2=args.c2)
 
 
 def _cmd_study(args) -> int:

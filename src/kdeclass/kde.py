@@ -5,8 +5,14 @@ The estimator is the standard
     fhat(x) = (1 / (count * h)) * sum_i K((x - X_i) / h)
 
 with a compactly supported kernel, so only data inside [x - h*s, x + h*s]
-contribute; scalar evaluation exploits the sorted sample with a binary
-search window, and array evaluation broadcasts in bounded-memory chunks.
+contribute.  Scalar evaluation sums the kernel over the binary-search window
+of the sorted sample.  Array evaluation goes through one scatter engine,
+`_kde_many`, shared by the classifier, cross-validation, risk and the
+bootstrap selector: each datum adds its kernel values to the contiguous run
+of sorted points it reaches, so work grows with the pairs inside the support
+rather than with points x data.  The engine adds those values in the order
+numpy's pairwise sum adds a row of the dense (point x datum) kernel matrix,
+so its results equal the dense sum bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +29,106 @@ __all__ = [
     "smoothed_bootstrap",
 ]
 
-_CHUNK_ELEMENTS = 4_000_000  # cap on broadcast temporaries (doubles)
+#: cap on the (data x window) block one engine step evaluates, in doubles,
+#: above one sample's block of at most 128 data; larger blocks raised peak
+#: memory without running faster
+_BLOCK_ELEMENTS = 50_000
+
+#: numpy sums a contiguous row pairwise: it halves the row (at a multiple of
+#: 8) down to blocks of at most 128 values and adds each block in 8
+#: interleaved lanes, then the block's last (size mod 8) values one by one
+_PAIRWISE_BLOCK = 128
+_LANES = 8
+
+
+def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
+    """Estimates of B samples at G bandwidths on T sorted points at once:
+
+        out[b, g, t] = (1 / (n * hs[g])) * sum_i K((points[t] - samples[b, i]) / hs[g])
+
+    with samples of shape (B, n), finite, and points sorted ascending as
+    np.sort orders them (NaN last).  Each datum's kernel reaches a
+    contiguous run of points; one searchsorted per bandwidth finds it and
+    the kernel is evaluated on the padded (data x widest run) blocks with
+    the same u and the same |u| <= s test as the dense sum over all pairs.
+    The values are then added over each sample sorted, in numpy's pairwise
+    order, and scaled by 1 / (n * h), so the result equals
+    `kernel((points[:, None] - np.sort(sample)) / h).sum(axis=-1) * (1 / (n * h))`
+    exactly.  NaN and infinite points give 0.
+    """
+    samples = np.asarray(samples, dtype=float)
+    hs = np.asarray(hs, dtype=float).ravel()
+    points = np.asarray(points, dtype=float).ravel()
+    if samples.ndim != 2 or samples.shape[1] == 0:
+        raise ParameterError("samples must be a 2-D array with at least one column")
+    if not np.all(np.isfinite(samples)):
+        raise ParameterError("samples must be finite")
+    if not np.all(np.isfinite(hs) & (hs > 0)):
+        raise ParameterError("bandwidths must be positive and finite")
+    numbered = points.size - np.count_nonzero(np.isnan(points))
+    if (np.any(np.isnan(points[:numbered]))
+            or np.any(points[1:numbered] < points[:numbered - 1])):
+        raise ParameterError("points must be sorted ascending, NaN last")
+    B, n = samples.shape
+    T = points.size
+    out = np.zeros((B, hs.size, T))
+    if B == 0 or T == 0:
+        return out
+    data = np.sort(samples, axis=1)
+    # the run is widened past X -/+ h*s by more than the rounding of u and of
+    # the edges, so no pair with |u| <= s is left out; extra pairs give 0
+    slack = 1e-15 * np.abs(data)
+    s = float(kernel.support_halfwidth)
+    for g, h in enumerate(hs):
+        reach = h * s * (1.0 + 1e-14) + slack
+        lo = np.searchsorted(points, data - reach, side="left")
+        width = int(np.max(np.searchsorted(points, data + reach, side="right") - lo))
+        if width == 0:
+            continue
+        # shifting a run left to fit the array only adds points below
+        # X - h*s, whose kernel values are exact zeros
+        start = np.minimum(lo, T - width)
+        total = _pairwise_sum(data, start, width, points, h, kernel, 0, n)
+        out[:, g] = total * (1.0 / (n * h))
+    return out
+
+
+def _pairwise_sum(data, start, width, points, h, kernel, a, m) -> np.ndarray:
+    """Kernel sums (B, T) over data columns a..a+m-1, each datum adding its
+    values into the `width` points from its `start`, in numpy's pairwise
+    order."""
+    if m > _PAIRWISE_BLOCK:
+        half = m // 2 - (m // 2) % _LANES
+        return (_pairwise_sum(data, start, width, points, h, kernel, a, half)
+                + _pairwise_sum(data, start, width, points, h, kernel, a + half, m - half))
+    B, T = data.shape[0], points.size
+    window = np.arange(width)
+    body = m - m % _LANES
+    total = np.zeros((B, T))
+    if body:
+        # lane k of sample b collects columns a+k, a+k+8, ... in order, which
+        # is the order np.bincount adds them in; one chunk of samples holds
+        # whole lanes, so no lane is split between two bincount calls
+        lanes = np.zeros(B * _LANES * T)
+        base = (np.arange(B)[:, None] * _LANES + np.arange(body) % _LANES) * T
+        step = max(1, _BLOCK_ELEMENTS // (body * width))
+        for b0 in range(0, B, step):
+            rows = slice(b0, b0 + step)
+            idx = start[rows, a:a + body, None] + window
+            vals = kernel((points[idx] - data[rows, a:a + body, None]) / h)
+            first = base[b0, 0]
+            part = np.bincount((idx + base[rows, :, None]).ravel() - first, vals.ravel())
+            lanes[first:first + part.size] += part
+        r = lanes.reshape(B, _LANES, T).transpose(1, 0, 2)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    if m > body:
+        # the block's last values go on one by one: np.add.at adds in index
+        # order, which runs through the columns in order for each sample
+        tail = slice(a + body, a + m)
+        idx = start[:, tail, None] + window
+        vals = kernel((points[idx] - data[:, tail, None]) / h)
+        np.add.at(total, (np.arange(B)[:, None, None], idx), vals)
+    return total
 
 
 class KdeEstimate:
@@ -57,20 +162,16 @@ class KdeEstimate:
 
     # ------------------------------------------------------------------
     def __call__(self, x):
-        """Evaluate the estimate at scalar or array x."""
+        """Evaluate the estimate at scalar or array x (arrays of any shape,
+        in any order, through _kde_many)."""
         if np.ndim(x) == 0:
             return self._eval_scalar(float(x))
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        flat_x = x.ravel()
-        flat_out = out.ravel()
-        step = max(1, _CHUNK_ELEMENTS // max(1, self.count))
-        scale = 1.0 / (self.count * self.h)
-        for start in range(0, flat_x.size, step):
-            chunk = flat_x[start : start + step]
-            u = (chunk[:, None] - self.data[None, :]) / self.h
-            flat_out[start : start + step] = self.kernel(u).sum(axis=1) * scale
-        return out
+        flat = x.ravel()
+        order = np.argsort(flat)
+        out = np.empty(flat.size)
+        out[order] = _kde_many(self.data[None, :], [self.h], flat[order], self.kernel)[0, 0]
+        return out.reshape(x.shape)
 
     def _eval_scalar(self, x: float) -> float:
         half = self.h * float(self.kernel.support_halfwidth)

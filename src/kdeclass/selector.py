@@ -10,7 +10,7 @@ of that trained rule is integrated against the pilot-smoothed densities.
 Resamples are drawn once and shared by every grid cell (common random
 numbers), which removes between-cell Monte-Carlo noise from the surface and
 lets the two kernel estimates be precomputed per (replicate, bandwidth)
-instead of per cell.
+instead of per cell, all of them in one `_kde_many` call per population.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import factorial, sqrt, pi
 import numpy as np
 
 from .errors import DegenerateSampleError, ParameterError
-from .kde import KdeEstimate, smoothed_bootstrap
+from .kde import KdeEstimate, _kde_many, smoothed_bootstrap
 from .kernels import TRIWEIGHT, Kernel
 
 __all__ = [
@@ -41,6 +41,10 @@ __all__ = [
 _NORMAL_IQR = 1.349
 
 _SCALE_RULES = ("normal-sd", "iqr", "robust-min")
+
+#: cap on the (replicates, G1, G2, T) comparison that error_surface counts
+#: per chunk of replicates, in booleans, so memory does not grow with B
+_COUNT_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -230,20 +234,22 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
 
     B = config.boot_iters
     # one RNG stream, replicate-major order: x resample then y resample
-    fstar = np.empty((B, grid_h1.size, grid.size))
-    gstar = np.empty((B, grid_h2.size, grid.size))
+    xs = np.empty((B, x_data.size))
+    ys = np.empty((B, y_data.size))
     for b in range(B):
-        xs = smoothed_bootstrap(ftilde, x_data.size, rng)
-        ys = smoothed_bootstrap(gtilde, y_data.size, rng)
-        for k, h in enumerate(grid_h1):
-            fstar[b, k] = KdeEstimate(xs, float(h), config.kernel)(grid)
-        for k, h in enumerate(grid_h2):
-            gstar[b, k] = KdeEstimate(ys, float(h), config.kernel)(grid)
+        xs[b] = smoothed_bootstrap(ftilde, x_data.size, rng)
+        ys[b] = smoothed_bootstrap(gtilde, y_data.size, rng)
+    pf = p * _kde_many(xs, grid_h1, grid, config.kernel)
+    qg = (1.0 - p) * _kde_many(ys, grid_h2, grid, config.kernel)
 
-    # fraction over replicates of deltahat* < 0, all cells at once:
-    # shape (B, n1, 1, T) against (B, 1, n2, T) -> (n1, n2, T)
-    frac_lt = np.mean(p * fstar[:, :, None, :] < (1.0 - p) * gstar[:, None, :, :],
-                      axis=0)
+    # fraction over replicates of deltahat* < 0, all cells at once: chunks
+    # of (c, n1, 1, T) against (c, 1, n2, T) counted into (n1, n2, T)
+    count = np.zeros((grid_h1.size, grid_h2.size, grid.size), dtype=np.intp)
+    step = max(1, _COUNT_ELEMENTS // count.size)
+    for b0 in range(0, B, step):
+        count += np.count_nonzero(pf[b0:b0 + step, :, None, :]
+                                  < qg[b0:b0 + step, None, :, :], axis=0)
+    frac_lt = count / B
     integrand = p * fg * frac_lt + (1.0 - p) * gg * (1.0 - frac_lt)
     return np.trapezoid(integrand, grid, axis=-1)
 

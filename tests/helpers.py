@@ -9,6 +9,15 @@ arithmetic on the raw data.
 import numpy as np
 
 
+def naive_kde(data, h, kernel, x):
+    """Dense reference estimate at every point of x (any shape): the kernel
+    at all (point, datum) pairs of the sorted sample, no support windows,
+    summed per point with numpy's pairwise sum and scaled by 1 / (n * h)."""
+    data = np.sort(np.asarray(data, dtype=float).ravel())
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return kernel((x[..., None] - data) / h).sum(axis=-1) * (1.0 / (data.size * h))
+
+
 def nearest_positive_point(est, x, side, lo, hi, grid_points=4001):
     """sup{t <= x : est(t) > 0} for side 'right', inf{t >= x : est(t) > 0}
     for side 'left', found by scanning [lo, hi] and bisecting the boundary.

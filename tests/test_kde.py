@@ -1,30 +1,156 @@
-"""Kernel density estimates: fast evaluation vs the naive sum, leave-one-out
-identities, exact pointwise moments vs Monte Carlo, and smoothed-bootstrap
-distributional correctness.
+"""Kernel density estimates: the scatter engine _kde_many and array
+evaluation vs the dense sum over all pairs, leave-one-out identities, exact
+pointwise moments vs Monte Carlo, and smoothed-bootstrap distributional
+correctness.
+
+The engine adds the dense sum's kernel values in the dense sum's order
+(numpy's pairwise sum over the sorted sample), so it is held to the dense
+oracle bit for bit: same exact zeros, same values.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from helpers import naive_kde
 from kdeclass import (
     BIWEIGHT,
+    EPANECHNIKOV,
     KdeEstimate,
+    Kernel,
     Normal,
     ParameterError,
     TRIWEIGHT,
     kde_mean_var,
     smoothed_bootstrap,
 )
+from kdeclass import kde as kde_module
+from kdeclass.kde import _kde_many
+
+# the uniform kernels jump at their support edges, where the built-ins
+# vanish, so a pair left out at |u| = s shows up in the sum
+KERNELS = (TRIWEIGHT, BIWEIGHT, EPANECHNIKOV,
+           Kernel("uniform", [Fraction(1, 2)]),
+           Kernel("uniform-wide", [Fraction(1, 6)], support_halfwidth=3))
 
 
-def naive_kde(data, h, kernel, x):
-    """Reference implementation: direct double loop, no sorting tricks."""
-    data = np.asarray(data, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([np.sum(kernel((t - data) / h)) for t in x])
-    return out / (data.size * h)
+def assert_matches_dense(got, want):
+    """Same shape and the same values, exact zeros included, bit for bit."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def edge_points(data, h, s, rng, extra):
+    """Sorted points holding every kernel support edge X +- h*s, the floats
+    either side of each, and `extra` uniform points over the span."""
+    edges = np.concatenate([data - h * s, data + h * s])
+    pts = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                          np.nextafter(edges, np.inf),
+                          rng.uniform(data.min() - 2 * h, data.max() + 2 * h, extra)])
+    return np.sort(pts)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+@pytest.mark.parametrize("B,G", [(1, 1), (1, 3), (4, 1), (5, 4)])
+def test_kde_many_matches_dense_sum(kernel, B, G):
+    rng = np.random.default_rng(B * 10 + G)
+    n = 23 if B > 1 else 150                    # one block, or two of numpy's
+    samples = rng.normal(size=(B, n))
+    samples[:, 5:9] = samples[:, :4]            # duplicated data
+    hs = np.geomspace(0.05, 2.0, G)
+    s = float(kernel.support_halfwidth)
+    points = edge_points(samples.ravel(), hs[0], s, rng, 300)
+    got = _kde_many(samples, hs, points, kernel)
+    assert got.shape == (B, G, points.size)
+    for b in range(B):
+        for g, h in enumerate(hs):
+            assert_matches_dense(got[b, g], naive_kde(samples[b], h, kernel, points))
+    # the points just outside the outermost edges see nothing
+    assert np.all(got[:, 0, 0] == 0.0) and np.all(got[:, 0, -1] == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 128, 129, 200, 300])
+@pytest.mark.parametrize("cap", [None, 1])
+def test_kde_many_follows_numpy_pairwise_blocks(n, cap, monkeypatch):
+    # sizes below, at and past one 8-lane block and one 128-value block,
+    # with and without a block tail; cap 1 evaluates one sample per step
+    if cap is not None:
+        monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", cap)
+    rng = np.random.default_rng(n)
+    samples = rng.normal(size=(3, n))
+    hs = [0.1, 0.9]
+    points = np.sort(rng.uniform(-4.0, 4.0, 120))
+    got = _kde_many(samples, hs, points)
+    for b in range(3):
+        for g, h in enumerate(hs):
+            assert_matches_dense(got[b, g], naive_kde(samples[b], h, TRIWEIGHT, points))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_array_call_matches_dense_sum(kernel):
+    rng = np.random.default_rng(5)
+    data = np.repeat(rng.normal(size=40), 3)    # every datum three times
+    h = 0.3
+    est = KdeEstimate(data, h, kernel)
+    s = float(kernel.support_halfwidth)
+    pts = edge_points(est.data, h, s, rng, 200)
+    pts = np.concatenate([pts, pts[::7]])       # duplicated points
+    rng.shuffle(pts)                            # in no order
+    grid = pts[: 20 * 30].reshape(20, 30)       # and 2-D
+    assert_matches_dense(est(pts), naive_kde(data, h, kernel, pts))
+    got = est(grid)
+    assert got.shape == (20, 30)
+    assert_matches_dense(got, naive_kde(data, h, kernel, grid))
+
+
+def test_engine_large_sample_matches_dense_sum():
+    rng = np.random.default_rng(11)
+    data = rng.normal(size=2000)
+    for h in (0.05, 0.4):
+        est = KdeEstimate(data, h)
+        xs = np.sort(rng.uniform(-4.5, 4.5, size=1500))
+        assert_matches_dense(est(xs), naive_kde(data, h, TRIWEIGHT, xs))
+        # the data themselves, as loo_all evaluates them
+        assert_matches_dense(est(est.data), naive_kde(data, h, TRIWEIGHT, est.data))
+
+
+def test_engine_nonfinite_and_empty_points():
+    data = np.array([-1.0, 0.0, 0.5, 3.0])
+    est = KdeEstimate(data, 0.8)
+    pts = np.array([np.nan, 0.2, -np.inf, np.inf, 0.2, np.nan, 2.9])
+    got = est(pts)
+    want = naive_kde(data, 0.8, TRIWEIGHT, pts)
+    assert np.array_equal(got[[0, 2, 3, 5]], np.zeros(4))
+    assert_matches_dense(got, want)
+    sorted_pts = np.array([-np.inf, -0.5, 0.1, np.inf, np.nan])
+    many = _kde_many(np.stack([data, data[::-1] + 0.25]), [0.3, 1.0], sorted_pts)
+    assert np.all(many[:, :, [0, 3, 4]] == 0.0)
+    assert_matches_dense(many[1, 1], naive_kde(data[::-1] + 0.25, 1.0, TRIWEIGHT,
+                                               sorted_pts))
+    assert est(np.array([])).shape == (0,)
+    assert est(np.empty((0, 3))).shape == (0, 3)
+    assert _kde_many(data[None, :], [0.5, 1.0], []).shape == (1, 2, 0)
+
+
+def test_kde_many_validation():
+    data = np.zeros((2, 3))
+    with pytest.raises(ParameterError):
+        _kde_many(data, [1.0], [1.0, 0.0])        # points not sorted
+    with pytest.raises(ParameterError):
+        _kde_many(data, [0.0], [0.0])
+    with pytest.raises(ParameterError):
+        _kde_many(data[0], [1.0], [0.0])           # samples must be 2-D
+    with pytest.raises(ParameterError):
+        _kde_many(np.zeros((2, 0)), [1.0], [0.0])
+    with pytest.raises(ParameterError):
+        _kde_many(np.full((1, 2), np.inf), [1.0], [0.0])
+    with pytest.raises(ParameterError):
+        _kde_many(data, [1.0], [0.0, np.nan, -1.0])  # NaN before a number
+    assert _kde_many(data, [1.0], [0.0, 1.0, np.nan, np.nan]).shape == (2, 1, 4)
+    assert _kde_many(np.zeros((0, 3)), [1.0, 2.0], [0.0]).shape == (0, 2, 1)
 
 
 def test_matches_naive_sum_fixed_cases():
@@ -77,7 +203,7 @@ def test_chunked_array_path():
     rng = np.random.default_rng(9)
     data = rng.normal(size=4000)
     est = KdeEstimate(data, 0.3)
-    xs = rng.uniform(-3, 3, size=5000)   # forces several broadcast chunks
+    xs = rng.uniform(-3, 3, size=5000)   # forces many engine blocks
     direct = np.array([est(float(t)) for t in xs[:25]])
     assert est(xs)[:25] == pytest.approx(direct, abs=1e-13)
     assert est(xs.reshape(50, 100)).shape == (50, 100)

@@ -4,7 +4,9 @@ leave-one-out negative control.
 Oracles: quadrature of squared Hermite-polynomial normal derivatives for the
 normal roughness constants, literal arithmetic for the scale rules, frozen
 full-precision pilot values, and exact common-random-number equalities
-between the single-cell and full-surface bootstrap paths.
+between the single-cell and full-surface bootstrap paths.  The surface
+itself is held bit for bit to a dense reference: one broadcast KDE fit per
+(replicate, bandwidth) and one mean over the whole comparison.
 """
 
 import numpy as np
@@ -13,8 +15,10 @@ from numpy.polynomial import hermite_e
 from scipy import stats
 from scipy.integrate import quad
 
+from helpers import naive_kde
 from kdeclass import (
     DegenerateSampleError,
+    KdeEstimate,
     ParameterError,
     SelectorConfig,
     bootstrap_err,
@@ -25,7 +29,9 @@ from kdeclass import (
     pilot_bandwidth,
     sample_scale,
     select_bandwidths,
+    smoothed_bootstrap,
 )
+from kdeclass import selector
 from kdeclass.selector import _first_argmin, _unit_pilot
 
 UNIT_PILOT_100 = 1.9330594687104183
@@ -200,6 +206,67 @@ def test_bootstrap_err_equals_surface_cell():
             cell = bootstrap_err(x, y, float(gh1[i]), float(gh2[j]),
                                  config=cfg, seed=7)
             assert cell == surface[i, j]
+
+
+def dense_error_surface(x, y, grid_h1, grid_h2, p, config, rng):
+    """The bootstrap surface as one dense KDE fit per (replicate, bandwidth)
+    and one mean over the (B, G1, G2, T) comparison, in error_surface's RNG
+    order: x resample then y resample per replicate."""
+    kernel = config.kernel
+    h3 = pilot_bandwidth(x, config)
+    h4 = pilot_bandwidth(y, config)
+    pad = max(h3, h4) * kernel.support_halfwidth
+    grid = np.linspace(min(x.min(), y.min()) - pad, max(x.max(), y.max()) + pad,
+                       config.quad_points)
+    ftilde = KdeEstimate(x, h3, kernel)
+    gtilde = KdeEstimate(y, h4, kernel)
+    B = config.boot_iters
+    fstar = np.empty((B, len(grid_h1), grid.size))
+    gstar = np.empty((B, len(grid_h2), grid.size))
+    for b in range(B):
+        xs = smoothed_bootstrap(ftilde, x.size, rng)
+        ys = smoothed_bootstrap(gtilde, y.size, rng)
+        for k, h in enumerate(grid_h1):
+            fstar[b, k] = naive_kde(xs, h, kernel, grid)
+        for k, h in enumerate(grid_h2):
+            gstar[b, k] = naive_kde(ys, h, kernel, grid)
+    frac_lt = np.mean(p * fstar[:, :, None, :] < (1.0 - p) * gstar[:, None, :, :], axis=0)
+    integrand = (p * naive_kde(x, h3, kernel, grid) * frac_lt
+                 + (1.0 - p) * naive_kde(y, h4, kernel, grid) * (1.0 - frac_lt))
+    return np.trapezoid(integrand, grid, axis=-1)
+
+
+@pytest.mark.parametrize("pair_id", ["class1a", "class2a"])
+@pytest.mark.parametrize("n", [20, 63])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_error_surface_matches_dense_reference(pair_id, n, seed):
+    pair = make_pair(pair_id)
+    rng = np.random.default_rng(seed)
+    x = pair.sample("f", n, rng)
+    y = pair.sample("g", n, rng)
+    cfg = SelectorConfig()
+    grid = np.geomspace(n ** (-cfg.c2), _unit_pilot(n, cfg), cfg.grid_per_dim)
+    got = error_surface(x, y, grid, grid, pair.p, cfg, np.random.default_rng(seed + 10))
+    want = dense_error_surface(x, y, grid, grid, pair.p, cfg,
+                               np.random.default_rng(seed + 10))
+    assert np.array_equal(got, want)
+    assert _first_argmin(got) == _first_argmin(want)
+
+
+def test_error_surface_counts_in_chunks(monkeypatch):
+    rng = np.random.default_rng(8)
+    x = rng.normal(0.0, 1.0, 30)
+    y = rng.normal(1.0, 1.0, 25)
+    cfg = _tight_config(boot_iters=10, grid_per_dim=4)
+    gh1 = np.array([0.3, 0.5, 0.8, 1.2])
+    gh2 = np.array([0.4, 0.7, 1.1])
+    whole = error_surface(x, y, gh1, gh2, 0.4, cfg, np.random.default_rng(3))
+    # three replicates per chunk: 10 replicates leave a last chunk of one
+    monkeypatch.setattr(selector, "_COUNT_ELEMENTS", 3 * gh1.size * gh2.size * cfg.quad_points)
+    chunked = error_surface(x, y, gh1, gh2, 0.4, cfg, np.random.default_rng(3))
+    assert np.array_equal(chunked, whole)
+    want = dense_error_surface(x, y, gh1, gh2, 0.4, cfg, np.random.default_rng(3))
+    assert np.array_equal(chunked, want)
 
 
 # ----------------------------------------------------------------------
