@@ -41,6 +41,16 @@ _PAIRWISE_BLOCK = 128
 _LANES = 8
 
 
+def _checked_sample(data) -> np.ndarray:
+    """data as a float array, which must be nonempty and finite."""
+    data = np.asarray(data, dtype=float)
+    if data.size == 0:
+        raise ParameterError("data must be nonempty")
+    if not np.all(np.isfinite(data)):
+        raise ParameterError("data must be finite")
+    return data
+
+
 def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
     """Estimates of B samples at G bandwidths on T sorted points at once:
 
@@ -88,20 +98,22 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
         # shifting a run left to fit the array only adds points below
         # X - h*s, whose kernel values are exact zeros
         start = np.minimum(lo, T - width)
-        total = _pairwise_sum(data, start, width, points, h, kernel, 0, n)
+        windows = np.lib.stride_tricks.sliding_window_view(points, width)
+        total = _pairwise_sum(data, start, windows, h, kernel, 0, n)
         out[:, g] = total * (1.0 / (n * h))
     return out
 
 
-def _pairwise_sum(data, start, width, points, h, kernel, a, m) -> np.ndarray:
+def _pairwise_sum(data, start, windows, h, kernel, a, m) -> np.ndarray:
     """Kernel sums (B, T) over data columns a..a+m-1, each datum adding its
-    values into the `width` points from its `start`, in numpy's pairwise
+    values into the run of points `windows[start]`, in numpy's pairwise
     order."""
     if m > _PAIRWISE_BLOCK:
         half = m // 2 - (m // 2) % _LANES
-        return (_pairwise_sum(data, start, width, points, h, kernel, a, half)
-                + _pairwise_sum(data, start, width, points, h, kernel, a + half, m - half))
-    B, T = data.shape[0], points.size
+        return (_pairwise_sum(data, start, windows, h, kernel, a, half)
+                + _pairwise_sum(data, start, windows, h, kernel, a + half, m - half))
+    B, width = data.shape[0], windows.shape[1]
+    T = windows.shape[0] + width - 1
     window = np.arange(width)
     body = m - m % _LANES
     total = np.zeros((B, T))
@@ -113,11 +125,14 @@ def _pairwise_sum(data, start, width, points, h, kernel, a, m) -> np.ndarray:
         base = (np.arange(B)[:, None] * _LANES + np.arange(body) % _LANES) * T
         step = max(1, _BLOCK_ELEMENTS // (body * width))
         for b0 in range(0, B, step):
-            rows = slice(b0, b0 + step)
-            idx = start[rows, a:a + body, None] + window
-            vals = kernel((points[idx] - data[rows, a:a + body, None]) / h)
+            rows, cols = slice(b0, b0 + step), slice(a, a + body)
+            # (t - X) / h in place: the dense sum's two roundings
+            u = windows[start[rows, cols]]
+            u -= data[rows, cols, None]
+            u /= h
             first = base[b0, 0]
-            part = np.bincount((idx + base[rows, :, None]).ravel() - first, vals.ravel())
+            offset = start[rows, cols] + base[rows] - first
+            part = np.bincount((offset[..., None] + window).ravel(), kernel(u).ravel())
             lanes[first:first + part.size] += part
         r = lanes.reshape(B, _LANES, T).transpose(1, 0, 2)
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
@@ -125,9 +140,10 @@ def _pairwise_sum(data, start, width, points, h, kernel, a, m) -> np.ndarray:
         # the block's last values go on one by one: np.add.at adds in index
         # order, which runs through the columns in order for each sample
         tail = slice(a + body, a + m)
-        idx = start[:, tail, None] + window
-        vals = kernel((points[idx] - data[:, tail, None]) / h)
-        np.add.at(total, (np.arange(B)[:, None, None], idx), vals)
+        u = windows[start[:, tail]]
+        u -= data[:, tail, None]
+        u /= h
+        np.add.at(total, (np.arange(B)[:, None, None], start[:, tail, None] + window), kernel(u))
     return total
 
 
@@ -145,11 +161,7 @@ class KdeEstimate:
     """
 
     def __init__(self, data, h: float, kernel: Kernel = TRIWEIGHT):
-        arr = np.asarray(data, dtype=float).ravel()
-        if arr.size == 0:
-            raise ParameterError("data must be nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("data must be finite")
+        arr = _checked_sample(data).ravel()
         if not (np.isfinite(h) and h > 0):
             raise ParameterError("h must be positive")
         self.data = np.sort(arr)

@@ -7,7 +7,8 @@ Conventions
 * Inside the support K(u) is a polynomial in u**2; coefficients are kept as
   exact rationals so moments and roughness values are computed in closed
   form.  Quadrature never enters the library path (tests use it as an
-  independent oracle).
+  independent oracle).  K(u) itself is np.polyval's Horner sequence run in
+  place at |u|, which equals np.polyval at u bit for bit (Kernel.__call__).
 * Derivatives are classical derivatives of the interior polynomial on the
   open support; roughness(r) integrates their square over [-s, s].
 """
@@ -96,11 +97,27 @@ class Kernel:
     # evaluation
     # ------------------------------------------------------------------
     def __call__(self, u):
-        """Evaluate K(u); zero outside the support.  Accepts scalars or arrays."""
+        """Evaluate K(u); zero outside the support.  Accepts scalars or arrays.
+
+        np.polyval's Horner steps y = y * a + c run in place at a = |u|
+        clipped to s, and points failing |u| <= s (NaN too) are then zeroed.
+        That is np.polyval at u bit for bit: the odd coefficients are 0, so
+        the sign an odd step takes from -a the next step gives back; a
+        skipped `+ 0.0` only signs an exact zero, which the next addition
+        clears (the last one is always made); and the clip moves only
+        zeroed points, so nothing overflows.
+        """
         u = np.asarray(u, dtype=float)
         s = float(self.support_halfwidth)
-        inside = np.abs(u) <= s
-        out = np.where(inside, np.polyval(self._float_coeffs, np.where(inside, u, 0.0)), 0.0)
+        a = np.abs(u, out=np.empty(u.shape))
+        outside = ~(a <= s)
+        np.minimum(a, s, out=a)
+        out = np.full(u.shape, self._float_coeffs[0])
+        for k, c in enumerate(self._float_coeffs[1:], 2):
+            out *= a
+            if c or k == self._float_coeffs.size:
+                out += c
+        np.copyto(out, 0.0, where=outside)
         if out.ndim == 0:
             return float(out)
         return out

@@ -21,7 +21,7 @@ from math import factorial, sqrt, pi
 import numpy as np
 
 from .errors import DegenerateSampleError, ParameterError
-from .kde import KdeEstimate, _kde_many, smoothed_bootstrap
+from .kde import KdeEstimate, _checked_sample, _kde_many, smoothed_bootstrap
 from .kernels import TRIWEIGHT, Kernel
 
 __all__ = [
@@ -210,10 +210,12 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
         config = SelectorConfig()
     if not 0.0 < p < 1.0:
         raise ParameterError("p must lie strictly between 0 and 1")
-    x_data = np.asarray(x_data, dtype=float)
-    y_data = np.asarray(y_data, dtype=float)
+    x_data = _checked_sample(x_data)
+    y_data = _checked_sample(y_data)
     grid_h1 = np.asarray(grid_h1, dtype=float)
     grid_h2 = np.asarray(grid_h2, dtype=float)
+    if grid_h1.size == 0 or grid_h2.size == 0:
+        raise ParameterError("candidate grids must be nonempty")
     if np.any(grid_h1 <= 0) or np.any(grid_h2 <= 0):
         raise ParameterError("candidate bandwidths must be positive")
     if rng is None:
@@ -282,7 +284,7 @@ def select_bandwidths(x_data: np.ndarray, y_data: np.ndarray, p: float = 0.5,
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    n = np.size(y_data)
+    n = _checked_sample(y_data).size
     lo = n ** (-config.c2)
     if config.fine_grid:
         hi = config.fine_grid_factor * _unit_pilot(n, config)

@@ -9,13 +9,23 @@ arithmetic on the raw data.
 import numpy as np
 
 
+def polyval_kernel(kernel, u):
+    """Reference kernel values: np.polyval of the full-degree coefficients
+    at u, with points failing |u| <= s (NaN included) evaluated at 0 and
+    then set to 0."""
+    u = np.asarray(u, dtype=float)
+    inside = np.abs(u) <= float(kernel.support_halfwidth)
+    return np.where(inside, np.polyval(kernel._float_coeffs, np.where(inside, u, 0.0)), 0.0)
+
+
 def naive_kde(data, h, kernel, x):
-    """Dense reference estimate at every point of x (any shape): the kernel
-    at all (point, datum) pairs of the sorted sample, no support windows,
-    summed per point with numpy's pairwise sum and scaled by 1 / (n * h)."""
+    """Dense reference estimate at every point of x (any shape): the
+    reference kernel at all (point, datum) pairs of the sorted sample, no
+    support windows, summed per point with numpy's pairwise sum and scaled
+    by 1 / (n * h)."""
     data = np.sort(np.asarray(data, dtype=float).ravel())
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return kernel((x[..., None] - data) / h).sum(axis=-1) * (1.0 / (data.size * h))
+    return polyval_kernel(kernel, (x[..., None] - data) / h).sum(axis=-1) * (1.0 / (data.size * h))
 
 
 def nearest_positive_point(est, x, side, lo, hi, grid_points=4001):

@@ -5,6 +5,7 @@ polynomial; the oracle here is adaptive numeric integration of the same
 functionals, so agreement is a genuine dual-route check.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,8 @@ from kdeclass import (
     get_kernel,
     multivariate_norm_constant,
 )
+
+from helpers import polyval_kernel
 
 ALL_KERNELS = (TRIWEIGHT, BIWEIGHT, EPANECHNIKOV)
 
@@ -102,6 +105,33 @@ def test_evaluation_even_nonnegative_compact(kernel):
     assert np.all(vals[np.abs(u) > s] == 0.0)
     # scalar evaluation agrees with the vector path
     assert kernel(0.25) == pytest.approx(kernel(np.array([0.25]))[0], abs=1e-15)
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS + (
+    Kernel("uniform", [Fraction(1, 2)]),
+    Kernel("uniform-wide", [Fraction(1, 6)], support_halfwidth=3),
+    # K(0) = 0 with K < 0 near 0: the Horner value at u = 0 is -0 until the
+    # last coefficient, 0.0, is added
+    Kernel("signed-quartic", [0, Fraction(-3, 2), 5])), ids=lambda k: k.name)
+def test_evaluation_matches_polyval_bit_for_bit(kernel):
+    s = float(kernel.support_halfwidth)
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, s, -s, np.nextafter(s, 0.0), np.nextafter(s, np.inf),
+               np.nextafter(-s, 0.0), np.nextafter(-s, -np.inf), np.inf, -np.inf,
+               np.nan, 1e300, -1e300, 5e-324, -5e-324]
+    u = np.concatenate([rng.uniform(-1.5 * s, 1.5 * s, 1000), special])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arg in (u, u.reshape(-1, 5), np.empty(0), np.empty((3, 0))):
+            got, want = kernel(arg), polyval_kernel(kernel, arg)
+            assert got.shape == arg.shape
+            assert np.array_equal(got, want, equal_nan=False)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        for value in [0.3 * s, -0.7 * s] + special:
+            got = kernel(value)
+            assert type(got) is float
+            assert got == float(polyval_kernel(kernel, value))
+            assert kernel(np.array(value)) == got
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)

@@ -368,6 +368,28 @@ def test_select_bandwidths_validation():
     # a tiny factor collapses the window below its lower edge
     with pytest.raises(ParameterError):
         select_bandwidths(x, y, 0.5, _tight_config(fine_grid_factor=1e-6))
+    # an empty sample or an empty candidate grid
+    with pytest.raises(ParameterError, match="nonempty"):
+        select_bandwidths(x, [])
+    with pytest.raises(ParameterError, match="nonempty"):
+        select_bandwidths([], y)
+    with pytest.raises(ParameterError, match="nonempty"):
+        error_surface(x, y, [0.3], [])
+    with pytest.raises(ParameterError, match="nonempty"):
+        error_surface(x, y, [], [0.3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["x", "y"])
+def test_non_finite_data_is_a_parameter_error(bad, which):
+    rng = np.random.default_rng(68)
+    x = rng.normal(0.0, 1.0, 30)
+    y = rng.normal(1.0, 1.0, 30)
+    (x if which == "x" else y)[7] = bad
+    with pytest.raises(ParameterError, match="data must be finite"):
+        select_bandwidths(x, y, 0.5, _tight_config())
+    with pytest.raises(ParameterError, match="data must be finite"):
+        error_surface(x, y, [0.3], [0.4], 0.5, _tight_config())
 
 
 # ----------------------------------------------------------------------
