@@ -285,7 +285,8 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
     midpoints of a uniform scan (pitch min(total span/2048, min bandwidth
     support/4)) and each sign flip is bisected to width 1e-10; in the gaps
     the rule is piecewise constant, so a single interior evaluation labels
-    the whole gap.
+    the whole gap.  A region narrower than the scan pitch can fall between
+    two midpoints and is then missed, with no warning.
     """
     if rule not in ("ahat", "body"):
         raise ParameterError("rule must be 'ahat' or 'body'")

@@ -9,10 +9,12 @@ contribute.  Scalar evaluation sums the kernel over the binary-search window
 of the sorted sample.  Array evaluation goes through one scatter engine,
 `_kde_many`, shared by the classifier, cross-validation, risk and the
 bootstrap selector: each datum adds its kernel values to the contiguous run
-of sorted points it reaches, so work grows with the pairs inside the support
-rather than with points x data.  The engine adds those values in the order
-numpy's pairwise sum adds a row of the dense (point x datum) kernel matrix,
-so its results equal the dense sum bit for bit.
+of sorted points it reaches.  Only the live columns, the sorted data from
+the first to the last datum that reaches some point, are evaluated, each on
+the widest run, so work grows with live columns x widest run rather than
+with points x data.  The engine adds those values in the order numpy's
+pairwise sum adds a row of the dense (point x datum) kernel matrix, so its
+results equal the dense sum bit for bit.
 """
 
 from __future__ import annotations
@@ -59,8 +61,10 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
     with samples of shape (B, n), finite, and points sorted ascending as
     np.sort orders them (NaN last).  Each datum's kernel reaches a
     contiguous run of points; one searchsorted per bandwidth finds it and
-    the kernel is evaluated on the padded (data x widest run) blocks with
-    the same u and the same |u| <= s test as the dense sum over all pairs.
+    the kernel is evaluated on the padded (live columns x widest run)
+    blocks with the same u and the same |u| <= s test as the dense sum over
+    all pairs; the live columns run from the first to the last sorted datum
+    whose run is nonempty in some sample, and the others add exact zeros.
     The values are then added over each sample sorted, in numpy's pairwise
     order, and scaled by 1 / (n * h), so the result equals
     `kernel((points[:, None] - np.sort(sample)) / h).sum(axis=-1) * (1 / (n * h))`
@@ -92,54 +96,61 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
     for g, h in enumerate(hs):
         reach = h * s * (1.0 + 1e-14) + slack
         lo = np.searchsorted(points, data - reach, side="left")
-        width = int(np.max(np.searchsorted(points, data + reach, side="right") - lo))
-        if width == 0:
+        runs = np.searchsorted(points, data + reach, side="right") - lo
+        # the live columns: those whose run is nonempty in some sample
+        live = np.flatnonzero(runs.max(axis=0))
+        if live.size == 0:
             continue
+        width = int(runs.max())
         # shifting a run left to fit the array only adds points below
         # X - h*s, whose kernel values are exact zeros
         start = np.minimum(lo, T - width)
         windows = np.lib.stride_tricks.sliding_window_view(points, width)
-        total = _pairwise_sum(data, start, windows, h, kernel, 0, n)
+        total = _pairwise_sum(data, start, windows, h, kernel, 0, n, (live[0], live[-1] + 1))
         out[:, g] = total * (1.0 / (n * h))
     return out
 
 
-def _pairwise_sum(data, start, windows, h, kernel, a, m) -> np.ndarray:
+def _pairwise_sum(data, start, windows, h, kernel, a, m, span) -> np.ndarray:
     """Kernel sums (B, T) over data columns a..a+m-1, each datum adding its
     values into the run of points `windows[start]`, in numpy's pairwise
-    order."""
-    if m > _PAIRWISE_BLOCK:
-        half = m // 2 - (m // 2) % _LANES
-        return (_pairwise_sum(data, start, windows, h, kernel, a, half)
-                + _pairwise_sum(data, start, windows, h, kernel, a + half, m - half))
+    order.  Only the columns in the live span `span` = [c0, c1) are
+    evaluated: the others would add exact zeros; each keeps its lane."""
     B, width = data.shape[0], windows.shape[1]
     T = windows.shape[0] + width - 1
+    if a >= span[1] or a + m <= span[0]:
+        return np.zeros((B, T))
+    if m > _PAIRWISE_BLOCK:
+        half = m // 2 - (m // 2) % _LANES
+        return (_pairwise_sum(data, start, windows, h, kernel, a, half, span)
+                + _pairwise_sum(data, start, windows, h, kernel, a + half, m - half, span))
     window = np.arange(width)
-    body = m - m % _LANES
+    lo, hi = max(a, span[0]), min(a + m, span[1])
+    mid = min(max(lo, a + m - m % _LANES), hi)     # where the live tail starts
     total = np.zeros((B, T))
-    if body:
+    if lo < mid:
         # lane k of sample b collects columns a+k, a+k+8, ... in order, which
         # is the order np.bincount adds them in; one chunk of samples holds
         # whole lanes, so no lane is split between two bincount calls
         lanes = np.zeros(B * _LANES * T)
-        base = (np.arange(B)[:, None] * _LANES + np.arange(body) % _LANES) * T
-        step = max(1, _BLOCK_ELEMENTS // (body * width))
+        base = (np.arange(B)[:, None] * _LANES + np.arange(lo - a, mid - a) % _LANES) * T
+        step = max(1, _BLOCK_ELEMENTS // ((mid - lo) * width))
         for b0 in range(0, B, step):
-            rows, cols = slice(b0, b0 + step), slice(a, a + body)
+            rows, cols = slice(b0, b0 + step), slice(lo, mid)
             # (t - X) / h in place: the dense sum's two roundings
             u = windows[start[rows, cols]]
             u -= data[rows, cols, None]
             u /= h
-            first = base[b0, 0]
+            first = b0 * _LANES * T
             offset = start[rows, cols] + base[rows] - first
             part = np.bincount((offset[..., None] + window).ravel(), kernel(u).ravel())
             lanes[first:first + part.size] += part
         r = lanes.reshape(B, _LANES, T).transpose(1, 0, 2)
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    if m > body:
+    if mid < hi:
         # the block's last values go on one by one: np.add.at adds in index
         # order, which runs through the columns in order for each sample
-        tail = slice(a + body, a + m)
+        tail = slice(mid, hi)
         u = windows[start[:, tail]]
         u -= data[:, tail, None]
         u /= h

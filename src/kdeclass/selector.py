@@ -134,8 +134,10 @@ def sample_scale(data: np.ndarray, rule: str = "robust-min") -> float:
     * "normal-sd": sample standard deviation (ddof 1);
     * "iqr": interquartile range divided by the normal IQR 1.349;
     * "robust-min": the smaller of the two.
+
+    Empty or non-finite data raise ParameterError, not DegenerateSampleError.
     """
-    data = np.asarray(data, dtype=float)
+    data = _checked_sample(data)
     if data.size < 2:
         raise DegenerateSampleError("need at least two observations for a scale")
     if rule not in _SCALE_RULES:

@@ -15,6 +15,7 @@ from kdeclass import (
     KdeEstimate,
     Label,
     ParameterError,
+    TRIWEIGHT,
     classify_a0,
     classify_a1,
     classify_ahat,
@@ -415,6 +416,29 @@ def test_decision_segments_flip_location():
     segs = decision_segments(clf, -0.6, 0.9, rule="body")
     flips = [b for a, b, _ in segs[:-1]]
     assert any(abs(c - 0.15) < 1e-8 for c in flips)
+
+
+def _narrow_g_region():
+    """A g-region about 3.9e-3 wide around 0.123456: one g datum there,
+    with h2 set so that q*ghat exceeds p*fhat at it by a factor 1 + 1e-4."""
+    x = np.linspace(-3.0, 3.0, 61)
+    y = np.r_[0.123456, np.linspace(50.0, 60.0, 19)]
+    fhat = KdeEstimate(x, 1.0)
+    h2 = (0.5 * TRIWEIGHT.at_zero / 20) / (0.5 * fhat(0.123456) * (1 + 1e-4))
+    return fit_classifier(x, y, 1.0, h2, p=0.5)
+
+
+def test_narrow_g_region_is_there():
+    clf = _narrow_g_region()
+    assert clf.deltahat(0.123456) == pytest.approx(-8.2e-6, rel=0.01)
+    assert classify_a1(clf, 0.123456).population == FROM_G
+
+
+@pytest.mark.xfail(strict=True, reason="the midpoint sign scan misses a region "
+                   "narrower than its pitch")
+def test_decision_segments_finds_region_narrower_than_scan_pitch():
+    segs = decision_segments(_narrow_g_region(), -5.0, 5.0, rule="body")
+    assert any(a < 0.123456 < b and lab == FROM_G for a, b, lab in segs)
 
 
 def test_decision_segments_validation():

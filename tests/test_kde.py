@@ -89,6 +89,138 @@ def test_kde_many_follows_numpy_pairwise_blocks(n, cap, monkeypatch):
             assert_matches_dense(got[b, g], naive_kde(samples[b], h, TRIWEIGHT, points))
 
 
+class CountingKernel(Kernel):
+    """The triweight kernel, counting the values it evaluates."""
+
+    def __init__(self):
+        super().__init__("counting-triweight", TRIWEIGHT.poly_coeffs)
+        self.evaluated = 0
+
+    def __call__(self, u):
+        self.evaluated += np.size(u)
+        return super().__call__(u)
+
+
+def spaced_samples(n, offsets, rng):
+    """One sample per offset: n data about one apart, sorted column i within
+    0.05 of i + offset."""
+    noise = rng.uniform(-0.05, 0.05, (len(offsets), n))
+    return np.arange(n) + np.asarray(offsets, dtype=float)[:, None] + noise
+
+
+def points_reached_by(data, c0, c1, hs, rng, extra):
+    """Sorted points that columns c0..c1-1 of `data` (spaced as by
+    spaced_samples, kernel reach hs) reach, about 2*hs of them each, and no
+    other column does: the support edges X +- hs inside
+    [c0 - 0.45 + hs, c1 - 0.55 - hs], the floats either side of each, and
+    `extra` uniform points in that interval."""
+    lo, hi = c0 - 0.45 + hs, c1 - 0.55 - hs
+    edges = np.concatenate([data - hs, data + hs])
+    edges = edges[(edges > lo) & (edges < hi)]
+    return np.sort(np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                   np.nextafter(edges, np.inf),
+                                   rng.uniform(lo, hi, extra)]))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+@pytest.mark.parametrize("k", [0, 999, 1999])
+def test_kde_many_points_one_datum_reaches(kernel, k):
+    # 64 points inside one datum's reach at n = 2000: all the other columns,
+    # whole 128-blocks of them, lie outside the live span
+    rng = np.random.default_rng(k)
+    data = np.sort(rng.normal(size=2000))
+    s = float(kernel.support_halfwidth)
+    h = 1e-4 / s
+    points = np.sort(data[k] + h * s * rng.uniform(-1.0, 1.0, 64))
+    got = _kde_many(data[None, :], [h, 10 * h], points, kernel)
+    for g, hg in enumerate([h, 10 * h]):
+        assert_matches_dense(got[0, g], naive_kde(data, hg, kernel, points))
+    assert np.all(got[0, 0] > 0.0)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_kde_many_points_outside_the_data(kernel):
+    rng = np.random.default_rng(2)
+    samples = rng.normal(size=(2, 300))
+    s = float(kernel.support_halfwidth)
+    lo, hi = samples.min() - 0.25 * s, samples.max() + 0.25 * s   # reach <= 0.2*s
+    for points in (np.sort(lo - rng.uniform(0, 1, 40)), np.sort(hi + rng.uniform(0, 1, 40)),
+                   np.r_[lo - 1.0, lo, hi, hi + 1.0]):
+        got = _kde_many(samples, [0.1, 0.2], points, kernel)
+        assert np.array_equal(got, np.zeros((2, 2, points.size)))
+        assert_matches_dense(got[1, 1], naive_kde(samples[1], 0.2, kernel, points))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+@pytest.mark.parametrize("cap", [None, 1])
+@pytest.mark.parametrize("n,c0,c1", [(129, 3, 129), (150, 75, 147), (300, 11, 298),
+                                     (300, 150, 299)])
+def test_kde_many_live_span_mid_lane_to_block_tail(kernel, cap, n, c0, c1, monkeypatch):
+    # numpy splits n = 129 into 64 + (64 + a 1-value tail), 150 into 72 +
+    # (72 + 6) and 300 into 72 + 72 + 72 + (80 + 4): each span [c0, c1) of
+    # live columns starts mid-lane and ends inside a block tail
+    if cap is not None:
+        monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", cap)
+    rng = np.random.default_rng(n + c0)
+    h = 3.4 / float(kernel.support_halfwidth)
+    data = spaced_samples(n, [0.0], rng)[0]
+    points = points_reached_by(data, c0, c1, 3.4, rng, 100)
+    got = _kde_many(data[None, :], [h], points, kernel)
+    assert_matches_dense(got[0, 0], naive_kde(data, h, kernel, points))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+@pytest.mark.parametrize("cap", [None, 1])
+def test_kde_many_disjoint_live_spans(kernel, cap, monkeypatch):
+    # the same points meet columns 10..29 of the first sample, 50..69 of the
+    # second and 90..109 of the third: the span covers all three, and each
+    # sample's columns outside its own run add exact zeros
+    if cap is not None:
+        monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", cap)
+    rng = np.random.default_rng(3)
+    h = 3.4 / float(kernel.support_halfwidth)
+    samples = spaced_samples(200, [0.0, -40.0, -80.0], rng)
+    points = points_reached_by(samples[0], 10, 30, 3.4, rng, 100)
+    got = _kde_many(samples, [h], points, kernel)
+    for b in range(3):
+        assert_matches_dense(got[b, 0], naive_kde(samples[b], h, kernel, points))
+        assert np.any(got[b, 0] > 0.0)
+
+
+def test_kde_many_evaluates_only_the_live_span():
+    # a narrow run of points at n = 2000: the engine evaluates the live
+    # columns times the widest run, not all n columns
+    rng = np.random.default_rng(4)
+    data = np.sort(rng.normal(size=2000))
+    h = 0.01
+    points = np.sort(data[1000] + h * rng.uniform(-1.0, 1.0, 64))
+    reach = 1.01 * h                 # wider than the engine's rounding slack
+    near = data[(data >= points[0] - reach) & (data <= points[-1] + reach)]
+    width = np.max(np.searchsorted(points, near + reach, side="right")
+                   - np.searchsorted(points, near - reach, side="left"))
+    kernel = CountingKernel()
+    got = _kde_many(data[None, :], [h], points, kernel)
+    assert_matches_dense(got[0, 0], naive_kde(data, h, TRIWEIGHT, points))
+    assert 0 < kernel.evaluated <= near.size * width
+    assert near.size * width < data.size * width / 20
+
+
+def test_kde_many_evaluates_every_column_when_all_are_live():
+    # study-shaped: B replicates, G bandwidths, a 201-point grid over the
+    # data, every datum reaching some point; the count is B * n * (the sum
+    # over bandwidths of the widest run), every column evaluated once
+    rng = np.random.default_rng(6)
+    samples = rng.normal(size=(20, 60))
+    hs = np.geomspace(0.2, 1.0, 5)
+    points = np.linspace(samples.min() - 1.0, samples.max() + 1.0, 201)
+    widths = [np.max(np.searchsorted(points, samples + h, side="right")
+                     - np.searchsorted(points, samples - h, side="left")) for h in hs]
+    kernel = CountingKernel()
+    got = _kde_many(samples, hs, points, kernel)
+    assert kernel.evaluated == samples.size * sum(widths)
+    assert_matches_dense(got[7, 3], naive_kde(samples[7], hs[3], TRIWEIGHT, points))
+
+
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
 def test_array_call_matches_dense_sum(kernel):
     rng = np.random.default_rng(5)

@@ -96,6 +96,21 @@ def test_sample_scale_validation():
         sample_scale([1.0, 2.0], "mad")
 
 
+@pytest.mark.parametrize("fn", [sample_scale, pilot_bandwidth])
+def test_scale_and_pilot_input_errors(fn):
+    # a non-finite datum or an empty sample is bad input, not a (nearly)
+    # constant sample; one point and constant data stay degenerate
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="data must be finite"):
+            fn(np.r_[np.linspace(-1.0, 1.0, 9), bad])
+    with pytest.raises(ParameterError, match="data must be nonempty"):
+        fn([])
+    with pytest.raises(DegenerateSampleError):
+        fn([1.0])
+    with pytest.raises(DegenerateSampleError):
+        fn([2.0, 2.0, 2.0])
+
+
 # ----------------------------------------------------------------------
 # pilot bandwidth
 # ----------------------------------------------------------------------
