@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -113,7 +115,8 @@ def classify_tail(clf: TrainedClassifier, x: float, side: str) -> Label:
 
     For side "right" the candidate endpoints are X_i + h1*s and Y_j + h2*s
     that do not exceed x; the largest wins, ties go to the first population.
-    Side "left" mirrors with left endpoints >= x and the smallest winning.
+    Side "left" mirrors with left endpoints >= x and the smallest winning;
+    it is computed as side "right" on the negated line, which is exact.
     Requires both estimates to vanish at x; raises EmptyTailError when no
     endpoint exists on the requested side.
     """
@@ -121,31 +124,15 @@ def classify_tail(clf: TrainedClassifier, x: float, side: str) -> Label:
         raise ParameterError("side must be 'right' or 'left'")
     if clf.fhat(x) != 0.0 or clf.ghat(x) != 0.0:
         raise ParameterError("tail rule requires both estimates to vanish at x")
-    half_f = clf.fhat.h * float(clf.fhat.kernel.support_halfwidth)
-    half_g = clf.ghat.h * float(clf.ghat.kernel.support_halfwidth)
-    if side == "right":
-        ends_f = clf.fhat.data + half_f
-        ends_g = clf.ghat.data + half_g
-        cand_f = ends_f[ends_f <= x]
-        cand_g = ends_g[ends_g <= x]
-        if cand_f.size == 0 and cand_g.size == 0:
-            raise EmptyTailError("no kernel support endpoint at or below x")
-        best_f = cand_f.max() if cand_f.size else -math.inf
-        best_g = cand_g.max() if cand_g.size else -math.inf
-        if best_f >= best_g:
-            return Label(FROM_F, "tail-right", tie_break=best_f == best_g)
-        return Label(FROM_G, "tail-right")
-    ends_f = clf.fhat.data - half_f
-    ends_g = clf.ghat.data - half_g
-    cand_f = ends_f[ends_f >= x]
-    cand_g = ends_g[ends_g >= x]
-    if cand_f.size == 0 and cand_g.size == 0:
-        raise EmptyTailError("no kernel support endpoint at or above x")
-    best_f = cand_f.min() if cand_f.size else math.inf
-    best_g = cand_g.min() if cand_g.size else math.inf
-    if best_f <= best_g:
-        return Label(FROM_F, "tail-left", tie_break=best_f == best_g)
-    return Label(FROM_G, "tail-left")
+    sign, beyond = (1.0, "below") if side == "right" else (-1.0, "above")
+    cands = [ends[ends <= sign * x] for ends in
+             (sign * clf.fhat.data + clf.fhat.reach, sign * clf.ghat.data + clf.ghat.reach)]
+    if cands[0].size == 0 and cands[1].size == 0:
+        raise EmptyTailError(f"no kernel support endpoint at or {beyond} x")
+    best_f, best_g = (c.max() if c.size else -math.inf for c in cands)
+    if best_f >= best_g:
+        return Label(FROM_F, "tail-" + side, tie_break=best_f == best_g)
+    return Label(FROM_G, "tail-" + side)
 
 
 def classify_ahat(clf: TrainedClassifier, x: float) -> Label:
@@ -208,55 +195,28 @@ def classify_multivariate(x_data, y_data, h1: float, h2: float, x,
 # ----------------------------------------------------------------------
 # decision regions
 # ----------------------------------------------------------------------
-def _support_islands(clf: TrainedClassifier) -> list[tuple[float, float]]:
-    """Merged union of the kernel support intervals of both samples."""
-    half_f = clf.fhat.h * float(clf.fhat.kernel.support_halfwidth)
-    half_g = clf.ghat.h * float(clf.ghat.kernel.support_halfwidth)
-    starts = np.concatenate([clf.fhat.data - half_f, clf.ghat.data - half_g])
-    ends = np.concatenate([clf.fhat.data + half_f, clf.ghat.data + half_g])
+def _interior_point(a: float, b: float) -> float:
+    """A point inside (a, b): the midpoint when both ends are finite, one unit
+    in from the finite end when only one is, and 0 on the whole line."""
+    if not math.isfinite(a):
+        return b - 1.0 if math.isfinite(b) else 0.0
+    return 0.5 * (a + b) if math.isfinite(b) else a + 1.0
+
+
+def _support_islands(clf: TrainedClassifier) -> tuple[np.ndarray, np.ndarray]:
+    """Merged union of both samples' kernel supports (touching ones merge),
+    as the increasing arrays of its islands' starts and ends."""
+    starts = np.concatenate([clf.fhat.data - clf.fhat.reach, clf.ghat.data - clf.ghat.reach])
+    ends = np.concatenate([clf.fhat.data + clf.fhat.reach, clf.ghat.data + clf.ghat.reach])
     order = np.argsort(starts)
-    starts, ends = starts[order], ends[order]
-    islands: list[tuple[float, float]] = []
-    cur_a, cur_b = starts[0], ends[0]
-    for a, b in zip(starts[1:], ends[1:]):
-        if a <= cur_b:
-            cur_b = max(cur_b, b)
-        else:
-            islands.append((float(cur_a), float(cur_b)))
-            cur_a, cur_b = a, b
-    islands.append((float(cur_a), float(cur_b)))
-    return islands
+    starts, furthest = starts[order], np.maximum.accumulate(ends[order])
+    # an island closes where the next support starts beyond every end so far
+    close = np.flatnonzero(starts[1:] > furthest[:-1])
+    return starts[np.r_[0, close + 1]], furthest[np.r_[close, -1]]
 
 
 _BASE_GRID = 2048
 _REFINE_WIDTH = 1e-10
-
-
-def _scan_island(clf: TrainedClassifier, a: float, b: float,
-                 spacing: float) -> list[tuple[float, float, str]]:
-    """Sign-scan deltahat on [a, b] and return labeled subsegments.
-
-    Signs are sampled at the midpoints of the scan cells rather than at the
-    grid points themselves: the island edges (and interior contact points of
-    touching kernel supports) have both estimates exactly zero, which is a
-    vacuous tie outside the body rule's domain, not a vote for the first
-    population.
-    """
-    npts = int(np.ceil((b - a) / spacing)) + 1
-    npts = min(max(npts, 65), 1_000_000)
-    xs = np.linspace(a, b, npts)
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    dv = clf.p * clf.fhat(mids) - (1.0 - clf.p) * clf.ghat(mids)
-    labs = np.where(dv >= 0.0, 0, 1)  # 0 = f, 1 = g
-    segs: list[tuple[float, float, str]] = []
-    seg_start = a
-    for i in range(mids.size - 1):
-        if labs[i + 1] != labs[i]:
-            cut = _refine_flip(clf, mids[i], mids[i + 1], labs[i])
-            segs.append((seg_start, cut, FROM_F if labs[i] == 0 else FROM_G))
-            seg_start = cut
-    segs.append((seg_start, b, FROM_F if labs[-1] == 0 else FROM_G))
-    return segs
 
 
 def _refine_flip(clf: TrainedClassifier, a: float, b: float, lab_a: int) -> float:
@@ -283,54 +243,50 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
 
     Inside the support islands the sign of deltahat is sampled at the cell
     midpoints of a uniform scan (pitch min(total span/2048, min bandwidth
-    support/4)) and each sign flip is bisected to width 1e-10; in the gaps
-    the rule is piecewise constant, so a single interior evaluation labels
-    the whole gap.  A region narrower than the scan pitch can fall between
-    two midpoints and is then missed, with no warning.
+    support/4), at least 64 cells per island); the midpoints of all islands
+    are evaluated once, in one call per estimate, and each sign flip is
+    bisected to width 1e-10.  Midpoints, not grid points, since both
+    estimates are exactly zero at island edges and where supports touch: a
+    vacuous tie.  In the gaps the rule is piecewise constant, so one interior
+    point labels the whole gap.  A region narrower than the scan pitch can
+    fall between two midpoints and is then missed, with no warning.
     """
     if rule not in ("ahat", "body"):
         raise ParameterError("rule must be 'ahat' or 'body'")
     if not lo < hi:
         raise ParameterError("need lo < hi")
-    islands = _support_islands(clf)
-    span = islands[-1][1] - islands[0][0]
-    half_f = clf.fhat.h * float(clf.fhat.kernel.support_halfwidth)
-    half_g = clf.ghat.h * float(clf.ghat.kernel.support_halfwidth)
-    spacing = min(span / _BASE_GRID, min(half_f, half_g) / 4.0)
+    starts, ends = _support_islands(clf)
+    spacing = min((ends[-1] - starts[0]) / _BASE_GRID, min(clf.fhat.reach, clf.ghat.reach) / 4.0)
+    # the islands meeting (lo, hi), clipped to it: edges run lo, a1, b1, a2,
+    # b2, ..., hi, so even pieces are gaps and odd pieces islands
+    edges = [lo]
+    for ia, ib in zip(starts.tolist(), ends.tolist()):
+        if ib > lo and ia < hi:
+            edges += [max(lo, ia), min(hi, ib)]
+    edges.append(hi)
+    pieces = list(zip(edges, edges[1:]))
+    scans = []  # each island's scan-cell midpoints
+    for a, b in pieces[1::2]:
+        npts = min(max(int(np.ceil((b - a) / spacing)) + 1, 65), 1_000_000)
+        xs = np.linspace(a, b, npts)
+        scans.append(0.5 * (xs[:-1] + xs[1:]) if a < b else xs[:0])
+    mids = np.concatenate([np.empty(0), *scans])
+    dv = clf.p * clf.fhat(mids) - (1.0 - clf.p) * clf.ghat(mids)
+    # labels 0 = f, 1 = g, split back into islands
+    labs = np.split(np.where(dv >= 0.0, 0, 1), np.cumsum([m.size for m in scans[:-1]]))
 
     segs: list[tuple[float, float, str]] = []
-    cursor = lo
-
-    def gap_label(gl: float, gr: float) -> str:
-        if rule == "body":
-            return FROM_F  # deltahat == 0 there; tie-break
-        mid = 0.5 * (gl + gr)
-        if not np.isfinite(mid):
-            mid = gr - 1.0 if np.isfinite(gr) else gl + 1.0
-        return classify_ahat(clf, float(mid)).population
-
-    for ia, ib in islands:
-        if ib <= cursor or ia >= hi:
+    for k, (a, b) in enumerate(pieces):
+        if not a < b:
             continue
-        if ia > cursor:
-            gl, gr = cursor, min(ia, hi)
-            segs.append((gl, gr, gap_label(gl, gr)))
-            cursor = gl = gr
-        a = max(cursor, ia)
-        b = min(hi, ib)
-        if a < b:
-            segs.extend(_scan_island(clf, a, b, spacing))
-            cursor = b
-        if cursor >= hi:
-            break
-    if cursor < hi:
-        segs.append((cursor, hi, gap_label(cursor, hi)))
-
+        if k % 2 == 0:
+            segs.append((a, b, FROM_F if rule == "body"  # deltahat == 0 there; tie-break
+                         else classify_ahat(clf, float(_interior_point(a, b))).population))
+            continue
+        x, lab = scans[k // 2], labs[k // 2]
+        flips = np.flatnonzero(lab[1:] != lab[:-1])
+        cuts = [_refine_flip(clf, x[i], x[i + 1], lab[i]) for i in flips]
+        segs += zip([a, *cuts], [*cuts, b], [(FROM_F, FROM_G)[lab[i]] for i in [0, *(flips + 1)]])
     # merge adjacent segments with equal labels
-    merged: list[tuple[float, float, str]] = []
-    for a, b, lab in segs:
-        if merged and merged[-1][2] == lab:
-            merged[-1] = (merged[-1][0], b, lab)
-        else:
-            merged.append((a, b, lab))
-    return merged
+    runs = (list(run) for _, run in groupby(segs, key=itemgetter(2)))
+    return [(run[0][0], run[-1][1], run[0][2]) for run in runs]

@@ -7,6 +7,8 @@ ParameterError doubles as a ValueError for argument validation.
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "KdeClassError",
     "ParameterError",
@@ -68,3 +70,11 @@ class OptimizationError(KdeClassError):
 class DegenerateRegressionError(KdeClassError):
     """A slope fit was requested on degenerate abscissae (fewer than two
     distinct x values)."""
+
+
+def _require_integers(**values) -> None:
+    """Raise ParameterError naming the first value that is not a whole
+    number (2 and 2.0 are whole; 2.5, NaN and inf are not)."""
+    for name, value in values.items():
+        if not math.isfinite(value) or value != int(value):
+            raise ParameterError(f"{name} must be an integer")

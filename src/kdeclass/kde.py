@@ -179,9 +179,10 @@ class KdeEstimate:
         self.h = float(h)
         self.kernel = kernel
         self.count = int(arr.size)
-        half = self.h * float(kernel.support_halfwidth)
+        #: half-width h*s of each datum's kernel support
+        self.reach = self.h * float(kernel.support_halfwidth)
         #: closed interval outside which the estimate is identically zero
-        self.support = (float(self.data[0] - half), float(self.data[-1] + half))
+        self.support = (float(self.data[0] - self.reach), float(self.data[-1] + self.reach))
 
     # ------------------------------------------------------------------
     def __call__(self, x):
@@ -197,9 +198,8 @@ class KdeEstimate:
         return out.reshape(x.shape)
 
     def _eval_scalar(self, x: float) -> float:
-        half = self.h * float(self.kernel.support_halfwidth)
-        lo = np.searchsorted(self.data, x - half, side="left")
-        hi = np.searchsorted(self.data, x + half, side="right")
+        lo = np.searchsorted(self.data, x - self.reach, side="left")
+        hi = np.searchsorted(self.data, x + self.reach, side="right")
         if hi <= lo:
             return 0.0
         u = (x - self.data[lo:hi]) / self.h

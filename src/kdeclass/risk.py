@@ -30,13 +30,14 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
-from .classifier import FROM_F, FROM_G, decision_segments, fit_classifier
+from .classifier import FROM_F, FROM_G, _interior_point, decision_segments, fit_classifier
 from .densities import CrossingSet, DensityPair, crossings
 from .errors import (
     NumericError,
     OptimizationError,
     ParameterError,
     RegimeError,
+    _require_integers,
 )
 from .kde import kde_mean_var
 from .kernels import TRIWEIGHT, Kernel
@@ -137,15 +138,7 @@ def bayes_risk(pair: DensityPair, interval: tuple[float, float] | None = None,
     edges = [lo, *cuts, hi]
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        if np.isfinite(a) and np.isfinite(b):
-            mid = 0.5 * (a + b)
-        elif np.isfinite(b):
-            mid = b - 1.0
-        elif np.isfinite(a):
-            mid = a + 1.0
-        else:
-            mid = 0.0
-        if pair.delta(mid) > 0.0:
+        if pair.delta(_interior_point(a, b)) > 0.0:
             total += (1.0 - pair.p) * _segment_mass(pair.g, a, b)
         else:
             total += pair.p * _segment_mass(pair.f, a, b)
@@ -172,6 +165,7 @@ def empirical_risk(pair: DensityPair, m: int, n: int, h1: float, h2: float,
     """
     if rule not in ("ahat", "body"):
         raise ParameterError("rule must be 'ahat' or 'body'")
+    _require_integers(reps=reps, m=m, n=n)
     if reps < 1:
         raise ParameterError("reps must be at least 1")
     if m < 1 or n < 1:

@@ -20,7 +20,7 @@ from math import factorial, sqrt, pi
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ParameterError
+from .errors import DegenerateSampleError, ParameterError, _require_integers
 from .kde import KdeEstimate, _checked_sample, _kde_many, smoothed_bootstrap
 from .kernels import TRIWEIGHT, Kernel
 
@@ -88,6 +88,8 @@ class SelectorConfig:
     fine_grid_factor: float = 1.0
 
     def __post_init__(self):
+        _require_integers(boot_iters=self.boot_iters, grid_per_dim=self.grid_per_dim,
+                          pilot_deriv=self.pilot_deriv, quad_points=self.quad_points)
         if self.boot_iters < 1:
             raise ParameterError("boot_iters must be at least 1")
         if self.grid_per_dim < 2:

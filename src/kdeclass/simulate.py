@@ -46,7 +46,8 @@ REFERENCE_SLOPES = (0.2, 1.0 / 9.0)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Configuration of one rate study."""
+    """Configuration of one rate study.  Rows do not depend on `threads`, and
+    2 threads measured slower than 1."""
 
     pair_id: str
     n_list: tuple[int, ...] = DEFAULT_N_LIST

@@ -8,6 +8,8 @@ arithmetic on the raw data.
 
 import numpy as np
 
+from kdeclass import classify_ahat
+
 
 def polyval_kernel(kernel, u):
     """Reference kernel values: np.polyval of the full-degree coefficients
@@ -72,3 +74,84 @@ def tail_oracle(clf, x, side):
     if side == "right":
         return "f" if ef >= eg else "g"
     return "f" if ef <= eg else "g"
+
+
+def scan_segments_oracle(clf, lo, hi, rule="ahat"):
+    """Reference decision segments: the island-by-island scan the library
+    used before it evaluated all islands at once.  A Python merge of the
+    support intervals, then per island one evaluation of each estimate at
+    the scan-cell midpoints, a bisection of each sign flip, and a cursor
+    walk that labels the gaps; adjacent equal labels merge at the end."""
+    half_f = clf.fhat.h * float(clf.fhat.kernel.support_halfwidth)
+    half_g = clf.ghat.h * float(clf.ghat.kernel.support_halfwidth)
+    starts = np.concatenate([clf.fhat.data - half_f, clf.ghat.data - half_g])
+    ends = np.concatenate([clf.fhat.data + half_f, clf.ghat.data + half_g])
+    order = np.argsort(starts)
+    starts, ends = starts[order], ends[order]
+    islands = []
+    cur_a, cur_b = starts[0], ends[0]
+    for a, b in zip(starts[1:], ends[1:]):
+        if a <= cur_b:
+            cur_b = max(cur_b, b)
+        else:
+            islands.append((float(cur_a), float(cur_b)))
+            cur_a, cur_b = a, b
+    islands.append((float(cur_a), float(cur_b)))
+    span = islands[-1][1] - islands[0][0]
+    spacing = min(span / 2048, min(half_f, half_g) / 4.0)
+
+    def refine(a, b, lab_a):
+        while b - a > 1e-10:
+            mid = 0.5 * (a + b)
+            if (0 if float(clf.deltahat(mid)) >= 0.0 else 1) == lab_a:
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    def scan(a, b):
+        npts = min(max(int(np.ceil((b - a) / spacing)) + 1, 65), 1_000_000)
+        xs = np.linspace(a, b, npts)
+        mids = 0.5 * (xs[:-1] + xs[1:])
+        dv = clf.p * clf.fhat(mids) - (1.0 - clf.p) * clf.ghat(mids)
+        labs = np.where(dv >= 0.0, 0, 1)
+        out, seg_start = [], a
+        for i in range(mids.size - 1):
+            if labs[i + 1] != labs[i]:
+                cut = refine(mids[i], mids[i + 1], labs[i])
+                out.append((seg_start, cut, "f" if labs[i] == 0 else "g"))
+                seg_start = cut
+        out.append((seg_start, b, "f" if labs[-1] == 0 else "g"))
+        return out
+
+    def gap_label(gl, gr):
+        if rule == "body":
+            return "f"
+        mid = 0.5 * (gl + gr)
+        if not np.isfinite(mid):
+            mid = gr - 1.0 if np.isfinite(gr) else gl + 1.0
+        return classify_ahat(clf, float(mid)).population
+
+    segs, cursor = [], lo
+    for ia, ib in islands:
+        if ib <= cursor or ia >= hi:
+            continue
+        if ia > cursor:
+            gl, gr = cursor, min(ia, hi)
+            segs.append((gl, gr, gap_label(gl, gr)))
+            cursor = gr
+        a, b = max(cursor, ia), min(hi, ib)
+        if a < b:
+            segs.extend(scan(a, b))
+            cursor = b
+        if cursor >= hi:
+            break
+    if cursor < hi:
+        segs.append((cursor, hi, gap_label(cursor, hi)))
+    merged = []
+    for a, b, lab in segs:
+        if merged and merged[-1][2] == lab:
+            merged[-1] = (merged[-1][0], b, lab)
+        else:
+            merged.append((a, b, lab))
+    return merged

@@ -8,7 +8,7 @@ bisection (tests/helpers.py), never by endpoint arithmetic.
 import numpy as np
 import pytest
 
-from helpers import tail_oracle
+from helpers import scan_segments_oracle, tail_oracle
 
 from kdeclass import (
     EmptyTailError,
@@ -139,6 +139,15 @@ def test_classify_tail_tie_goes_to_f():
     lab = classify_tail(clf, 2.0, "right")
     assert lab.population == FROM_F
     assert lab.tie_break
+
+
+def test_classify_tail_tie_on_both_sides():
+    # one datum per sample at 0 with equal bandwidths: both sides tie, and
+    # the mirrored left side breaks the tie toward f as the right side does
+    clf = fit_classifier([0.0], [0.0], 0.5, 0.5)
+    for x, side in ((2.0, "right"), (-2.0, "left")):
+        lab = classify_tail(clf, x, side)
+        assert lab == Label(FROM_F, "tail-" + side, tie_break=True)
 
 
 def test_classify_tail_requires_vanishing_estimates():
@@ -439,6 +448,49 @@ def test_narrow_g_region_is_there():
 def test_decision_segments_finds_region_narrower_than_scan_pitch():
     segs = decision_segments(_narrow_g_region(), -5.0, 5.0, rule="body")
     assert any(a < 0.123456 < b and lab == FROM_G for a, b, lab in segs)
+
+
+@pytest.mark.parametrize("pair_id", ["class1a", "class2b"])
+@pytest.mark.parametrize("n", [1, 5, 200, 2000])
+def test_decision_segments_match_island_scan_oracle(pair_id, n):
+    # the one-pass scan reproduces the island-by-island scan exactly: same
+    # edges, cuts and labels, and the same value types (repr equality)
+    pair = make_pair(pair_id)
+    rng = np.random.default_rng(n)
+    x = pair.sample("f", n, rng)
+    y = pair.sample("g", n, rng)
+    for h1, h2 in ((0.05, 0.08), (0.3, 0.25), (1.2, 0.9)):
+        clf = fit_classifier(x, y, h1, h2, pair.p)
+        first = clf.fhat.data[0]  # inside an island, as a numpy float
+        # the middle of the widest spacing of the pooled data, in a gap when
+        # the spacing exceeds both supports
+        pooled = np.sort(np.r_[x, y])
+        k = int(np.argmax(np.diff(pooled))) if n > 1 else 0
+        inner = 0.5 * (pooled[k] + pooled[k + 1]) if n > 1 else first + 5.0
+        beyond = max(clf.fhat.support[1], clf.ghat.support[1]) + 1.0
+        ranges = [(-np.inf, np.inf), (-np.inf, first), (first, np.inf),
+                  (first - 0.01, first + 0.01), (inner, np.inf), (-np.inf, inner),
+                  (beyond, beyond + 2.0), (-3, 3)]
+        for lo, hi in ranges:
+            for rule in ("ahat", "body"):
+                want = scan_segments_oracle(clf, lo, hi, rule)
+                assert repr(decision_segments(clf, lo, hi, rule)) == repr(want)
+
+
+@pytest.mark.parametrize("x, y, ranges", [
+    # supports [-1, 1], [1, 3] and [3, 5] touch: one island, split only by
+    # the sign of deltahat; lo = -1 (an int) equals the island start
+    ([0.0, 2.0], [4.0], [(-np.inf, np.inf), (-2.0, 6.0), (1.0, 3.0), (0.5, 4.5), (-1, 6)]),
+    # at 1e17 the support rounds to a single point, which still splits the
+    # gap around it into two differently labeled gaps
+    ([1e17], [0.0], [(-np.inf, np.inf), (-1, 2e17), (0, 1)]),
+])
+def test_decision_segments_edge_islands_match_oracle(x, y, ranges):
+    clf = fit_classifier(x, y, 1.0, 1.0)
+    for lo, hi in ranges:
+        for rule in ("ahat", "body"):
+            want = scan_segments_oracle(clf, lo, hi, rule)
+            assert repr(decision_segments(clf, lo, hi, rule)) == repr(want)
 
 
 def test_decision_segments_validation():

@@ -179,6 +179,12 @@ def test_empirical_risk_validation(class1a):
         empirical_risk(pair, 0, 30, 0.5, 0.5, reps=2, seed=0)
     with pytest.raises(ParameterError):
         empirical_risk(pair, 30, 30, 0.5, 0.5, reps=2, seed=0, rule="fancy")
+    # counts must be whole numbers: reps=1.5 used to run one replicate and
+    # return se=nan, and m=2.5 was truncated
+    for m, n, reps, name in ((30, 30, 1.5, "reps"), (2.5, 30, 2, "m"),
+                             (30, 30.5, 2, "n"), (30, 30, np.nan, "reps")):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            empirical_risk(pair, m, n, 0.5, 0.5, reps=reps, seed=0)
 
 
 # ----------------------------------------------------------------------

@@ -165,8 +165,15 @@ def test_selector_config_validation():
     for kwargs in bad:
         with pytest.raises(ParameterError):
             SelectorConfig(**kwargs)
-    # the defaults themselves are valid
+    # counts must be whole numbers; 2.5 used to reach np.geomspace and fail
+    # there with a bare TypeError
+    for name in ("boot_iters", "grid_per_dim", "quad_points", "pilot_deriv"):
+        for value in (4.5, np.nan, np.inf):
+            with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+                SelectorConfig(**{name: value})
+    # the defaults themselves are valid, and so are whole floats
     SelectorConfig()
+    SelectorConfig(boot_iters=30.0, grid_per_dim=4.0, quad_points=101.0, pilot_deriv=4.0)
 
 
 # ----------------------------------------------------------------------
