@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .errors import DegenerateCrossingError, ParameterError, ResolutionError
+from .errors import DegenerateCrossingError, NumericError, ParameterError, ResolutionError
 
 __all__ = [
     "Density",
@@ -66,39 +66,59 @@ _HERMITE = (
 )
 
 
-def _check_order(order: int) -> int:
-    if order != int(order) or not 0 <= int(order) <= MAX_DERIV_ORDER:
-        raise ParameterError(
-            f"derivative order must be an integer in [0, {MAX_DERIV_ORDER}], got {order!r}"
-        )
-    return int(order)
-
-
-def _as_float_array(x):
-    return np.asarray(x, dtype=float)
-
-
-def _scalar_like(x, value):
+def _scalar_like(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _check_level(q) -> float:
+    q = float(q)
+    if not 0.0 < q < 1.0:
+        raise ParameterError("quantile level must lie strictly inside (0, 1)")
+    return q
+
+
 class Density:
-    """Interface shared by all population densities."""
+    """Interface shared by all population densities.
+
+    The public `deriv`, `cdf` and `ppf` handle the arguments: they check the
+    derivative order (an integer in [0, 4]) and the quantile level (strictly
+    inside (0, 1)), pass x on as a float array, and return a float for
+    scalar input and an array of x's shape otherwise.  A subclass supplies
+    only the formulas: `_deriv(order, x)` and `_cdf(x)` on a float array x,
+    `_ppf(q)` where a closed form exists (the default inverts the cdf
+    numerically), and `sample(n, rng)`.
+    """
 
     support: tuple[float, float] = (-np.inf, np.inf)
 
     def pdf(self, x):
         return self.deriv(0, x)
 
-    def deriv(self, order, x):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def deriv(self, order, x):
+        try:
+            k = int(order)
+        except (TypeError, ValueError, OverflowError):
+            k = -1
+        if k != order or not 0 <= k <= MAX_DERIV_ORDER:
+            raise ParameterError(f"derivative order must be an integer in "
+                                 f"[0, {MAX_DERIV_ORDER}], got {order!r}")
+        return _scalar_like(self._deriv(k, np.asarray(x, dtype=float)))
 
-    def cdf(self, x):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def cdf(self, x):
+        return _scalar_like(self._cdf(np.asarray(x, dtype=float)))
 
     def ppf(self, q):
-        """Quantile function; numeric inversion of cdf by default, from the
-        support's lower edge (or -1) and min(1, its upper edge)."""
+        return float(self._ppf(_check_level(q)))
+
+    def _deriv(self, order, x):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _cdf(self, x):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _ppf(self, q):
+        """Numeric inversion of cdf from the support's lower edge (or -1)
+        and min(1, its upper edge)."""
         lo, hi = self.support
         return _invert_cdf(self.cdf, q, _finite_or(lo, -1.0),
                            min(_finite_or(hi, 1.0), 1.0))
@@ -107,20 +127,22 @@ class Density:
         raise NotImplementedError
 
 
-def _invert_cdf(cdf, q, lo: float, hi: float) -> float:
+def _invert_cdf(cdf, q: float, lo: float, hi: float) -> float:
     """Solve cdf(x) = q: step lo down and hi up until they bracket q, then
-    refine with Brent's method."""
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise ParameterError("quantile level must lie strictly inside (0, 1)")
+    refine with Brent's method.  Raises NumericError when 300 steps on
+    either side do not bracket q."""
     for _ in range(300):
         if cdf(lo) < q:
             break
         lo = lo * 2 if lo < 0 else lo - max(1.0, abs(lo))
+    else:
+        raise NumericError(f"no x with cdf(x) < {q:g} found down to {lo:.6g}")
     for _ in range(300):
         if cdf(hi) > q:
             break
         hi = hi * 2 if hi > 0 else hi + max(1.0, abs(hi))
+    else:
+        raise NumericError(f"no x with cdf(x) > {q:g} found up to {hi:.6g}")
     return brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-12, rtol=1e-14)
 
 
@@ -133,23 +155,17 @@ class Normal(Density):
         self.mu = float(mu)
         self.sigma = float(sigma)
 
-    def deriv(self, order, x):
-        order = _check_order(order)
-        x = _as_float_array(x)
+    def _deriv(self, order, x):
         z = (x - self.mu) / self.sigma
         phi = np.exp(-0.5 * z * z) / _SQRT_2PI
         sign = -1.0 if order % 2 else 1.0
-        val = sign * _HERMITE[order](z) * phi / self.sigma ** (order + 1)
-        return _scalar_like(x, val)
+        return sign * _HERMITE[order](z) * phi / self.sigma ** (order + 1)
 
-    def cdf(self, x):
-        x = _as_float_array(x)
-        return _scalar_like(x, ndtr((x - self.mu) / self.sigma))
+    def _cdf(self, x):
+        return ndtr((x - self.mu) / self.sigma)
 
-    def ppf(self, q):
-        if not 0.0 < q < 1.0:
-            raise ParameterError("quantile level must lie strictly inside (0, 1)")
-        return self.mu + self.sigma * float(ndtri(q))
+    def _ppf(self, q):
+        return self.mu + self.sigma * ndtri(q)
 
     def sample(self, n, rng):
         return rng.normal(self.mu, self.sigma, size=int(n))
@@ -170,16 +186,11 @@ class NormalMixture(Density):
         self.weights = w
         self.components = tuple(Normal(m, s) for m, s in zip(means, sigmas))
 
-    def deriv(self, order, x):
-        order = _check_order(order)
-        x = _as_float_array(x)
-        val = sum(w * c.deriv(order, x) for w, c in zip(self.weights, self.components))
-        return _scalar_like(x, val)
+    def _deriv(self, order, x):
+        return sum(w * c.deriv(order, x) for w, c in zip(self.weights, self.components))
 
-    def cdf(self, x):
-        x = _as_float_array(x)
-        val = sum(w * c.cdf(x) for w, c in zip(self.weights, self.components))
-        return _scalar_like(x, val)
+    def _cdf(self, x):
+        return sum(w * c.cdf(x) for w, c in zip(self.weights, self.components))
 
     def sample(self, n, rng):
         n = int(n)
@@ -205,9 +216,7 @@ class Cauchy(Density):
         self.loc = float(loc)
         self.gamma = float(gamma)
 
-    def deriv(self, order, x):
-        order = _check_order(order)
-        x = _as_float_array(x)
+    def _deriv(self, order, x):
         z = (x - self.loc) / self.gamma
         w = 1.0 + z * z
         if order == 0:
@@ -220,17 +229,12 @@ class Cauchy(Density):
             core = 24.0 * z * (1.0 - z * z) / w**4
         else:
             core = 24.0 * (5.0 * z**4 - 10.0 * z * z + 1.0) / w**5
-        val = core / (np.pi * self.gamma ** (order + 1))
-        return _scalar_like(x, val)
+        return core / (np.pi * self.gamma ** (order + 1))
 
-    def cdf(self, x):
-        x = _as_float_array(x)
-        val = 0.5 + np.arctan((x - self.loc) / self.gamma) / np.pi
-        return _scalar_like(x, val)
+    def _cdf(self, x):
+        return 0.5 + np.arctan((x - self.loc) / self.gamma) / np.pi
 
-    def ppf(self, q):
-        if not 0.0 < q < 1.0:
-            raise ParameterError("quantile level must lie strictly inside (0, 1)")
+    def _ppf(self, q):
         return self.loc + self.gamma * np.tan(np.pi * (q - 0.5))
 
     def sample(self, n, rng):
@@ -255,29 +259,22 @@ class Pareto(Density):
         self.alpha = float(alpha)
         self.support = (1.0, np.inf)
 
-    def deriv(self, order, x):
-        order = _check_order(order)
-        x = _as_float_array(x)
+    def _deriv(self, order, x):
         a = self.alpha
         coef = a - 1.0
         for i in range(order):
             coef *= -(a + i)
         inside = x >= 1.0
         xs = np.where(inside, x, 1.0)
-        val = np.where(inside, coef * xs ** (-(a + order)), 0.0)
-        return _scalar_like(x, val)
+        return np.where(inside, coef * xs ** (-(a + order)), 0.0)
 
-    def cdf(self, x):
-        x = _as_float_array(x)
+    def _cdf(self, x):
         inside = x >= 1.0
         xs = np.where(inside, x, 1.0)
-        val = np.where(inside, 1.0 - xs ** (1.0 - self.alpha), 0.0)
-        return _scalar_like(x, val)
+        return np.where(inside, 1.0 - xs ** (1.0 - self.alpha), 0.0)
 
-    def ppf(self, q):
-        if not 0.0 < q < 1.0:
-            raise ParameterError("quantile level must lie strictly inside (0, 1)")
-        return float((1.0 - q) ** (-1.0 / (self.alpha - 1.0)))
+    def _ppf(self, q):
+        return (1.0 - q) ** (-1.0 / (self.alpha - 1.0))
 
     def sample(self, n, rng):
         u = rng.uniform(0.0, 1.0, size=int(n))
@@ -293,42 +290,40 @@ class CustomDensity(Density):
     Parameters
     ----------
     pdf : callable
-        Vectorized density function.
+        Vectorized density function; like derivs and cdf, it is called with
+        a float array.
     derivs : sequence of callables, optional
         derivs[k-1] evaluates the k-th derivative (k = 1..4).  Orders without
         a callable raise ParameterError when requested.
     cdf, ppf, sampler : callables, optional
-        sampler(n, rng) must return an ndarray of n draws.
+        ppf is called only with a level inside (0, 1); sampler(n, rng) must
+        return an ndarray of n draws.
     """
 
     def __init__(self, pdf, derivs=(), cdf=None, ppf=None, sampler=None,
                  support=(-np.inf, np.inf)):
-        self._pdf = pdf
-        self._derivs = tuple(derivs)
-        self._cdf = cdf
-        self._ppf = ppf
+        self._fns = (pdf, *derivs)
+        self._cdf_fn = cdf
+        self._ppf_fn = ppf
         self._sampler = sampler
         self.support = (float(support[0]), float(support[1]))
 
-    def deriv(self, order, x):
-        order = _check_order(order)
-        if order == 0:
-            return self._pdf(x)
-        if order > len(self._derivs) or self._derivs[order - 1] is None:
+    def _deriv(self, order, x):
+        if order >= len(self._fns) or self._fns[order] is None:
             raise ParameterError(f"custom density has no derivative of order {order}")
-        return self._derivs[order - 1](x)
+        return self._fns[order](x)
 
-    def cdf(self, x):
-        if self._cdf is None:
+    def _cdf(self, x):
+        if self._cdf_fn is None:
             raise ParameterError("custom density has no cdf")
-        return self._cdf(x)
+        return self._cdf_fn(x)
 
-    def ppf(self, q):
-        if self._ppf is not None:
-            return self._ppf(q)
-        if self._cdf is None:
+    def _ppf(self, q):
+        if self._ppf_fn is not None:
+            return self._ppf_fn(q)
+        if self._cdf_fn is None:
             raise ParameterError("custom density has no cdf to invert")
-        return super().ppf(q)
+        return super()._ppf(q)
 
     def sample(self, n, rng):
         if self._sampler is None:
@@ -372,7 +367,7 @@ class DensityPair:
     def pooled_ppf(self, q: float) -> float:
         lo = min(_finite_or(self.f.support[0], -1.0), _finite_or(self.g.support[0], -1.0))
         hi = max(_finite_or(self.f.support[1], 1.0), _finite_or(self.g.support[1], 1.0))
-        return _invert_cdf(self.pooled_cdf, q, lo, hi)
+        return _invert_cdf(self.pooled_cdf, _check_level(q), lo, hi)
 
     def sample(self, which: str, n: int, rng: np.random.Generator):
         return self.density(which).sample(n, rng)
@@ -421,8 +416,6 @@ def make_pair(pair_id: str, *, alpha: float | None = None, beta: float | None = 
                 "pareto pair requires 1 < alpha < beta < alpha + 1, got "
                 f"alpha={alpha!r}, beta={beta!r}"
             )
-        if not 0.0 < p < 1.0:
-            raise ParameterError("prior p must lie strictly inside (0, 1)")
         return DensityPair(Pareto(alpha), Pareto(beta), p, pid)
     if pid == "contrast":
         return DensityPair(Normal(0.0, 1.0), Normal(0.0, 1.0 / 3.0), 0.5, pid)
@@ -535,23 +528,14 @@ def crossings(pair: DensityPair, interval: tuple[float, float] | None = None,
         raise ParameterError("delta is not finite on the scan interval")
     signs = np.sign(ds)
 
-    brackets: list[tuple[float, float]] = []
-    i = 0
-    while i < len(xs) - 1:
-        if signs[i] == 0.0:
-            a = xs[i - 1] if i > 0 else xs[i]
-            b = xs[i + 1]
-            brackets.append((a, b))
-            i += 1
-            continue
-        if signs[i] * signs[i + 1] < 0.0:
-            brackets.append((xs[i], xs[i + 1]))
-        i += 1
-    if signs[-1] == 0.0:
-        brackets.append((xs[-2], xs[-1]))
+    # a node zero is bracketed by its neighbours, a sign change by its cell
+    zero = signs == 0.0
+    nodes = np.flatnonzero(zero | np.append(signs[:-1] * signs[1:] < 0.0, False))
+    starts = np.where(zero[nodes], np.maximum(nodes - 1, 0), nodes)
+    ends = np.minimum(nodes + 1, len(xs) - 1)
 
-    roots: list[float] = []
-    for a, b in brackets:
+    roots: list[tuple[float, float]] = []
+    for a, b in zip(xs[starts], xs[ends]):
         fa, fb = pair.delta(a), pair.delta(b)
         if fa == 0.0:
             root = a
@@ -566,7 +550,7 @@ def crossings(pair: DensityPair, interval: tuple[float, float] | None = None,
             )
         else:
             root = _bisect(pair, a, b, fa)
-        slope = float(pair.delta_deriv(1, root))
+        slope = pair.delta_deriv(1, root)
         if abs(slope) < _SLOPE_TOL:
             raise DegenerateCrossingError(
                 f"|delta'| = {abs(slope):.3g} at crossing {root:.6g} is below "
@@ -577,27 +561,18 @@ def crossings(pair: DensityPair, interval: tuple[float, float] | None = None,
                 f"slope direction at {root:.6g} contradicts the bracketing "
                 "cell; the cell likely hides multiple roots — increase grid_points"
             )
-        if roots and abs(root - roots[-1]) < 1e-10 * max(1.0, abs(root)):
+        if roots and abs(root - roots[-1][0]) < 1e-10 * max(1.0, abs(root)):
             continue
-        roots.append(root)
+        roots.append((root, slope))
 
     pts = tuple(
-        CrossingPoint(
-            y=r,
-            delta_prime=float(pair.delta_deriv(1, r)),
-            f_value=float(pair.f.pdf(r)),
-            g_value=float(pair.g.pdf(r)),
-            f2=float(pair.f.deriv(2, r)),
-            g2=float(pair.g.deriv(2, r)),
-            f4=float(pair.f.deriv(4, r)),
-            g4=float(pair.g.deriv(4, r)),
-        )
-        for r in roots
+        CrossingPoint(y=r, delta_prime=slope,
+                      f_value=pair.f.pdf(r), g_value=pair.g.pdf(r),
+                      f2=pair.f.deriv(2, r), g2=pair.g.deriv(2, r),
+                      f4=pair.f.deriv(4, r), g4=pair.g.deriv(4, r))
+        for r, slope in roots
     )
-    if pts:
-        regime, ratio, t_factor = regime_detect(pair, pts)
-    else:
-        regime, ratio, t_factor = None, None, None
+    regime, ratio, t_factor = regime_detect(pair, pts) if pts else (None, None, None)
     return CrossingSet(points=pts, interval=(lo, hi), regime=regime,
                        ratio=ratio, t_factor=t_factor)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .classifier import (FROM_G, TrainedClassifier, classify_ahat,
                          decision_segments, fit_classifier)
 from .densities import DensityPair, make_pair
-from .errors import DegenerateRegressionError, ParameterError
+from .errors import DegenerateRegressionError, ParameterError, _require_integers
 from .kde import KdeEstimate
 from .selector import SelectorConfig, _first_argmin, sample_scale, select_bandwidths
 
@@ -44,6 +44,17 @@ DEFAULT_N_LIST = tuple(round(20 * 10 ** (k / 9)) for k in range(10))
 REFERENCE_SLOPES = (0.2, 1.0 / 9.0)
 
 
+def _entries(n_list) -> dict:
+    """The sample sizes keyed "n_list[i]", for _require_integers."""
+    return {f"n_list[{i}]": n for i, n in enumerate(n_list)}
+
+
+def _require_positive(**counts) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ParameterError(f"{name} must be at least 1")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration of one rate study.  Rows do not depend on `threads`, and
@@ -58,18 +69,18 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        _require_integers(reps=self.reps, threads=self.threads, **_entries(self.n_list))
         n_list = tuple(int(n) for n in self.n_list)
         object.__setattr__(self, "n_list", n_list)
+        object.__setattr__(self, "reps", int(self.reps))
+        object.__setattr__(self, "threads", int(self.threads))
         if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ParameterError(
                 "n_list must be strictly increasing with at least two sizes "
                 "(the study fits a rate over log n)")
         if any(n < 2 for n in n_list):
             raise ParameterError("sample sizes must be at least 2")
-        if self.reps < 1:
-            raise ParameterError("reps must be at least 1")
-        if self.threads < 1:
-            raise ParameterError("threads must be at least 1")
+        _require_positive(reps=self.reps, threads=self.threads)
 
 
 @dataclass(frozen=True)
@@ -282,8 +293,10 @@ def run_tail_study(alpha: float = 2.0, beta: float = 2.5,
     variance 1/9 and reports the fraction of grid points in the far tail
     assigned to the first (heavier-tailed, and there correct) population.
     """
-    if reps < 1:
-        raise ParameterError("reps must be at least 1")
+    _require_integers(reps=reps, contrast_n=contrast_n, threads=threads,
+                      **_entries(n_list))
+    _require_positive(reps=reps, threads=threads)
+    n_list = tuple(int(n) for n in n_list)
     pair = make_pair("pareto", alpha=alpha, beta=beta)
     if x0 is None:
         x0 = float(pair.f.ppf(0.99))
@@ -386,8 +399,8 @@ def run_cv_comparison(pair_id: str = "class1a", n: int = 100, reps: int = 50,
     """Replicated head-to-head of the bootstrap selector against the
     leave-one-out argmin on the same grid and data; reports interquartile
     ranges of log selected h1 and their CV/bootstrap ratio."""
-    if reps < 1:
-        raise ParameterError("reps must be at least 1")
+    _require_integers(n=n, reps=reps, threads=threads)
+    _require_positive(reps=reps, threads=threads)
     if config is None:
         config = SelectorConfig()
     pair = make_pair(pair_id)

@@ -21,9 +21,11 @@ from kdeclass import (
     DensityPair,
     Normal,
     NormalMixture,
+    NumericError,
     PAIR_IDS,
     ParameterError,
     Pareto,
+    ResolutionError,
     crossings,
     density_deriv,
     make_pair,
@@ -78,8 +80,9 @@ def test_normal_derivatives_finite_difference(order):
 def test_normal_validation_and_sampling():
     with pytest.raises(ParameterError):
         Normal(0.0, 0.0)
-    with pytest.raises(ParameterError):
-        Normal(0.0, 1.0).deriv(5, 0.0)
+    for order in (5, -1, 2.5, "2", float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParameterError):
+            Normal(0.0, 1.0).deriv(order, 0.0)
     with pytest.raises(ParameterError):
         Normal(0.0, 1.0).ppf(1.0)
     draws = Normal(2.0, 0.5).sample(20_000, np.random.default_rng(0))
@@ -161,6 +164,45 @@ def test_custom_density_adapter():
     bare = CustomDensity(lambda x: np.exp(-np.abs(x)) / 2.0)
     with pytest.raises(ParameterError):
         bare.cdf(0.0)
+
+
+def _laplace():
+    return CustomDensity(lambda x: np.exp(-np.abs(x)) / 2.0,
+                         derivs=(lambda x: -np.sign(x) * np.exp(-np.abs(x)) / 2.0,),
+                         cdf=lambda x: np.where(x < 0, 0.5 * np.exp(x),
+                                                1.0 - 0.5 * np.exp(-x)),
+                         ppf=lambda q: -np.sign(q - 0.5) * np.log1p(-abs(2.0 * q - 1.0)))
+
+
+@pytest.mark.parametrize("density", [
+    Normal(0.3, 1.2), NormalMixture((0.4, 0.6), (0.0, 1.0), (1.0, 0.5)),
+    Cauchy(0.5, 2.0), Pareto(2.5), _laplace()],
+    ids=["Normal", "NormalMixture", "Cauchy", "Pareto", "CustomDensity"])
+def test_argument_contract(density):
+    # the base class turns x into a float array and returns a float for
+    # scalar input, whatever the subclass formula returns
+    orders = (0, 1) if isinstance(density, CustomDensity) else range(5)
+    xs = np.linspace(0.5, 3.0, 6).reshape(2, 3)
+    for fn in [density.cdf] + [lambda x, k=k: density.deriv(k, x) for k in orders]:
+        for x in (1.5, 2, np.float64(1.5)):
+            assert type(fn(x)) is float
+        out = fn(xs)
+        assert isinstance(out, np.ndarray) and out.shape == xs.shape
+        assert out[1, 0] == pytest.approx(fn(float(xs[1, 0])), rel=1e-14)
+    assert type(density.ppf(0.3)) is float
+    for q in (0.0, 1.0, -0.2, 1.5, float("nan")):
+        with pytest.raises(ParameterError):
+            density.ppf(q)
+
+
+def test_cdf_inversion_that_cannot_bracket_raises_numeric_error():
+    # a cdf stuck at 0.25 never rises above 0.5 (nor the pooled one above 0.9)
+    stuck = CustomDensity(lambda x: np.zeros_like(x),
+                          cdf=lambda x: np.full_like(x, 0.25, dtype=float))
+    with pytest.raises(NumericError):
+        stuck.ppf(0.5)
+    with pytest.raises(NumericError):
+        DensityPair(Normal(0.0, 1.0), stuck, 0.5).pooled_ppf(0.9)
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +316,28 @@ def test_crossing_interval_and_validation():
         crossings(pair, interval=(1.0, -1.0))
     with pytest.raises(ParameterError):
         crossings(pair, grid_points=4)
+
+
+@pytest.mark.parametrize("interval, grid_points", [
+    ((0.5, 2.0), 8),     # the zero is the first node
+    ((0.0, 1.0), 9),     # an interior node
+    ((-1.0, 0.5), 8),    # the last node
+], ids=["first", "interior", "last"])
+def test_crossing_on_a_scan_node(interval, grid_points):
+    pair = make_pair("class2a")
+    assert pair.delta(0.5) == 0.0
+    assert np.linspace(*interval, grid_points).tolist().count(0.5) == 1
+    cs = crossings(pair, interval=interval, grid_points=grid_points)
+    assert [pt.y for pt in cs.points] == [0.5]
+    assert cs.points[0].delta_prime == pair.delta_deriv(1, 0.5)
+
+
+def test_tangent_node_zero_raises_resolution_error():
+    # g = f + 0.1 (x - 1/2)^2 exp(-x^2): delta <= 0 touches zero at the node 0.5
+    f = Normal(0.0, 1.0)
+    g = CustomDensity(lambda x: f.pdf(x) + 0.1 * (x - 0.5) ** 2 * np.exp(-x * x))
+    with pytest.raises(ResolutionError, match="tangent zero"):
+        crossings(DensityPair(f, g, 0.5), interval=(0.0, 1.0), grid_points=9)
 
 
 def test_identical_densities_degenerate():

@@ -90,7 +90,16 @@ def test_experiment_config_validation():
         _tiny_cfg(reps=0)
     with pytest.raises(ParameterError):
         _tiny_cfg(threads=0)
+    # counts must be whole numbers, not silently truncated
+    for bad in (dict(reps=2.5), dict(reps=1.5), dict(reps=math.nan),
+                dict(n_list=(20.5, 30)), dict(n_list=(20, math.inf)),
+                dict(threads=1.5)):
+        with pytest.raises(ParameterError):
+            _tiny_cfg(**bad)
     assert _tiny_cfg(n_list=[20.0, 26.0]).n_list == (20, 26)
+    whole = _tiny_cfg(reps=2.0, threads=1.0)
+    assert (whole.reps, whole.threads) == (2, 1)
+    assert type(whole.reps) is int and type(whole.threads) is int
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +264,10 @@ def test_tail_study_x0_override_and_validation():
     assert res.x0 == 50.0
     with pytest.raises(ParameterError):
         run_tail_study(reps=0)
+    for bad in (dict(reps=1.5), dict(n_list=(30.5,)), dict(contrast_n=40.5),
+                dict(threads=1.5), dict(threads=0)):
+        with pytest.raises(ParameterError):
+            run_tail_study(**bad)
     with pytest.raises(ParameterError):
         run_tail_study(alpha=2.0, beta=2.0, reps=1)      # needs beta > alpha
     with pytest.raises(ParameterError):
@@ -303,6 +316,9 @@ def test_cv_comparison_tiny(tmp_path):
 
     with pytest.raises(ParameterError):
         run_cv_comparison(reps=0)
+    for bad in (dict(n=30.7), dict(reps=1.5), dict(threads=1.5), dict(threads=0)):
+        with pytest.raises(ParameterError):
+            run_cv_comparison(**bad)
 
 
 def test_cv_selected_bandwidths_come_from_grid():
