@@ -77,7 +77,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common.add_argument("--out", default=None, help="output directory for CSV files")
     common.add_argument("--threads", type=int, default=1,
                         help="worker threads; results do not depend on the count, "
-                        "and 2 threads measured slower than 1")
+                        "and 2 threads measured no faster than 1")
     common.add_argument("--boot-iters", type=int, default=100, dest="boot_iters",
                         help="bootstrap replicates per grid cell")
     common.add_argument("--grid", type=int, default=15,

@@ -390,15 +390,18 @@ PAIR_IDS = ("class1a", "class1b", "class2a", "class2b", "pareto", "contrast")
 
 
 def make_pair(pair_id: str, *, alpha: float | None = None, beta: float | None = None,
-              p: float = 0.5) -> DensityPair:
+              p: float | None = None) -> DensityPair:
     """Construct a benchmark density pair by id.
 
     `pareto` requires alpha and beta with 1 < alpha < beta < alpha + 1 (the
     regime in which the heavier-tailed population should win far out, yet a
-    fixed-bandwidth rule keeps misclassifying there).  Other ids take no
-    shape parameters.  The prior is 1/2 for every benchmark.
+    fixed-bandwidth rule keeps misclassifying there) and takes the prior p,
+    1/2 by default.  The other ids take none of alpha, beta and p: their
+    prior is 1/2, and passing any of them raises ParameterError.
     """
     pid = str(pair_id).lower()
+    if pid != "pareto" and (alpha, beta, p) != (None, None, None):
+        raise ParameterError(f"pair {pair_id!r} takes no alpha, beta or p; only 'pareto' does")
     if pid == "class1a":
         return DensityPair(Normal(0.0, 1.0), Normal(-1.2, 0.6), 0.5, pid)
     if pid == "class1b":
@@ -416,7 +419,7 @@ def make_pair(pair_id: str, *, alpha: float | None = None, beta: float | None = 
                 "pareto pair requires 1 < alpha < beta < alpha + 1, got "
                 f"alpha={alpha!r}, beta={beta!r}"
             )
-        return DensityPair(Pareto(alpha), Pareto(beta), p, pid)
+        return DensityPair(Pareto(alpha), Pareto(beta), 0.5 if p is None else p, pid)
     if pid == "contrast":
         return DensityPair(Normal(0.0, 1.0), Normal(0.0, 1.0 / 3.0), 0.5, pid)
     raise ParameterError(f"unknown pair id {pair_id!r}; choose from {PAIR_IDS}")

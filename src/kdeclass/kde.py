@@ -14,7 +14,10 @@ the first to the last datum that reaches some point, are evaluated, each on
 the widest run, so work grows with live columns x widest run rather than
 with points x data.  The engine adds those values in the order numpy's
 pairwise sum adds a row of the dense (point x datum) kernel matrix, so its
-results equal the dense sum bit for bit.
+results equal the dense sum bit for bit: each block's 8 interleaved lanes
+are summed by np.bincount one chunk of samples at a time and combined into
+those samples' rows at once, and the block's last values are added one
+column at a time.
 """
 
 from __future__ import annotations
@@ -131,8 +134,8 @@ def _pairwise_sum(data, start, windows, h, kernel, a, m, span) -> np.ndarray:
     if lo < mid:
         # lane k of sample b collects columns a+k, a+k+8, ... in order, which
         # is the order np.bincount adds them in; one chunk of samples holds
-        # whole lanes, so no lane is split between two bincount calls
-        lanes = np.zeros(B * _LANES * T)
+        # whole lanes, so each chunk's lanes are combined into its rows of
+        # total as soon as they are summed
         base = (np.arange(B)[:, None] * _LANES + np.arange(lo - a, mid - a) % _LANES) * T
         step = max(1, _BLOCK_ELEMENTS // ((mid - lo) * width))
         for b0 in range(0, B, step):
@@ -141,20 +144,22 @@ def _pairwise_sum(data, start, windows, h, kernel, a, m, span) -> np.ndarray:
             u = windows[start[rows, cols]]
             u -= data[rows, cols, None]
             u /= h
-            first = b0 * _LANES * T
-            offset = start[rows, cols] + base[rows] - first
-            part = np.bincount((offset[..., None] + window).ravel(), kernel(u).ravel())
-            lanes[first:first + part.size] += part
-        r = lanes.reshape(B, _LANES, T).transpose(1, 0, 2)
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            offset = start[rows, cols] + base[rows] - b0 * _LANES * T
+            r = np.bincount((offset[..., None] + window).ravel(), kernel(u).ravel(),
+                            minlength=u.shape[0] * _LANES * T).reshape(-1, _LANES, T)
+            total[rows] = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
+                           + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
     if mid < hi:
-        # the block's last values go on one by one: np.add.at adds in index
-        # order, which runs through the columns in order for each sample
+        # the block's last values go on one by one, a column at a time in
+        # column order; within one column no (sample, point) index repeats
         tail = slice(mid, hi)
         u = windows[start[:, tail]]
         u -= data[:, tail, None]
         u /= h
-        np.add.at(total, (np.arange(B)[:, None, None], start[:, tail, None] + window), kernel(u))
+        values = kernel(u)
+        samples = np.arange(B)[:, None]
+        for j in range(hi - mid):
+            total[samples, start[:, mid + j, None] + window] += values[:, j]
     return total
 
 

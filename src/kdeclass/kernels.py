@@ -88,6 +88,10 @@ class Kernel:
         self._anti = anti
         self._float_anti = np.array([float(c) for c in anti[::-1]])
         self.at_zero = float(self.poly_coeffs[0])
+        # K at s itself is never zeroed, so this is the Horner sequence at s
+        self._zero_at_edge = False
+        edge = Kernel.__call__(self, self.support_halfwidth)
+        self._zero_at_edge = edge == 0.0 and not np.signbit(edge)
         if self.moment(0) != 1:
             raise ParameterError(
                 f"kernel {self.name!r} does not integrate to 1 over its support"
@@ -100,24 +104,33 @@ class Kernel:
         """Evaluate K(u); zero outside the support.  Accepts scalars or arrays.
 
         np.polyval's Horner steps y = y * a + c run in place at a = |u|
-        clipped to s, and points failing |u| <= s (NaN too) are then zeroed.
-        That is np.polyval at u bit for bit: the odd coefficients are 0, so
-        the sign an odd step takes from -a the next step gives back; a
+        clipped to s by np.fmin (which sends NaN to s), and points failing
+        |u| <= s are then zeroed.  That is np.polyval at u bit for bit: the
+        first step c0 * a is the same product; the odd coefficients are 0,
+        so the sign an odd step takes from -a the next step gives back; a
         skipped `+ 0.0` only signs an exact zero, which the next addition
         clears (the last one is always made); and the clip moves only
-        zeroed points, so nothing overflows.
+        zeroed points, so nothing overflows.  When the sequence at s is
+        exactly +0.0 (all built-ins) the clipped points already hold that
+        zero and the zeroing is skipped.
         """
         u = np.asarray(u, dtype=float)
         s = float(self.support_halfwidth)
         a = np.abs(u, out=np.empty(u.shape))
-        outside = ~(a <= s)
-        np.minimum(a, s, out=a)
-        out = np.full(u.shape, self._float_coeffs[0])
-        for k, c in enumerate(self._float_coeffs[1:], 2):
-            out *= a
-            if c or k == self._float_coeffs.size:
+        outside = None if self._zero_at_edge else ~(a <= s)
+        np.fmin(a, s, out=a)
+        coeffs = self._float_coeffs
+        if coeffs.size == 1:
+            out = np.full(u.shape, coeffs[0])
+        else:
+            out = np.multiply(a, coeffs[0], out=np.empty(u.shape))
+        for k, c in enumerate(coeffs[1:], 2):
+            if k > 2:
+                out *= a
+            if c or k == coeffs.size:
                 out += c
-        np.copyto(out, 0.0, where=outside)
+        if outside is not None:
+            np.copyto(out, 0.0, where=outside)
         if out.ndim == 0:
             return float(out)
         return out

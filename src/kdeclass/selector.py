@@ -11,10 +11,13 @@ Resamples are drawn once and shared by every grid cell (common random
 numbers), which removes between-cell Monte-Carlo noise from the surface and
 lets the two kernel estimates be precomputed per (replicate, bandwidth)
 instead of per cell, all of them in one `_kde_many` call per population.
+The two populations' calls run concurrently, one on a worker thread; each
+writes only its own array, so the surface does not depend on that.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import factorial, sqrt, pi
 
@@ -208,7 +211,10 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
     side mirrors the first-population tie-break of the trained rule), with
     ftilde/gtilde the pilot-smoothed estimates and P* the fraction over
     replicates.  rng defaults to a generator seeded with 0; its draws do
-    not depend on the candidates, so neither does any cell's value.
+    not depend on the candidates, so neither does any cell's value.  The
+    two populations' estimates are evaluated concurrently, the second on a
+    worker thread that has ended when this returns or raises; the values do
+    not depend on that.
     """
     if config is None:
         config = SelectorConfig()
@@ -245,8 +251,12 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
     for b in range(B):
         xs[b] = smoothed_bootstrap(ftilde, x_data.size, rng)
         ys[b] = smoothed_bootstrap(gtilde, y_data.size, rng)
-    pf = p * _kde_many(xs, grid_h1, grid, config.kernel)
-    qg = (1.0 - p) * _kde_many(ys, grid_h2, grid, config.kernel)
+    # the two calls spend most of their time in numpy code that releases
+    # the GIL, so the y call on a worker overlaps the x call here
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        g_future = pool.submit(_kde_many, ys, grid_h2, grid, config.kernel)
+        pf = p * _kde_many(xs, grid_h1, grid, config.kernel)
+        qg = (1.0 - p) * g_future.result()
 
     # fraction over replicates of deltahat* < 0, all cells at once: chunks
     # of (c, n1, 1, T) against (c, 1, n2, T) counted into (n1, n2, T)

@@ -58,7 +58,8 @@ def _require_positive(**counts) -> None:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration of one rate study.  Rows do not depend on `threads`, and
-    2 threads measured slower than 1."""
+    2 threads measured no faster than 1: each selection already evaluates
+    its two populations on two threads."""
 
     pair_id: str
     n_list: tuple[int, ...] = DEFAULT_N_LIST

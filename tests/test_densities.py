@@ -224,6 +224,15 @@ def test_make_pair_ids_and_validation():
         make_pair("pareto", alpha=2.5, beta=2.0)   # beta <= alpha
     pp = make_pair("pareto", alpha=2.0, beta=2.5)
     assert (pp.f.alpha, pp.g.alpha) == (2.0, 2.5)
+    assert pp.p == 0.5
+    assert make_pair("pareto", alpha=2.0, beta=2.5, p=0.3).p == 0.3
+
+
+@pytest.mark.parametrize("pid", ["class1a", "class1b", "class2a", "class2b", "contrast"])
+@pytest.mark.parametrize("keyword", [{"p": 0.3}, {"alpha": 5.0}, {"beta": 2.5}])
+def test_make_pair_rejects_keywords_the_pair_does_not_take(pid, keyword):
+    with pytest.raises(ParameterError, match="takes no alpha, beta or p"):
+        make_pair(pid, **keyword)
 
 
 def test_pair_delta_and_pooled():

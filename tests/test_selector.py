@@ -9,6 +9,8 @@ itself is held bit for bit to a dense reference: one broadcast KDE fit per
 (replicate, bandwidth) and one mean over the whole comparison.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from numpy.polynomial import hermite_e
@@ -31,6 +33,7 @@ from kdeclass import (
     select_bandwidths,
     smoothed_bootstrap,
 )
+from kdeclass import kde as kde_module
 from kdeclass import selector
 from kdeclass.selector import _first_argmin, _unit_pilot
 
@@ -273,6 +276,42 @@ def test_error_surface_matches_dense_reference(pair_id, n, seed):
                                np.random.default_rng(seed + 10))
     assert np.array_equal(got, want)
     assert _first_argmin(got) == _first_argmin(want)
+
+
+@pytest.mark.parametrize("pair_id", ["class1a", "class2a"])
+@pytest.mark.parametrize("n", [20, 63])
+def test_error_surface_matches_dense_reference_in_small_blocks(pair_id, n, monkeypatch):
+    # engine chunks of one to a dozen samples: every chunk combines its own
+    # lanes, and the block tails are added after several chunks
+    monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", 2000)
+    test_error_surface_matches_dense_reference(pair_id, n, 0)
+
+
+class _EngineFailure(Exception):
+    pass
+
+
+def test_error_surface_joins_its_worker(monkeypatch):
+    rng = np.random.default_rng(8)
+    x = rng.normal(0.0, 1.0, 30)
+    y = rng.normal(1.0, 1.0, 25)
+    cfg = _tight_config(boot_iters=5, grid_per_dim=3)
+    grid = np.array([0.3, 0.6, 1.0])
+    before = threading.active_count()
+    error_surface(x, y, grid, grid, 0.5, cfg)
+    assert threading.active_count() == before
+
+    engine = selector._kde_many
+
+    def failing_for_y(samples, *args):
+        if samples.shape[1] == y.size:
+            raise _EngineFailure("y call")
+        return engine(samples, *args)
+
+    monkeypatch.setattr(selector, "_kde_many", failing_for_y)
+    with pytest.raises(_EngineFailure):
+        error_surface(x, y, grid, grid, 0.5, cfg)
+    assert threading.active_count() == before
 
 
 def test_error_surface_counts_in_chunks(monkeypatch):
