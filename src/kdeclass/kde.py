@@ -12,12 +12,13 @@ bootstrap selector: each datum adds its kernel values to the contiguous run
 of sorted points it reaches.  Only the live columns, the sorted data from
 the first to the last datum that reaches some point, are evaluated, each on
 the widest run, so work grows with live columns x widest run rather than
-with points x data.  The engine adds those values in the order numpy's
-pairwise sum adds a row of the dense (point x datum) kernel matrix, so its
-results equal the dense sum bit for bit: each block's 8 interleaved lanes
-are summed by np.bincount one chunk of samples at a time and combined into
-those samples' rows at once, and the block's last values are added one
-column at a time.
+with points x data.  One np.bincount per block of at most _BLOCK_ELEMENTS
+values adds them, each point's values in sorted-data order, so the results
+do not depend on the block size or on how the samples are split.  They
+differ from the dense (point x datum) sum by rounding only: per point at
+most eps * (n * sum_i |K(u_i)| + 4 * d * S * m) / (n * h), with d, S as in
+`kernels` and m the number of data with |u_i| <= s; where no datum reaches
+a point the estimate is exactly 0.0.
 """
 
 from __future__ import annotations
@@ -34,16 +35,12 @@ __all__ = [
     "smoothed_bootstrap",
 ]
 
-#: cap on the (data x window) block one engine step evaluates, in doubles,
-#: above one sample's block of at most 128 data; larger blocks raised peak
-#: memory without running faster
+#: cap on the (data x window) block one engine step evaluates, in doubles.
+#: perfbench ops/s, medians of 4-7 runs at 25k / 50k / 100k on a 2-vCPU VM:
+#: study 18.4 / 20.9 / 20.1 (peak RSS 95.8 / 97.4 / 102.5 MiB), risk 119 /
+#: 91 / 93.  study, the selector's workload, is fastest here; risk's n = 2000
+#: blocks page-fault more at 50k (163k against 31k minor faults in 60 ops)
 _BLOCK_ELEMENTS = 50_000
-
-#: numpy sums a contiguous row pairwise: it halves the row (at a multiple of
-#: 8) down to blocks of at most 128 values and adds each block in 8
-#: interleaved lanes, then the block's last (size mod 8) values one by one
-_PAIRWISE_BLOCK = 128
-_LANES = 8
 
 
 def _checked_sample(data) -> np.ndarray:
@@ -65,13 +62,15 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
     np.sort orders them (NaN last).  Each datum's kernel reaches a
     contiguous run of points; one searchsorted per bandwidth finds it and
     the kernel is evaluated on the padded (live columns x widest run)
-    blocks with the same u and the same |u| <= s test as the dense sum over
-    all pairs; the live columns run from the first to the last sorted datum
-    whose run is nonempty in some sample, and the others add exact zeros.
-    The values are then added over each sample sorted, in numpy's pairwise
-    order, and scaled by 1 / (n * h), so the result equals
-    `kernel((points[:, None] - np.sort(sample)) / h).sum(axis=-1) * (1 / (n * h))`
-    exactly.  NaN and infinite points give 0.
+    blocks with the same u as the dense sum over all pairs; the live
+    columns run from the first to the last sorted datum whose run is
+    nonempty in some sample, and the others would add exact zeros.  Each
+    block's values are added by one np.bincount, which carries the sums of
+    the sample's earlier blocks, so every point adds its values in sorted-
+    data order whatever the blocks, and the sums are scaled by 1 / (n * h).
+    The result is within the rounding bound of the module docstring of
+    `kernel((points[:, None] - np.sort(sample)) / h).sum(axis=-1) * (1 / (n * h))`,
+    and exactly 0.0 where no datum reaches; NaN and infinite points give 0.
     """
     samples = np.asarray(samples, dtype=float)
     hs = np.asarray(hs, dtype=float).ravel()
@@ -109,58 +108,34 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
         # X - h*s, whose kernel values are exact zeros
         start = np.minimum(lo, T - width)
         windows = np.lib.stride_tricks.sliding_window_view(points, width)
-        total = _pairwise_sum(data, start, windows, h, kernel, 0, n, (live[0], live[-1] + 1))
-        out[:, g] = total * (1.0 / (n * h))
+        window = np.arange(width)
+        # blocks of at most _BLOCK_ELEMENTS values: whole samples over all
+        # live columns, or one sample over a run of its live columns
+        span = range(live[0], live[-1] + 1)
+        step = max(1, _BLOCK_ELEMENTS // width)
+        per_block = max(1, step // len(span))
+        for b0 in range(0, B, per_block):
+            rows = slice(b0, b0 + per_block)
+            total = None
+            for c0 in span[::step]:
+                cols = slice(c0, min(c0 + step, span.stop))
+                # (t - X) / h in place: the dense sum's two roundings
+                u = windows[start[rows, cols]]
+                u -= data[rows, cols, None]
+                u /= h
+                # sample k of the block adds into entries k*T..; a sample
+                # split over several blocks carries its sums so far in as
+                # the leading values, so each point adds its values in
+                # sorted-data order however the blocks fall
+                first = start[rows, cols] + np.arange(u.shape[0])[:, None] * T
+                index = (first[..., None] + window).ravel()
+                values = kernel(u).ravel()
+                if total is not None:
+                    index = np.concatenate([np.arange(T), index])
+                    values = np.concatenate([total, values])
+                total = np.bincount(index, values, minlength=u.shape[0] * T)
+            out[rows, g] = total.reshape(-1, T) * (1.0 / (n * h))
     return out
-
-
-def _pairwise_sum(data, start, windows, h, kernel, a, m, span) -> np.ndarray:
-    """Kernel sums (B, T) over data columns a..a+m-1, each datum adding its
-    values into the run of points `windows[start]`, in numpy's pairwise
-    order.  Only the columns in the live span `span` = [c0, c1) are
-    evaluated: the others would add exact zeros; each keeps its lane."""
-    B, width = data.shape[0], windows.shape[1]
-    T = windows.shape[0] + width - 1
-    if a >= span[1] or a + m <= span[0]:
-        return np.zeros((B, T))
-    if m > _PAIRWISE_BLOCK:
-        half = m // 2 - (m // 2) % _LANES
-        return (_pairwise_sum(data, start, windows, h, kernel, a, half, span)
-                + _pairwise_sum(data, start, windows, h, kernel, a + half, m - half, span))
-    window = np.arange(width)
-    lo, hi = max(a, span[0]), min(a + m, span[1])
-    mid = min(max(lo, a + m - m % _LANES), hi)     # where the live tail starts
-    total = np.zeros((B, T))
-    if lo < mid:
-        # lane k of sample b collects columns a+k, a+k+8, ... in order, which
-        # is the order np.bincount adds them in; one chunk of samples holds
-        # whole lanes, so each chunk's lanes are combined into its rows of
-        # total as soon as they are summed
-        base = (np.arange(B)[:, None] * _LANES + np.arange(lo - a, mid - a) % _LANES) * T
-        step = max(1, _BLOCK_ELEMENTS // ((mid - lo) * width))
-        for b0 in range(0, B, step):
-            rows, cols = slice(b0, b0 + step), slice(lo, mid)
-            # (t - X) / h in place: the dense sum's two roundings
-            u = windows[start[rows, cols]]
-            u -= data[rows, cols, None]
-            u /= h
-            offset = start[rows, cols] + base[rows] - b0 * _LANES * T
-            r = np.bincount((offset[..., None] + window).ravel(), kernel(u).ravel(),
-                            minlength=u.shape[0] * _LANES * T).reshape(-1, _LANES, T)
-            total[rows] = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
-                           + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
-    if mid < hi:
-        # the block's last values go on one by one, a column at a time in
-        # column order; within one column no (sample, point) index repeats
-        tail = slice(mid, hi)
-        u = windows[start[:, tail]]
-        u -= data[:, tail, None]
-        u /= h
-        values = kernel(u)
-        samples = np.arange(B)[:, None]
-        for j in range(hi - mid):
-            total[samples, start[:, mid + j, None] + window] += values[:, j]
-    return total
 
 
 class KdeEstimate:

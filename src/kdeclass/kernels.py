@@ -7,8 +7,14 @@ Conventions
 * Inside the support K(u) is a polynomial in u**2; coefficients are kept as
   exact rationals so moments and roughness values are computed in closed
   form.  Quadrature never enters the library path (tests use it as an
-  independent oracle).  K(u) itself is np.polyval's Horner sequence run in
-  place at |u|, which equals np.polyval at u bit for bit (Kernel.__call__).
+  independent oracle).  K(u) itself is evaluated by Horner's rule in
+  t = s**2 - u**2, with coefficients expanded exactly from those in u**2
+  (Kernel.__call__).  For the built-ins that is c * t**p, p = 1, 2, 3, so
+  every value is >= 0, K(+-s) is exactly +0.0 and K(0) exactly K's
+  constant coefficient.  Each value lies within 2 * d * S * eps of the
+  exact K at the same u, d = len(poly_coeffs), S = sum_k |a_k| s**(2k)
+  (0.36 * S * eps at most, measured for the built-ins), so within
+  4 * d * S * eps of np.polyval's value, which the tests check.
 * Derivatives are classical derivatives of the interior polynomial on the
   open support; roughness(r) integrates their square over [-s, s].
 """
@@ -16,7 +22,7 @@ Conventions
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gamma, pi
+from math import comb, gamma, pi
 
 import numpy as np
 
@@ -84,11 +90,19 @@ class Kernel:
             full[2 * k] = c
         self._full = full
         self._float_coeffs = np.array([float(c) for c in full[::-1]])  # np.polyval order
+        # K(u) = sum_k a_k (s2 - t)**k = sum_j b_j t**j with t = s2 - u**2,
+        # expanded exactly about the float s2 that __call__ subtracts from
+        self._s2 = float(self.support_halfwidth) ** 2
+        b = [Fraction(0)] * len(self.poly_coeffs)
+        for k, c in enumerate(self.poly_coeffs):
+            for j in range(k + 1):
+                b[j] += c * comb(k, j) * Fraction(self._s2) ** (k - j) * (-1) ** j
+        self._t_coeffs = np.array([float(c) for c in b[::-1]])  # Horner order
         anti = [Fraction(0)] + [c / (d + 1) for d, c in enumerate(full)]
         self._anti = anti
         self._float_anti = np.array([float(c) for c in anti[::-1]])
         self.at_zero = float(self.poly_coeffs[0])
-        # K at s itself is never zeroed, so this is the Horner sequence at s
+        # K at s itself is never zeroed, so this is the Horner sequence at t = 0
         self._zero_at_edge = False
         edge = Kernel.__call__(self, self.support_halfwidth)
         self._zero_at_edge = edge == 0.0 and not np.signbit(edge)
@@ -103,31 +117,32 @@ class Kernel:
     def __call__(self, u):
         """Evaluate K(u); zero outside the support.  Accepts scalars or arrays.
 
-        np.polyval's Horner steps y = y * a + c run in place at a = |u|
-        clipped to s by np.fmin (which sends NaN to s), and points failing
-        |u| <= s are then zeroed.  That is np.polyval at u bit for bit: the
-        first step c0 * a is the same product; the odd coefficients are 0,
-        so the sign an odd step takes from -a the next step gives back; a
-        skipped `+ 0.0` only signs an exact zero, which the next addition
-        clears (the last one is always made); and the clip moves only
-        zeroed points, so nothing overflows.  When the sequence at s is
-        exactly +0.0 (all built-ins) the clipped points already hold that
-        zero and the zeroing is skipped.
+        Horner's rule in t = s**2 - a**2 with a = |u| clipped to s by np.fmin
+        (which sends NaN to s), skipping additions of zero coefficients;
+        points failing |u| <= s are then zeroed.  The clip comes before the
+        square, so infinite and huge u overflow nothing, and a**2 <= s**2
+        gives t >= 0: the built-ins' c * t**p is never negative.  When the
+        value at t = 0 is exactly +0.0 (all built-ins) the clipped points
+        already hold that zero and the zeroing is skipped.  Inside the
+        support the value is within 2 * d * S * eps of the exact K at u
+        (see the module Conventions).
         """
         u = np.asarray(u, dtype=float)
         s = float(self.support_halfwidth)
-        a = np.abs(u, out=np.empty(u.shape))
-        outside = None if self._zero_at_edge else ~(a <= s)
-        np.fmin(a, s, out=a)
-        coeffs = self._float_coeffs
+        t = np.abs(u, out=np.empty(u.shape))
+        outside = None if self._zero_at_edge else ~(t <= s)
+        np.fmin(t, s, out=t)
+        t *= t
+        np.subtract(self._s2, t, out=t)
+        coeffs = self._t_coeffs
         if coeffs.size == 1:
             out = np.full(u.shape, coeffs[0])
         else:
-            out = np.multiply(a, coeffs[0], out=np.empty(u.shape))
+            out = np.multiply(t, coeffs[0], out=np.empty(u.shape))
         for k, c in enumerate(coeffs[1:], 2):
             if k > 2:
-                out *= a
-            if c or k == coeffs.size:
+                out *= t
+            if c:
                 out += c
         if outside is not None:
             np.copyto(out, 0.0, where=outside)

@@ -259,12 +259,13 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
         qg = (1.0 - p) * g_future.result()
 
     # fraction over replicates of deltahat* < 0, all cells at once: chunks
-    # of (c, n1, 1, T) against (c, 1, n2, T) counted into (n1, n2, T)
+    # of (c, n1, 1, T) against (c, 1, n2, T) counted into (n1, n2, T); a
+    # chunk of at most 255 replicates is counted exactly in uint8
     count = np.zeros((grid_h1.size, grid_h2.size, grid.size), dtype=np.intp)
-    step = max(1, _COUNT_ELEMENTS // count.size)
+    step = min(255, max(1, _COUNT_ELEMENTS // count.size))
     for b0 in range(0, B, step):
-        count += np.count_nonzero(pf[b0:b0 + step, :, None, :]
-                                  < qg[b0:b0 + step, None, :, :], axis=0)
+        count += (pf[b0:b0 + step, :, None, :]
+                  < qg[b0:b0 + step, None, :, :]).sum(axis=0, dtype=np.uint8)
     frac_lt = count / B
     integrand = p * fg * frac_lt + (1.0 - p) * gg * (1.0 - frac_lt)
     return np.trapezoid(integrand, grid, axis=-1)

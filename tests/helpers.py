@@ -30,6 +30,33 @@ def naive_kde(data, h, kernel, x):
     return polyval_kernel(kernel, (x[..., None] - data) / h).sum(axis=-1) * (1.0 / (data.size * h))
 
 
+def kde_rounding_bound(data, h, kernel, points):
+    """Per-point bound on |library estimate - naive_kde| at every point of
+    `points` (any shape):
+
+        eps * (n * sum_i |K(u_i)| + 4 * d * S * m) / (n * h)
+
+    with u_i = (x - X_i) / h as naive_kde forms it, K the reference kernel,
+    d = len(kernel.poly_coeffs), S = sum_k |a_k| s**(2k) and m the number
+    of data with |u_i| <= s.  The first term covers adding n values in any
+    order (the library's sequential sum and numpy's pairwise sum); the
+    second, per datum in the support, the library's Horner rule in
+    s**2 - u**2 against np.polyval in u, each within 2 * d * S * eps of the
+    exact K.  Where no datum has |u_i| <= s the bound is 0: both are exactly
+    0.0 there.  With data [0.0] and h = 1 it bounds a single kernel value
+    at u = points."""
+    data = np.sort(np.asarray(data, dtype=float).ravel())
+    x = np.atleast_1d(np.asarray(points, dtype=float))
+    u = (x[..., None] - data) / h
+    s = kernel.support_halfwidth
+    spread = float(sum(abs(a) * s ** (2 * k) for k, a in enumerate(kernel.poly_coeffs)))
+    reached = np.count_nonzero(np.abs(u) <= float(s), axis=-1)
+    values = np.abs(polyval_kernel(kernel, u)).sum(axis=-1)
+    n = data.size
+    return (np.finfo(float).eps
+            * (n * values + 4 * len(kernel.poly_coeffs) * spread * reached) / (n * h))
+
+
 def nearest_positive_point(est, x, side, lo, hi, grid_points=4001):
     """sup{t <= x : est(t) > 0} for side 'right', inf{t >= x : est(t) > 0}
     for side 'left', found by scanning [lo, hi] and bisecting the boundary.

@@ -3,9 +3,10 @@ evaluation vs the dense sum over all pairs, leave-one-out identities, exact
 pointwise moments vs Monte Carlo, and smoothed-bootstrap distributional
 correctness.
 
-The engine adds the dense sum's kernel values in the dense sum's order
-(numpy's pairwise sum over the sorted sample), so it is held to the dense
-oracle bit for bit: same exact zeros, same values.
+The engine adds each point's kernel values in sorted-data order with one
+np.bincount and evaluates the kernel in s**2 - u**2, so it is held to the
+dense oracle within the per-point rounding bound helpers.kde_rounding_bound,
+which is 0 (so the match is exact) where no datum reaches a point.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from helpers import naive_kde
+from helpers import kde_rounding_bound, naive_kde
 from kdeclass import (
     BIWEIGHT,
     EPANECHNIKOV,
@@ -37,10 +38,12 @@ KERNELS = (TRIWEIGHT, BIWEIGHT, EPANECHNIKOV,
            Kernel("uniform-wide", [Fraction(1, 6)], support_halfwidth=3))
 
 
-def assert_matches_dense(got, want):
-    """Same shape and the same values, exact zeros included, bit for bit."""
+def assert_matches_dense(got, data, h, kernel, points):
+    """The dense oracle's shape, and its values within the rounding bound:
+    exact zeros where no datum reaches a point."""
+    want = naive_kde(data, h, kernel, points)
     assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    assert np.all(np.abs(got - want) <= kde_rounding_bound(data, h, kernel, points))
 
 
 def edge_points(data, h, s, rng, extra):
@@ -67,26 +70,58 @@ def test_kde_many_matches_dense_sum(kernel, B, G):
     assert got.shape == (B, G, points.size)
     for b in range(B):
         for g, h in enumerate(hs):
-            assert_matches_dense(got[b, g], naive_kde(samples[b], h, kernel, points))
+            assert_matches_dense(got[b, g], samples[b], h, kernel, points)
     # the points just outside the outermost edges see nothing
     assert np.all(got[:, 0, 0] == 0.0) and np.all(got[:, 0, -1] == 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 128, 129, 200, 300])
-@pytest.mark.parametrize("cap", [None, 1])
+@pytest.mark.parametrize("cap", [None, 1, 1000])
 def test_kde_many_follows_numpy_pairwise_blocks(n, cap, monkeypatch):
-    # sizes below, at and past one 8-lane block and one 128-value block,
-    # with and without a block tail; cap 1 evaluates one sample per step
-    if cap is not None:
-        monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", cap)
+    # sizes below, at and past numpy's pairwise blocks of 8 and 128 values;
+    # caps 1 and 1000 evaluate one column, or a few dozen, of one sample per
+    # step, carrying each sample's sums from block to block, and give the
+    # very same values
     rng = np.random.default_rng(n)
     samples = rng.normal(size=(3, n))
     hs = [0.1, 0.9]
     points = np.sort(rng.uniform(-4.0, 4.0, 120))
+    whole = _kde_many(samples, hs, points)
+    if cap is not None:
+        monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", cap)
     got = _kde_many(samples, hs, points)
+    assert np.array_equal(got, whole)
     for b in range(3):
         for g, h in enumerate(hs):
-            assert_matches_dense(got[b, g], naive_kde(samples[b], h, TRIWEIGHT, points))
+            assert_matches_dense(got[b, g], samples[b], h, TRIWEIGHT, points)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), B=st.integers(1, 4),
+       G=st.integers(1, 3), kernel=st.sampled_from(KERNELS))
+def test_kde_many_within_rounding_bound_at_every_edge(seed, n, B, G, kernel):
+    # points at every support edge X +- h*s of every sample and bandwidth,
+    # and the floats either side of each: there the kernel vanishes (the
+    # built-ins) or jumps (the uniform kernels)
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(B, n)) * rng.uniform(0.1, 10.0)
+    hs = rng.uniform(0.01, 2.0, G)
+    s = float(kernel.support_halfwidth)
+    edges = np.concatenate([samples.ravel() + sign * h * s for h in hs for sign in (-1, 1)])
+    points = np.sort(np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                     np.nextafter(edges, np.inf)]))
+    got = _kde_many(samples, hs, points, kernel)
+    assert np.all(got >= 0.0)
+    for b in range(B):
+        for g, h in enumerate(hs):
+            # in slices of points, so the dense oracle stays small
+            for lo in range(0, points.size, 2000):
+                part = slice(lo, lo + 2000)
+                bound = kde_rounding_bound(samples[b], h, kernel, points[part])
+                want = naive_kde(samples[b], h, kernel, points[part])
+                assert np.all(np.abs(got[b, g, part] - want) <= bound)
+                # the bound is 0 exactly where no datum reaches the point
+                assert np.all(got[b, g, part][bound == 0.0] == 0.0)
 
 
 class CountingKernel(Kernel):
@@ -134,7 +169,7 @@ def test_kde_many_points_one_datum_reaches(kernel, k):
     points = np.sort(data[k] + h * s * rng.uniform(-1.0, 1.0, 64))
     got = _kde_many(data[None, :], [h, 10 * h], points, kernel)
     for g, hg in enumerate([h, 10 * h]):
-        assert_matches_dense(got[0, g], naive_kde(data, hg, kernel, points))
+        assert_matches_dense(got[0, g], data, hg, kernel, points)
     assert np.all(got[0, 0] > 0.0)
 
 
@@ -148,7 +183,7 @@ def test_kde_many_points_outside_the_data(kernel):
                    np.r_[lo - 1.0, lo, hi, hi + 1.0]):
         got = _kde_many(samples, [0.1, 0.2], points, kernel)
         assert np.array_equal(got, np.zeros((2, 2, points.size)))
-        assert_matches_dense(got[1, 1], naive_kde(samples[1], 0.2, kernel, points))
+        assert_matches_dense(got[1, 1], samples[1], 0.2, kernel, points)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -158,7 +193,8 @@ def test_kde_many_points_outside_the_data(kernel):
 def test_kde_many_live_span_mid_lane_to_block_tail(kernel, cap, n, c0, c1, monkeypatch):
     # numpy splits n = 129 into 64 + (64 + a 1-value tail), 150 into 72 +
     # (72 + 6) and 300 into 72 + 72 + 72 + (80 + 4): each span [c0, c1) of
-    # live columns starts mid-lane and ends inside a block tail
+    # live columns starts mid-lane and ends inside a block tail of the dense
+    # oracle's pairwise sum
     if cap is not None:
         monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", cap)
     rng = np.random.default_rng(n + c0)
@@ -166,7 +202,7 @@ def test_kde_many_live_span_mid_lane_to_block_tail(kernel, cap, n, c0, c1, monke
     data = spaced_samples(n, [0.0], rng)[0]
     points = points_reached_by(data, c0, c1, 3.4, rng, 100)
     got = _kde_many(data[None, :], [h], points, kernel)
-    assert_matches_dense(got[0, 0], naive_kde(data, h, kernel, points))
+    assert_matches_dense(got[0, 0], data, h, kernel, points)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -183,7 +219,7 @@ def test_kde_many_disjoint_live_spans(kernel, cap, monkeypatch):
     points = points_reached_by(samples[0], 10, 30, 3.4, rng, 100)
     got = _kde_many(samples, [h], points, kernel)
     for b in range(3):
-        assert_matches_dense(got[b, 0], naive_kde(samples[b], h, kernel, points))
+        assert_matches_dense(got[b, 0], samples[b], h, kernel, points)
         assert np.any(got[b, 0] > 0.0)
 
 
@@ -200,7 +236,7 @@ def test_kde_many_evaluates_only_the_live_span():
                    - np.searchsorted(points, near - reach, side="left"))
     kernel = CountingKernel()
     got = _kde_many(data[None, :], [h], points, kernel)
-    assert_matches_dense(got[0, 0], naive_kde(data, h, TRIWEIGHT, points))
+    assert_matches_dense(got[0, 0], data, h, TRIWEIGHT, points)
     assert 0 < kernel.evaluated <= near.size * width
     assert near.size * width < data.size * width / 20
 
@@ -218,7 +254,7 @@ def test_kde_many_evaluates_every_column_when_all_are_live():
     kernel = CountingKernel()
     got = _kde_many(samples, hs, points, kernel)
     assert kernel.evaluated == samples.size * sum(widths)
-    assert_matches_dense(got[7, 3], naive_kde(samples[7], hs[3], TRIWEIGHT, points))
+    assert_matches_dense(got[7, 3], samples[7], hs[3], TRIWEIGHT, points)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -232,10 +268,10 @@ def test_array_call_matches_dense_sum(kernel):
     pts = np.concatenate([pts, pts[::7]])       # duplicated points
     rng.shuffle(pts)                            # in no order
     grid = pts[: 20 * 30].reshape(20, 30)       # and 2-D
-    assert_matches_dense(est(pts), naive_kde(data, h, kernel, pts))
+    assert_matches_dense(est(pts), data, h, kernel, pts)
     got = est(grid)
     assert got.shape == (20, 30)
-    assert_matches_dense(got, naive_kde(data, h, kernel, grid))
+    assert_matches_dense(got, data, h, kernel, grid)
 
 
 def test_engine_large_sample_matches_dense_sum():
@@ -244,9 +280,9 @@ def test_engine_large_sample_matches_dense_sum():
     for h in (0.05, 0.4):
         est = KdeEstimate(data, h)
         xs = np.sort(rng.uniform(-4.5, 4.5, size=1500))
-        assert_matches_dense(est(xs), naive_kde(data, h, TRIWEIGHT, xs))
+        assert_matches_dense(est(xs), data, h, TRIWEIGHT, xs)
         # the data themselves, as loo_all evaluates them
-        assert_matches_dense(est(est.data), naive_kde(data, h, TRIWEIGHT, est.data))
+        assert_matches_dense(est(est.data), data, h, TRIWEIGHT, est.data)
 
 
 def test_engine_nonfinite_and_empty_points():
@@ -254,14 +290,12 @@ def test_engine_nonfinite_and_empty_points():
     est = KdeEstimate(data, 0.8)
     pts = np.array([np.nan, 0.2, -np.inf, np.inf, 0.2, np.nan, 2.9])
     got = est(pts)
-    want = naive_kde(data, 0.8, TRIWEIGHT, pts)
     assert np.array_equal(got[[0, 2, 3, 5]], np.zeros(4))
-    assert_matches_dense(got, want)
+    assert_matches_dense(got, data, 0.8, TRIWEIGHT, pts)
     sorted_pts = np.array([-np.inf, -0.5, 0.1, np.inf, np.nan])
     many = _kde_many(np.stack([data, data[::-1] + 0.25]), [0.3, 1.0], sorted_pts)
     assert np.all(many[:, :, [0, 3, 4]] == 0.0)
-    assert_matches_dense(many[1, 1], naive_kde(data[::-1] + 0.25, 1.0, TRIWEIGHT,
-                                               sorted_pts))
+    assert_matches_dense(many[1, 1], data[::-1] + 0.25, 1.0, TRIWEIGHT, sorted_pts)
     assert est(np.array([])).shape == (0,)
     assert est(np.empty((0, 3))).shape == (0, 3)
     assert _kde_many(data[None, :], [0.5, 1.0], []).shape == (1, 2, 0)

@@ -23,7 +23,7 @@ from kdeclass import (
     multivariate_norm_constant,
 )
 
-from helpers import polyval_kernel
+from helpers import kde_rounding_bound, polyval_kernel
 
 ALL_KERNELS = (TRIWEIGHT, BIWEIGHT, EPANECHNIKOV)
 
@@ -114,6 +114,8 @@ def test_evaluation_even_nonnegative_compact(kernel):
     # last coefficient, 0.0, is added
     Kernel("signed-quartic", [0, Fraction(-3, 2), 5])), ids=lambda k: k.name)
 def test_evaluation_matches_polyval_bit_for_bit(kernel):
+    # Horner in s**2 - u**2 is held to np.polyval in u within the rounding
+    # bound at one datum, which is 0 outside the support: exact +0.0 there
     s = float(kernel.support_halfwidth)
     rng = np.random.default_rng(3)
     special = [0.0, -0.0, s, -s, np.nextafter(s, 0.0), np.nextafter(s, np.inf),
@@ -125,13 +127,26 @@ def test_evaluation_matches_polyval_bit_for_bit(kernel):
         for arg in (u, u.reshape(-1, 5), np.empty(0), np.empty((3, 0))):
             got, want = kernel(arg), polyval_kernel(kernel, arg)
             assert got.shape == arg.shape
-            assert np.array_equal(got, want, equal_nan=False)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.all(np.abs(got - want) <= kde_rounding_bound(0.0, 1.0, kernel, arg))
+            assert not np.any(np.signbit(got[~(np.abs(arg) <= s)]))
         for value in [0.3 * s, -0.7 * s] + special:
             got = kernel(value)
             assert type(got) is float
-            assert got == float(polyval_kernel(kernel, value))
+            assert (abs(got - float(polyval_kernel(kernel, value)))
+                    <= kde_rounding_bound(0.0, 1.0, kernel, value)[0])
             assert kernel(np.array(value)) == got
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
+def test_builtins_nonnegative_and_exact_at_edges_and_zero(kernel):
+    # a million u packed just inside -s and s, where np.polyval's triweight
+    # rounds below zero; the edges and the centre are exact
+    s = float(kernel.support_halfwidth)
+    inside = s * (1.0 - np.random.default_rng(4).uniform(0.0, 1e-6, 500_000))
+    assert np.all(kernel(np.concatenate([inside, -inside])) >= 0.0)
+    edges = kernel(np.array([s, -s]))
+    assert np.array_equal(edges, [0.0, 0.0]) and not np.any(np.signbit(edges))
+    assert kernel(0.0) == kernel.at_zero == float(kernel.poly_coeffs[0])
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
