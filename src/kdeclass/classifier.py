@@ -27,7 +27,7 @@ import numpy as np
 
 from .densities import DensityPair
 from .errors import EmptyTailError, ParameterError
-from .kde import KdeEstimate
+from .kde import KdeEstimate, _checked_sample
 from .kernels import TRIWEIGHT, Kernel, multivariate_norm_constant
 
 __all__ = [
@@ -102,37 +102,38 @@ def classify_a0(pair: DensityPair, x: float) -> Label:
 
 def classify_a1(clf: TrainedClassifier, x: float) -> Label | None:
     """Plug-in body rule.  Returns None when both estimates vanish at x."""
-    fv = clf.fhat(x)
-    gv = clf.ghat(x)
+    fv, gv = clf.fhat(x), clf.ghat(x)
     if fv == 0.0 and gv == 0.0:
         return None
     return _body_label(clf.p * fv - (1.0 - clf.p) * gv)
 
 
+def _tail_search(clf: TrainedClassifier, x, side: str):
+    """The tail rule (see classify_tail) at a float or float array x: whether
+    the first population wins, and whether by a tie."""
+    sign = 1 if side == "right" else -1
+    z = np.fmax(sign * np.asarray(x, dtype=float), -np.inf)  # NaN: no endpoint
+    ends = [np.r_[-np.inf, (sign * e.data + e.reach)[::sign]] for e in (clf.fhat, clf.ghat)]
+    best_f, best_g = (e[np.searchsorted(e, z, side="right") - 1] for e in ends)
+    if np.any(np.maximum(best_f, best_g) == -np.inf):
+        raise EmptyTailError(f"no kernel support endpoint at or {('above', 'below')[sign > 0]} x")
+    return best_f >= best_g, best_f == best_g
+
+
 def classify_tail(clf: TrainedClassifier, x: float, side: str) -> Label:
     """Tail rule on one side: attribute x to the sample whose kernel support
-    ends nearest to it.
-
-    For side "right" the candidate endpoints are X_i + h1*s and Y_j + h2*s
-    that do not exceed x; the largest wins, ties go to the first population.
-    Side "left" mirrors with left endpoints >= x and the smallest winning;
-    it is computed as side "right" on the negated line, which is exact.
-    Requires both estimates to vanish at x; raises EmptyTailError when no
-    endpoint exists on the requested side.
+    ends nearest to it, ties to the first population.  On side "right" that
+    is the largest X_i + h1*s or Y_j + h2*s at or below x; side "left" is
+    side "right" on the negated line (exact).  Each sample's nearest endpoint
+    is one np.searchsorted in its sorted endpoints.  Requires both estimates
+    to vanish at x; raises EmptyTailError when neither sample has one.
     """
     if side not in ("right", "left"):
         raise ParameterError("side must be 'right' or 'left'")
     if clf.fhat(x) != 0.0 or clf.ghat(x) != 0.0:
         raise ParameterError("tail rule requires both estimates to vanish at x")
-    sign, beyond = (1.0, "below") if side == "right" else (-1.0, "above")
-    cands = [ends[ends <= sign * x] for ends in
-             (sign * clf.fhat.data + clf.fhat.reach, sign * clf.ghat.data + clf.ghat.reach)]
-    if cands[0].size == 0 and cands[1].size == 0:
-        raise EmptyTailError(f"no kernel support endpoint at or {beyond} x")
-    best_f, best_g = (c.max() if c.size else -math.inf for c in cands)
-    if best_f >= best_g:
-        return Label(FROM_F, "tail-" + side, tie_break=best_f == best_g)
-    return Label(FROM_G, "tail-" + side)
+    from_f, tie = _tail_search(clf, x, side)
+    return Label(FROM_F if from_f else FROM_G, "tail-" + side, tie_break=bool(tie))
 
 
 def classify_ahat(clf: TrainedClassifier, x: float) -> Label:
@@ -141,8 +142,18 @@ def classify_ahat(clf: TrainedClassifier, x: float) -> Label:
     body = classify_a1(clf, x)
     if body is not None:
         return body
-    side = "right" if x > clf.pooled_median else "left"
-    return classify_tail(clf, x, side)
+    return classify_tail(clf, x, "right" if x > clf.pooled_median else "left")
+
+
+def _ahat_from_f(clf: TrainedClassifier, x: np.ndarray) -> np.ndarray:
+    """Whether classify_ahat gives the first population at each t of the
+    float array x (EmptyTailError where it raises), from one call per estimate."""
+    fv, gv = clf.fhat(x), clf.ghat(x)
+    from_f = clf.p * fv - (1.0 - clf.p) * gv >= 0.0
+    tail, right = (fv == 0.0) & (gv == 0.0), x > clf.pooled_median
+    for side, at in (("right", tail & right), ("left", tail & ~right)):
+        from_f[at] = _tail_search(clf, x[at], side)[0]
+    return from_f
 
 
 def classify_multi(models, x: float) -> int | None:
@@ -157,7 +168,7 @@ def classify_multi(models, x: float) -> int | None:
     if len(models) < 2:
         raise ParameterError("need at least two populations")
     priors = np.array([float(w) for _, w in models])
-    if np.any(priors <= 0) or abs(priors.sum() - 1.0) > 1e-9:
+    if not (np.all(priors > 0) and abs(priors.sum() - 1.0) <= 1e-9):  # NaN fails too
         raise ParameterError("priors must be positive and sum to 1")
     scores = np.array([w * est(x) for est, w in models])
     if np.all(scores == 0.0):
@@ -172,16 +183,16 @@ def classify_multivariate(x_data, y_data, h1: float, h2: float, x,
     Returns None when both estimates vanish at x (the multivariate analogue
     of the univariate both-vanish signal).
     """
-    xd = np.atleast_2d(np.asarray(x_data, dtype=float))
-    yd = np.atleast_2d(np.asarray(y_data, dtype=float))
+    xd = np.atleast_2d(_checked_sample(x_data))
+    yd = np.atleast_2d(_checked_sample(y_data))
     q = np.asarray(x, dtype=float).ravel()
     d = q.size
     if xd.shape[1] != d or yd.shape[1] != d:
         raise ParameterError("data and query dimensions disagree")
     if not 0.0 < p < 1.0:
         raise ParameterError("prior p must lie strictly inside (0, 1)")
-    if h1 <= 0 or h2 <= 0:
-        raise ParameterError("bandwidths must be positive")
+    if not (np.isfinite(h1) and h1 > 0 and np.isfinite(h2) and h2 > 0):
+        raise ParameterError("bandwidths must be positive and finite")
     cd = multivariate_norm_constant(kernel, d)
     rf = np.sqrt(((q[None, :] - xd) ** 2).sum(axis=1)) / h1
     rg = np.sqrt(((q[None, :] - yd) ** 2).sum(axis=1)) / h2
@@ -271,7 +282,7 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
         xs = np.linspace(a, b, npts)
         scans.append(0.5 * (xs[:-1] + xs[1:]) if a < b else xs[:0])
     mids = np.concatenate([np.empty(0), *scans])
-    dv = clf.p * clf.fhat(mids) - (1.0 - clf.p) * clf.ghat(mids)
+    dv = clf.deltahat(mids)
     # labels 0 = f, 1 = g, split back into islands
     labs = np.split(np.where(dv >= 0.0, 0, 1), np.cumsum([m.size for m in scans[:-1]]))
 

@@ -5,8 +5,7 @@ The estimator is the standard
     fhat(x) = (1 / (count * h)) * sum_i K((x - X_i) / h)
 
 with a compactly supported kernel, so only data inside [x - h*s, x + h*s]
-contribute.  Scalar evaluation sums the kernel over the binary-search window
-of the sorted sample.  Array evaluation goes through one scatter engine,
+contribute.  Array evaluation goes through one scatter engine,
 `_kde_many`, shared by the classifier, cross-validation, risk and the
 bootstrap selector: each datum adds its kernel values to the contiguous run
 of sorted points it reaches.  Only the live columns, the sorted data from
@@ -18,7 +17,9 @@ do not depend on the block size or on how the samples are split.  They
 differ from the dense (point x datum) sum by rounding only: per point at
 most eps * (n * sum_i |K(u_i)| + 4 * d * S * m) / (n * h), with d, S as in
 `kernels` and m the number of data with |u_i| <= s; where no datum reaches
-a point the estimate is exactly 0.0.
+a point the estimate is exactly 0.0.  A scalar call adds the same values in
+the same order, with a running sum rather than np.sum's pairwise one, over a
+binary-search window, so it equals the array value bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def _checked_sample(data) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise ParameterError("data must be finite")
     return data
+
+
+def _reach(hs: float, at):
+    """hs = h*s widened past the rounding of u and of window edges near `at`,
+    so no pair with |u| <= s is left out; extra pairs add exact zeros."""
+    return hs * (1.0 + 1e-14) + 1e-15 * abs(at)
 
 
 def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
@@ -91,12 +98,9 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
     if B == 0 or T == 0:
         return out
     data = np.sort(samples, axis=1)
-    # the run is widened past X -/+ h*s by more than the rounding of u and of
-    # the edges, so no pair with |u| <= s is left out; extra pairs give 0
-    slack = 1e-15 * np.abs(data)
     s = float(kernel.support_halfwidth)
     for g, h in enumerate(hs):
-        reach = h * s * (1.0 + 1e-14) + slack
+        reach = _reach(h * s, data)
         lo = np.searchsorted(points, data - reach, side="left")
         runs = np.searchsorted(points, data + reach, side="right") - lo
         # the live columns: those whose run is nonempty in some sample
@@ -167,7 +171,7 @@ class KdeEstimate:
     # ------------------------------------------------------------------
     def __call__(self, x):
         """Evaluate the estimate at scalar or array x (arrays of any shape,
-        in any order, through _kde_many)."""
+        in any order, through _kde_many; scalars equal it bit for bit)."""
         if np.ndim(x) == 0:
             return self._eval_scalar(float(x))
         x = np.asarray(x, dtype=float)
@@ -178,34 +182,30 @@ class KdeEstimate:
         return out.reshape(x.shape)
 
     def _eval_scalar(self, x: float) -> float:
-        lo = np.searchsorted(self.data, x - self.reach, side="left")
-        hi = np.searchsorted(self.data, x + self.reach, side="right")
+        reach = _reach(self.reach, x)
+        lo, hi = self.data.searchsorted([x - reach, x + reach])
         if hi <= lo:
             return 0.0
         u = (x - self.data[lo:hi]) / self.h
-        return float(np.sum(self.kernel(u))) / (self.count * self.h)
+        return float(self.kernel(u).cumsum()[-1] * (1.0 / (self.count * self.h)))
 
     # ------------------------------------------------------------------
     def loo(self, i: int) -> float:
-        """Leave-one-out value fhat_{-i}(X_i).
-
-        Uses the identity count*h*fhat(X_i) = sum_j K((X_i-X_j)/h), so the
-        left-out value is (that sum - K(0)) / ((count - 1) * h).
-        """
+        """Leave-one-out value fhat_{-i}(X_i), equal to loo_all()[i] bit for bit."""
         if not 0 <= i < self.count:
             raise ParameterError("index out of range")
-        if self.count < 2:
-            raise ParameterError("leave-one-out needs at least two points")
-        xi = float(self.data[i])
-        total = self._eval_scalar(xi) * self.count * self.h
-        return (total - self.kernel.at_zero) / ((self.count - 1) * self.h)
+        return self._loo(float(self.data[i]))
 
     def loo_all(self) -> np.ndarray:
         """Leave-one-out values at every data point, in sorted-data order."""
+        return self._loo(self.data)
+
+    def _loo(self, at):
+        """Uses the identity count*h*fhat(X_i) = sum_j K((X_i-X_j)/h), so the
+        left-out value is (that sum - K(0)) / ((count - 1) * h)."""
         if self.count < 2:
             raise ParameterError("leave-one-out needs at least two points")
-        totals = self(self.data) * self.count * self.h
-        return (totals - self.kernel.at_zero) / ((self.count - 1) * self.h)
+        return (self(at) * self.count * self.h - self.kernel.at_zero) / ((self.count - 1) * self.h)
 
     def __repr__(self) -> str:
         return (

@@ -156,6 +156,7 @@ class Kernel:
         s = float(self.support_halfwidth)
         xc = np.clip(x, -s, s)
         val = np.polyval(self._float_anti, xc) - np.polyval(self._float_anti, -s)
+        val = np.clip(val, 0.0, 1.0)
         if val.ndim == 0:
             return float(val)
         return val

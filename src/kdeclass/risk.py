@@ -405,7 +405,7 @@ def _validate_multi(models, crossing_table, r):
     if len(models) < 2:
         raise ParameterError("need at least two populations")
     priors = np.array([w for _, w in models])
-    if np.any(priors <= 0) or abs(priors.sum() - 1.0) > 1e-9:
+    if not (np.all(priors > 0) and abs(priors.sum() - 1.0) <= 1e-9):  # NaN fails too
         raise ParameterError("priors must be positive and sum to 1")
     r = np.asarray(r, dtype=float)
     if r.shape != (len(models),) or np.any(r <= 0):

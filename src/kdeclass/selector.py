@@ -342,6 +342,8 @@ def cv_err(x_data: np.ndarray, y_data: np.ndarray, h1: float, h2: float,
     y_data = np.asarray(y_data, dtype=float)
     if x_data.size < 2 or y_data.size < 2:
         raise ParameterError("leave-one-out needs at least two points per sample")
+    if not 0.0 < p < 1.0:
+        raise ParameterError("p must lie strictly between 0 and 1")
     fhat = KdeEstimate(x_data, h1, kernel)
     ghat = KdeEstimate(y_data, h2, kernel)
     q = 1.0 - p

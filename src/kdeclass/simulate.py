@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (FROM_G, TrainedClassifier, classify_ahat,
+from .classifier import (FROM_G, TrainedClassifier, _ahat_from_f,
                          decision_segments, fit_classifier)
 from .densities import DensityPair, make_pair
 from .errors import DegenerateRegressionError, ParameterError, _require_integers
@@ -270,8 +270,7 @@ def _contrast_fraction(pair: DensityPair, n: int, rep_seed,
     """Fraction of far-tail grid points the trained composite rule assigns
     to the heavy(er)-tailed first population."""
     clf = _train_rate_rule(pair, n, rep_seed)
-    hits = sum(1 for t in grid if classify_ahat(clf, float(t)).population == "f")
-    return hits / grid.size
+    return np.count_nonzero(_ahat_from_f(clf, grid)) / grid.size
 
 
 def run_tail_study(alpha: float = 2.0, beta: float = 2.5,
@@ -294,9 +293,10 @@ def run_tail_study(alpha: float = 2.0, beta: float = 2.5,
     variance 1/9 and reports the fraction of grid points in the far tail
     assigned to the first (heavier-tailed, and there correct) population.
     """
+    lo, hi, count = contrast_grid
     _require_integers(reps=reps, contrast_n=contrast_n, threads=threads,
-                      **_entries(n_list))
-    _require_positive(reps=reps, threads=threads)
+                      **_entries(n_list), **{"contrast_grid[2]": count})
+    _require_positive(reps=reps, threads=threads, **{"contrast_grid[2]": count})
     n_list = tuple(int(n) for n in n_list)
     pair = make_pair("pareto", alpha=alpha, beta=beta)
     if x0 is None:
@@ -316,7 +316,7 @@ def run_tail_study(alpha: float = 2.0, beta: float = 2.5,
         for n in n_list)
 
     contrast_pair = make_pair("contrast")
-    grid = np.linspace(*contrast_grid)
+    grid = np.linspace(lo, hi, int(count))
     cons = _map_cells(
         lambda rep: (rep, _contrast_fraction(
             contrast_pair, contrast_n,

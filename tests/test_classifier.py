@@ -5,6 +5,8 @@ locates the nearest point of positive estimated density by scanning and
 bisection (tests/helpers.py), never by endpoint arithmetic.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from helpers import scan_segments_oracle, tail_oracle
 from kdeclass import (
     EmptyTailError,
     KdeEstimate,
+    Kernel,
     Label,
     ParameterError,
     TRIWEIGHT,
@@ -26,7 +29,7 @@ from kdeclass import (
     fit_classifier,
     make_pair,
 )
-from kdeclass.classifier import FROM_F, FROM_G
+from kdeclass.classifier import FROM_F, FROM_G, _ahat_from_f
 from kdeclass.densities import DensityPair, Normal
 
 
@@ -106,6 +109,38 @@ def test_classify_a1_none_iff_both_vanish():
     assert classify_a1(clf, 2.5) is None          # interior gap
     assert classify_a1(clf, 0.1) is not None      # inside f support
     assert classify_a1(clf, 5.1) is not None      # inside g support
+
+
+def _flip_floats(clf, a, b, spread):
+    """The floats within `spread` ulps of where the sign of the array
+    deltahat flips inside (a, b), found by bisection down to adjacent floats."""
+    def f_side(t):
+        return clf.deltahat(np.array([t]))[0] >= 0.0
+    side_a = f_side(a)
+    while np.nextafter(a, b) < b:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if f_side(mid) == side_a else (a, mid)
+    return a + np.spacing(a) * np.arange(-spread, spread + 1)
+
+
+def test_classify_a1_agrees_with_array_sign_at_near_ties():
+    """At the floats around each sign flip of deltahat, where rounding
+    decides the label, the scalar body rule matches the array's sign."""
+    rng = np.random.default_rng(3)
+    grid = np.linspace(-3.0, 4.0, 1401)
+    flips = 0
+    for _ in range(10):
+        n = int(rng.integers(20, 301))
+        clf = _fit(rng, n1=n, n2=n)
+        f_side = clf.deltahat(grid) >= 0.0
+        for i in np.flatnonzero(f_side[1:] != f_side[:-1])[:6]:
+            xs = _flip_floats(clf, grid[i], grid[i + 1], 200)
+            want = np.where(clf.deltahat(xs) >= 0.0, FROM_F, FROM_G)
+            for x, pop in zip(xs, want):
+                lab = classify_a1(clf, float(x))
+                assert lab is None or lab.population == pop
+            flips += 1
+    assert flips > 20
 
 
 def test_classify_a1_exact_tie_breaks_to_f():
@@ -238,6 +273,46 @@ def test_classify_ahat_median_point_goes_left():
     assert lab.route == "tail-left"
 
 
+UNIFORM = Kernel("uniform", [Fraction(1, 2)])
+
+
+def _edge_points(clf, rng, extra):
+    """Every support edge X_i -+ h*s of both samples, the floats either side,
+    the pooled median and `extra` random points around the data."""
+    edges = np.concatenate([np.r_[e.data - e.reach, e.data + e.reach]
+                            for e in (clf.fhat, clf.ghat)])
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                           [clf.pooled_median],
+                           rng.uniform(edges.min() - 1.0, edges.max() + 1.0, extra)])
+
+
+@pytest.mark.parametrize("kernel", [TRIWEIGHT, UNIFORM], ids=lambda k: k.name)
+def test_array_composite_rule_matches_classify_ahat(kernel):
+    """Sparse samples with gaps, so both tail sides and the body rule all
+    label points; the array form agrees with classify_ahat everywhere."""
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        n1, n2 = (int(k) for k in rng.integers(1, 30, size=2))
+        clf = fit_classifier(rng.uniform(-6.0, 6.0, n1), rng.uniform(-4.0, 8.0, n2),
+                             rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0),
+                             p=rng.uniform(0.2, 0.8), kernel=kernel)
+        xs = _edge_points(clf, rng, 100)
+        want = [classify_ahat(clf, float(x)).population == FROM_F for x in xs]
+        assert _ahat_from_f(clf, xs).tolist() == want
+
+
+def test_array_composite_rule_raises_where_classify_ahat_does():
+    # K(u) = 3/2 u^2 vanishes at u = 0: at the pooled median 0 both
+    # estimates vanish and no support starts at or above it
+    clf = fit_classifier([0.0], [0.0], 0.5, 0.5, kernel=Kernel("u2", [0, Fraction(3, 2)]))
+    for x in (0.0, np.nan):
+        with pytest.raises(EmptyTailError):
+            classify_ahat(clf, x)
+        with pytest.raises(EmptyTailError):
+            _ahat_from_f(clf, np.array([-1.0, x, 1.0]))
+    assert _ahat_from_f(clf, np.array([-1.0, 1.0])).tolist() == [True, True]
+
+
 # ----------------------------------------------------------------------
 # classify_multi
 # ----------------------------------------------------------------------
@@ -282,6 +357,9 @@ def test_classify_multi_validation():
         classify_multi([(est, 0.7), (est, 0.7)], 0.0)  # sum != 1
     with pytest.raises(ParameterError):
         classify_multi([(est, 1.2), (est, -0.2)], 0.0)  # nonpositive prior
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            classify_multi([(est, bad), (est, 0.5)], 0.0)  # non-finite prior
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +401,15 @@ def test_multivariate_validation():
         classify_multivariate(x, y, -0.5, 0.5, [0.0, 0.0])
     with pytest.raises(ParameterError):
         classify_multivariate(x, y, 0.5, 0.5, [0.0, 0.0], p=1.0)
+    for h in (np.nan, np.inf, 0.0):
+        with pytest.raises(ParameterError):
+            classify_multivariate(x, y, h, 0.5, [0.0, 0.0])
+        with pytest.raises(ParameterError):
+            classify_multivariate(x, y, 0.5, h, [0.0, 0.0])
+    with pytest.raises(ParameterError):
+        classify_multivariate(np.r_[x, [[np.nan, 0.0]]], y, 0.5, 0.5, [0.0, 0.0])
+    with pytest.raises(ParameterError):
+        classify_multivariate(x, np.empty((0, 2)), 0.5, 0.5, [0.0, 0.0])
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ correctness.
 The engine adds each point's kernel values in sorted-data order with one
 np.bincount and evaluates the kernel in s**2 - u**2, so it is held to the
 dense oracle within the per-point rounding bound helpers.kde_rounding_bound,
-which is 0 (so the match is exact) where no datum reaches a point.
+which is 0 (so the match is exact) where no datum reaches a point.  A
+scalar call adds the same values in the same order, so it is held to the
+array value bit for bit.
 """
 
 from fractions import Fraction
@@ -319,6 +321,33 @@ def test_kde_many_validation():
     assert _kde_many(np.zeros((0, 3)), [1.0, 2.0], [0.0]).shape == (0, 2, 1)
 
 
+def same_bits(a, b) -> bool:
+    """a and b are the same double, sign bit included."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+       kernel=st.sampled_from(KERNELS), h=st.floats(0.01, 3.0),
+       decimals=st.sampled_from([None, 0, 1]))
+def test_scalar_call_equals_array_call_bit_for_bit(seed, n, kernel, h, decimals):
+    """est(x) is est(np.array([x]))[0] to the bit at every support edge
+    X_i +- h*s, the floats either side of it and random points; rounded
+    data put many edges on top of one another."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=n) * rng.uniform(0.1, 50.0)
+    if decimals is not None:
+        data = np.round(data, decimals)
+    est = KdeEstimate(data, h, kernel)
+    points = edge_points(est.data, h, float(kernel.support_halfwidth), rng, 40)
+    # the engine's value at a point does not depend on the other points
+    array = est(points)
+    for x, want in zip(points, array):
+        assert same_bits(est(float(x)), want)
+    for x in rng.choice(points, 5):
+        assert same_bits(est(float(x)), est(np.array([x]))[0])
+
+
 def test_matches_naive_sum_fixed_cases():
     rng = np.random.default_rng(0)
     for n in (1, 2, 7, 50, 500):
@@ -386,6 +415,7 @@ def test_loo_identities():
         want = reduced(float(est.data[i]))
         assert est.loo(i) == pytest.approx(want, abs=1e-13)
         assert allv[i] == pytest.approx(want, abs=1e-13)
+        assert est.loo(i) == allv[i]  # scalar and array sums agree bit for bit
     with pytest.raises(ParameterError):
         est.loo(25)
     with pytest.raises(ParameterError):

@@ -161,6 +161,20 @@ def test_cdf_against_quadrature(kernel):
         assert kernel.cdf(x) == pytest.approx(ref, abs=1e-10)
 
 
+@pytest.mark.parametrize("kernel", [TRIWEIGHT, BIWEIGHT, EPANECHNIKOV], ids=lambda k: k.name)
+def test_cdf_stays_in_unit_interval(kernel):
+    # the antiderivative's rounding falls below 0 near -s and above 1 near s
+    s = float(kernel.support_halfwidth)
+    rng = np.random.default_rng(8)
+    x = np.concatenate([[-s, s], np.nextafter([-s, -s, s, s], [-np.inf, np.inf] * 2),
+                        rng.uniform(-s, -0.999 * s, 100_000),
+                        rng.uniform(0.999 * s, s, 100_000)])
+    values = kernel.cdf(x)
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert kernel.cdf(-s) == 0.0
+    assert 0.0 <= kernel.cdf(np.nextafter(s, 0.0)) <= kernel.cdf(s) <= 1.0
+
+
 def test_sampling_matches_moments():
     rng = np.random.default_rng(42)
     draws = TRIWEIGHT.sample(rng, size=40_000)

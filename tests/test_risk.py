@@ -372,6 +372,14 @@ def test_multi_t_validation(class1a):
     bad_priors = [(pair.f, 0.7), (pair.g, 0.7)]
     with pytest.raises(ParameterError):
         multi_t(bad_priors, {(0, 1): roots}, ones, ones)
+    # a NaN prior fails every comparison and an infinite one makes the sum
+    # infinite; both are rejected before any optimisation starts
+    for bad in (np.nan, np.inf):
+        priors = [(pair.f, bad), (pair.g, 0.5)]
+        with pytest.raises(ParameterError):
+            multi_t(priors, {(0, 1): roots}, ones, ones)
+        with pytest.raises(ParameterError):
+            multi_optimal_constants(priors, {(0, 1): roots}, r=ones)
 
 
 def test_multi_t_zero_slope_crossing():

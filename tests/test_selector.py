@@ -516,6 +516,9 @@ def test_cv_err_same_distribution_near_half():
 def test_cv_err_validation():
     with pytest.raises(ParameterError):
         cv_err([1.0], [0.0, 1.0], 0.5, 0.5)
+    for p in (0.0, 1.0, 1.5, np.nan):
+        with pytest.raises(ParameterError):
+            cv_err([0.0, 1.0], [2.0, 3.0], 0.5, 0.5, p=p)
 
 
 # ----------------------------------------------------------------------

@@ -265,7 +265,8 @@ def test_tail_study_x0_override_and_validation():
     with pytest.raises(ParameterError):
         run_tail_study(reps=0)
     for bad in (dict(reps=1.5), dict(n_list=(30.5,)), dict(contrast_n=40.5),
-                dict(threads=1.5), dict(threads=0)):
+                dict(threads=1.5), dict(threads=0),
+                dict(contrast_grid=(3.0, 6.0, 0)), dict(contrast_grid=(3.0, 6.0, 2.5))):
         with pytest.raises(ParameterError):
             run_tail_study(**bad)
     with pytest.raises(ParameterError):
