@@ -26,7 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 from .densities import DensityPair
-from .errors import EmptyTailError, ParameterError
+from .errors import EmptyTailError, ParameterError, _require_open_unit, _require_positive
 from .kde import KdeEstimate, _checked_sample
 from .kernels import TRIWEIGHT, Kernel, multivariate_norm_constant
 
@@ -74,8 +74,7 @@ class TrainedClassifier:
 def fit_classifier(x_data, y_data, h1: float, h2: float, p: float = 0.5,
                    kernel: Kernel = TRIWEIGHT) -> TrainedClassifier:
     """Fit the two density estimates and cache the pooled lower median."""
-    if not 0.0 < p < 1.0:
-        raise ParameterError("prior p must lie strictly inside (0, 1)")
+    _require_open_unit(p=p)
     fhat = KdeEstimate(x_data, h1, kernel)
     ghat = KdeEstimate(y_data, h2, kernel)
     pooled = np.sort(np.concatenate([fhat.data, ghat.data]))
@@ -189,10 +188,8 @@ def classify_multivariate(x_data, y_data, h1: float, h2: float, x,
     d = q.size
     if xd.shape[1] != d or yd.shape[1] != d:
         raise ParameterError("data and query dimensions disagree")
-    if not 0.0 < p < 1.0:
-        raise ParameterError("prior p must lie strictly inside (0, 1)")
-    if not (np.isfinite(h1) and h1 > 0 and np.isfinite(h2) and h2 > 0):
-        raise ParameterError("bandwidths must be positive and finite")
+    _require_open_unit(p=p)
+    _require_positive(h1=h1, h2=h2)
     cd = multivariate_norm_constant(kernel, d)
     rf = np.sqrt(((q[None, :] - xd) ** 2).sum(axis=1)) / h1
     rg = np.sqrt(((q[None, :] - yd) ** 2).sum(axis=1)) / h2

@@ -32,17 +32,18 @@ from .simulate import (
 
 _STUDY_PAIRS = ("class1a", "class1b", "class2a", "class2b")
 
-_INT_KEYS = {"reps", "n", "boot_iters", "grid", "threads", "seed"}
-_FLOAT_KEYS = {"c2", "alpha", "beta"}
-_LIST_KEYS = {"n_list"}
-_STR_KEYS = {"pair", "out"}
-
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad sample-size list {text!r}") from exc
+
+
+#: config-file keys and the parser of each value
+_CONFIG_KEYS = {"reps": int, "n": int, "boot_iters": int, "grid": int, "threads": int,
+                "seed": int, "c2": float, "alpha": float, "beta": float,
+                "n_list": _parse_n_list, "pair": str, "out": str}
 
 
 def _load_config(path: str) -> dict:
@@ -56,18 +57,13 @@ def _load_config(path: str) -> dict:
         key, val = line.split("=", 1)
         key = key.strip().replace("-", "_")
         val = val.strip().strip("\"'")
-        if key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key in _LIST_KEYS:
-            values[key] = _parse_n_list(val)
-        elif key in _STR_KEYS:
-            values[key] = val
-        else:
-            known = sorted(_INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS)
+        if key not in _CONFIG_KEYS:
             raise ParameterError(
-                f"{path}:{lineno}: unknown key {key!r}; known keys: {known}")
+                f"{path}:{lineno}: unknown key {key!r}; known keys: {sorted(_CONFIG_KEYS)}")
+        try:
+            values[key] = _CONFIG_KEYS[key](val)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ParameterError(f"{path}:{lineno}: bad value {val!r} for key {key!r}") from exc
     return values
 
 
@@ -75,31 +71,33 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit root seed")
     common.add_argument("--out", default=None, help="output directory for CSV files")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads; results do not depend on the count, "
-                        "and 2 threads measured no faster than 1")
-    common.add_argument("--boot-iters", type=int, default=100, dest="boot_iters",
-                        help="bootstrap replicates per grid cell")
-    common.add_argument("--grid", type=int, default=15,
-                        help="candidate bandwidths per axis")
-    common.add_argument("--c2", type=float, default=0.45,
-                        help="lower grid edge exponent: smallest h is n^(-c2)")
     common.add_argument("--config", default=None,
                         help="key=value file preloading any of the flags")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1,
+                         help="worker threads; results do not depend on the count, "
+                         "and 2 threads measured no faster than 1")
+    selector = argparse.ArgumentParser(add_help=False)
+    selector.add_argument("--boot-iters", type=int, default=100, dest="boot_iters",
+                          help="bootstrap replicates per grid cell")
+    selector.add_argument("--grid", type=int, default=15,
+                          help="candidate bandwidths per axis")
+    selector.add_argument("--c2", type=float, default=0.45,
+                          help="lower grid edge exponent: smallest h is n^(-c2)")
 
     parser = argparse.ArgumentParser(
         prog="kdeclass",
         description="Simulation studies for kernel-density plug-in classification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_study = sub.add_parser("study", parents=[common],
+    p_study = sub.add_parser("study", parents=[common, threads, selector],
                              help="replicated bandwidth selection across sample sizes")
     p_study.add_argument("--pair", required=True, choices=_STUDY_PAIRS)
     p_study.add_argument("--n-list", type=_parse_n_list, default=DEFAULT_N_LIST,
                          dest="n_list", help="comma-separated sample sizes")
     p_study.add_argument("--reps", type=int, default=100)
 
-    p_tail = sub.add_parser("tail", parents=[common],
+    p_tail = sub.add_parser("tail", parents=[common, threads],
                             help="heavy-tail misclassification growth")
     p_tail.add_argument("--alpha", type=float, default=2.0)
     p_tail.add_argument("--beta", type=float, default=2.5)
@@ -107,13 +105,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                         dest="n_list")
     p_tail.add_argument("--reps", type=int, default=200)
 
-    p_cv = sub.add_parser("cvcheck", parents=[common],
+    p_cv = sub.add_parser("cvcheck", parents=[common, threads, selector],
                           help="cross-validation vs bootstrap selector spread")
     p_cv.add_argument("--pair", default="class1a", choices=PAIR_IDS)
     p_cv.add_argument("--n", type=int, default=100)
     p_cv.add_argument("--reps", type=int, default=50)
 
-    p_rs = sub.add_parser("risk-surface", parents=[common],
+    p_rs = sub.add_parser("risk-surface", parents=[common, selector],
                           help="bootstrap error surface for one training draw")
     p_rs.add_argument("--pair", required=True, choices=PAIR_IDS)
     p_rs.add_argument("--n", type=int, default=100)

@@ -34,7 +34,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .errors import DegenerateCrossingError, NumericError, ParameterError, ResolutionError
+from .errors import (DegenerateCrossingError, NumericError, ParameterError, ResolutionError,
+                     _require_integers, _require_open_unit, _require_positive)
 
 __all__ = [
     "Density",
@@ -70,13 +71,6 @@ def _scalar_like(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _check_level(q) -> float:
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise ParameterError("quantile level must lie strictly inside (0, 1)")
-    return q
-
-
 class Density:
     """Interface shared by all population densities.
 
@@ -108,7 +102,8 @@ class Density:
         return _scalar_like(self._cdf(np.asarray(x, dtype=float)))
 
     def ppf(self, q):
-        return float(self._ppf(_check_level(q)))
+        _require_open_unit(q=q)
+        return float(self._ppf(float(q)))
 
     def _deriv(self, order, x):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -150,8 +145,7 @@ class Normal(Density):
     """Normal density with mean mu and standard deviation sigma."""
 
     def __init__(self, mu: float, sigma: float):
-        if sigma <= 0:
-            raise ParameterError("sigma must be positive")
+        _require_positive(sigma=sigma)
         self.mu = float(mu)
         self.sigma = float(sigma)
 
@@ -181,8 +175,9 @@ class NormalMixture(Density):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or len(w) != len(means) or len(w) != len(sigmas):
             raise ParameterError("weights, means, sigmas must have equal length")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ParameterError("weights must be positive and sum to 1")
+        _require_positive(weights=w)
+        if abs(w.sum() - 1.0) > 1e-12:
+            raise ParameterError("weights must sum to 1")
         self.weights = w
         self.components = tuple(Normal(m, s) for m, s in zip(means, sigmas))
 
@@ -211,8 +206,7 @@ class Cauchy(Density):
     """Cauchy density with location loc and scale gamma (standard by default)."""
 
     def __init__(self, loc: float = 0.0, gamma: float = 1.0):
-        if gamma <= 0:
-            raise ParameterError("gamma must be positive")
+        _require_positive(gamma=gamma)
         self.loc = float(loc)
         self.gamma = float(gamma)
 
@@ -254,8 +248,8 @@ class Pareto(Density):
     """
 
     def __init__(self, alpha: float):
-        if alpha <= 1:
-            raise ParameterError("alpha must exceed 1")
+        if not 1.0 < alpha < np.inf:  # NaN fails too
+            raise ParameterError(f"alpha must be finite and exceed 1, got {alpha!r}")
         self.alpha = float(alpha)
         self.support = (1.0, np.inf)
 
@@ -344,8 +338,7 @@ class DensityPair:
     name: str = "custom"
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ParameterError("prior p must lie strictly inside (0, 1)")
+        _require_open_unit(p=self.p)
 
     def delta(self, x):
         """p f(x) - (1 - p) g(x); positive where the first population wins."""
@@ -365,9 +358,10 @@ class DensityPair:
         return self.p * self.f.cdf(x) + (1.0 - self.p) * self.g.cdf(x)
 
     def pooled_ppf(self, q: float) -> float:
+        _require_open_unit(q=q)
         lo = min(_finite_or(self.f.support[0], -1.0), _finite_or(self.g.support[0], -1.0))
         hi = max(_finite_or(self.f.support[1], 1.0), _finite_or(self.g.support[1], 1.0))
-        return _invert_cdf(self.pooled_cdf, _check_level(q), lo, hi)
+        return _invert_cdf(self.pooled_cdf, float(q), lo, hi)
 
     def sample(self, which: str, n: int, rng: np.random.Generator):
         return self.density(which).sample(n, rng)
@@ -517,8 +511,7 @@ def crossings(pair: DensityPair, interval: tuple[float, float] | None = None,
     the cell hid additional roots and raises ResolutionError; a slope below
     1e-6 in absolute value raises DegenerateCrossingError.
     """
-    if grid_points < 8:
-        raise ParameterError("grid_points must be at least 8")
+    _require_integers(grid_points=grid_points, minimum=8)
     if interval is None:
         interval = (pair.pooled_ppf(1e-4), pair.pooled_ppf(1.0 - 1e-4))
     lo, hi = float(interval[0]), float(interval[1])

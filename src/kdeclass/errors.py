@@ -1,13 +1,27 @@
-"""Exception types raised by kdeclass.
+"""Exception types raised by kdeclass, and the argument checks that raise
+ParameterError.
 
 Every failure mode that callers are expected to handle gets its own class;
 all inherit from KdeClassError so library users can catch broadly.
 ParameterError doubles as a ValueError for argument validation.
+
+Numeric arguments are checked by three validators, one per kind, each
+taking the arguments by name and naming the first that fails:
+
+* `_require_integers`: whole numbers (2 and 2.0 pass, 2.5 does not), at
+  least `minimum` when one is given: counts, sizes, orders and seeds;
+* `_require_positive`: finite and > 0, scalars or every entry of an array:
+  bandwidths, scales, weights, ratios and constants;
+* `_require_open_unit`: strictly inside (0, 1): priors.
+
+NaN and +-inf pass none of them.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "KdeClassError",
@@ -72,9 +86,33 @@ class DegenerateRegressionError(KdeClassError):
     distinct x values)."""
 
 
-def _require_integers(**values) -> None:
+def _require_integers(*, minimum: int | None = None, **values) -> None:
     """Raise ParameterError naming the first value that is not a whole
-    number (2 and 2.0 are whole; 2.5, NaN and inf are not)."""
+    number (2 and 2.0 are whole; 2.5, NaN and inf are not) or, when
+    `minimum` is given, is below it."""
     for name, value in values.items():
         if not math.isfinite(value) or value != int(value):
             raise ParameterError(f"{name} must be an integer")
+        if minimum is not None and value < minimum:
+            raise ParameterError(f"{name} must be at least {minimum}, got {value!r}")
+
+
+def _require_positive(**values) -> None:
+    """Raise ParameterError naming the first value, scalar or array, that
+    is not finite and > 0 throughout."""
+    for name, value in values.items():
+        if isinstance(value, (int, float, np.number)):  # fast path for scalars
+            positive = 0.0 < value < math.inf  # False for NaN
+        else:
+            arr = np.asarray(value, dtype=float)
+            positive = np.all((arr > 0.0) & (arr < math.inf))
+        if not positive:
+            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_open_unit(**values) -> None:
+    """Raise ParameterError naming the first value that is not strictly
+    inside (0, 1)."""
+    for name, value in values.items():
+        if not 0.0 < value < 1.0:  # NaN fails too
+            raise ParameterError(f"{name} must lie strictly inside (0, 1), got {value!r}")

@@ -24,10 +24,12 @@ binary-search window, so it equals the array value bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, _require_integers, _require_positive
 from .kernels import TRIWEIGHT, Kernel
 
 __all__ = [
@@ -86,8 +88,7 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
         raise ParameterError("samples must be a 2-D array with at least one column")
     if not np.all(np.isfinite(samples)):
         raise ParameterError("samples must be finite")
-    if not np.all(np.isfinite(hs) & (hs > 0)):
-        raise ParameterError("bandwidths must be positive and finite")
+    _require_positive(bandwidths=hs)
     numbered = points.size - np.count_nonzero(np.isnan(points))
     if (np.any(np.isnan(points[:numbered]))
             or np.any(points[1:numbered] < points[:numbered - 1])):
@@ -157,8 +158,7 @@ class KdeEstimate:
 
     def __init__(self, data, h: float, kernel: Kernel = TRIWEIGHT):
         arr = _checked_sample(data).ravel()
-        if not (np.isfinite(h) and h > 0):
-            raise ParameterError("h must be positive")
+        _require_positive(h=h)
         self.data = np.sort(arr)
         self.h = float(h)
         self.kernel = kernel
@@ -182,6 +182,8 @@ class KdeEstimate:
         return out.reshape(x.shape)
 
     def _eval_scalar(self, x: float) -> float:
+        if not math.isfinite(x):  # no datum reaches +-inf or NaN
+            return 0.0
         reach = _reach(self.reach, x)
         lo, hi = self.data.searchsorted([x - reach, x + reach])
         if hi <= lo:
@@ -192,9 +194,10 @@ class KdeEstimate:
     # ------------------------------------------------------------------
     def loo(self, i: int) -> float:
         """Leave-one-out value fhat_{-i}(X_i), equal to loo_all()[i] bit for bit."""
-        if not 0 <= i < self.count:
-            raise ParameterError("index out of range")
-        return self._loo(float(self.data[i]))
+        _require_integers(i=i, minimum=0)
+        if i >= self.count:
+            raise ParameterError(f"i must be below the count {self.count}, got {i!r}")
+        return self._loo(float(self.data[int(i)]))
 
     def loo_all(self) -> np.ndarray:
         """Leave-one-out values at every data point, in sorted-data order."""
@@ -223,10 +226,8 @@ def kde_mean_var(density, kernel: Kernel, h: float, count: int, y: float):
     both integrals over the kernel support [-s, s] by adaptive quadrature
     with absolute tolerance 1e-10.
     """
-    if not (np.isfinite(h) and h > 0):
-        raise ParameterError("h must be positive")
-    if count < 1:
-        raise ParameterError("count must be at least 1")
+    _require_positive(h=h)
+    _require_integers(count=count, minimum=1)
     s = float(kernel.support_halfwidth)
 
     def _quad(fn):
@@ -247,9 +248,8 @@ def smoothed_bootstrap(est: KdeEstimate, size: int, rng: np.random.Generator) ->
     Each draw is data[J] + h * eps with J uniform on the data indices and
     eps a kernel draw (rejection sampled).
     """
+    _require_integers(size=size, minimum=0)
     size = int(size)
-    if size < 0:
-        raise ParameterError("size must be nonnegative")
     idx = rng.integers(0, est.count, size=size)
     eps = est.kernel.sample(rng, size=size)
     return est.data[idx] + est.h * eps

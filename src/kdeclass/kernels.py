@@ -5,9 +5,11 @@ Conventions
 * A kernel K is even, nonnegative, integrates to one, and vanishes outside
   [-s, s] where s is the support halfwidth (s = 1 for all built-ins).
 * Inside the support K(u) is a polynomial in u**2; coefficients are kept as
-  exact rationals so moments and roughness values are computed in closed
-  form.  Quadrature never enters the library path (tests use it as an
-  independent oracle).  K(u) itself is evaluated by Horner's rule in
+  exact rationals so moments, roughness values and c_d are computed in
+  closed form, by one exact integral (_poly_integral); a kernel keeps the
+  moments and roughness values it has computed.  Quadrature never enters
+  the library path (tests use it as an independent oracle).  K(u) itself
+  is evaluated by Horner's rule in
   t = s**2 - u**2, with coefficients expanded exactly from those in u**2
   (Kernel.__call__).  For the built-ins that is c * t**p, p = 1, 2, 3, so
   every value is >= 0, K(+-s) is exactly +0.0 and K(0) exactly K's
@@ -26,7 +28,7 @@ from math import comb, gamma, pi
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_integers, _require_positive
 
 __all__ = [
     "Kernel",
@@ -55,13 +57,10 @@ def _poly_multiply(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _poly_integral_symmetric(coeffs: list[Fraction], s: Fraction) -> Fraction:
-    """Integrate a full-degree polynomial over [-s, s] exactly."""
-    total = Fraction(0)
-    for d, c in enumerate(coeffs):
-        if d % 2 == 0:
-            total += 2 * c * s ** (d + 1) / (d + 1)
-    return total
+def _poly_integral(coeffs: list[Fraction], a: Fraction, b: Fraction) -> Fraction:
+    """Integrate a full-degree polynomial (index = power) over [a, b] exactly."""
+    return sum((c * (b ** (d + 1) - a ** (d + 1)) / (d + 1)
+                for d, c in enumerate(coeffs) if c), Fraction(0))
 
 
 class Kernel:
@@ -81,14 +80,16 @@ class Kernel:
     def __init__(self, name, poly_coeffs, support_halfwidth=1):
         self.name = str(name)
         self.poly_coeffs = tuple(Fraction(c) for c in poly_coeffs)
+        _require_positive(support_halfwidth=support_halfwidth)
         self.support_halfwidth = Fraction(support_halfwidth)
-        if self.support_halfwidth <= 0:
-            raise ParameterError("support halfwidth must be positive")
         # full-degree coefficient list (index = power of u)
         full = [Fraction(0)] * (2 * len(self.poly_coeffs) - 1)
         for k, c in enumerate(self.poly_coeffs):
             full[2 * k] = c
         self._full = full
+        #: exact functionals already computed, by (name, order): the
+        #: bandwidth formulas ask for the same few on every evaluation
+        self._exact = {}
         self._float_coeffs = np.array([float(c) for c in full[::-1]])  # np.polyval order
         # K(u) = sum_k a_k (s2 - t)**k = sum_j b_j t**j with t = s2 - u**2,
         # expanded exactly about the float s2 that __call__ subtracts from
@@ -99,7 +100,6 @@ class Kernel:
                 b[j] += c * comb(k, j) * Fraction(self._s2) ** (k - j) * (-1) ** j
         self._t_coeffs = np.array([float(c) for c in b[::-1]])  # Horner order
         anti = [Fraction(0)] + [c / (d + 1) for d, c in enumerate(full)]
-        self._anti = anti
         self._float_anti = np.array([float(c) for c in anti[::-1]])
         self.at_zero = float(self.poly_coeffs[0])
         # K at s itself is never zeroed, so this is the Horner sequence at t = 0
@@ -170,16 +170,12 @@ class Kernel:
 
     def moment_exact(self, j: int) -> Fraction:
         """Same as moment() but returning the exact rational value."""
-        if j < 0 or j != int(j):
-            raise ParameterError("moment order must be a nonnegative integer")
-        j = int(j)
-        if j % 2 == 1:
-            return Fraction(0)
-        s = self.support_halfwidth
-        return sum(
-            (2 * c * s ** (j + 2 * k + 1) / (j + 2 * k + 1) for k, c in enumerate(self.poly_coeffs)),
-            Fraction(0),
-        )
+        _require_integers(j=j, minimum=0)
+        key = ("moment", int(j))
+        if key not in self._exact:
+            s = self.support_halfwidth
+            self._exact[key] = _poly_integral([Fraction(0)] * key[1] + self._full, -s, s)
+        return self._exact[key]
 
     def roughness(self, r: int = 0) -> float:
         """int (K^(r)(u))**2 du over [-s, s], exact.
@@ -187,11 +183,13 @@ class Kernel:
         r = 0 gives the usual roughness int K**2; higher r uses the classical
         r-th derivative of the interior polynomial.
         """
-        if r < 0 or r != int(r):
-            raise ParameterError("derivative order must be a nonnegative integer")
-        dr = _poly_derivative(self._full, int(r))
-        sq = _poly_multiply(dr, dr)
-        return float(_poly_integral_symmetric(sq, self.support_halfwidth))
+        _require_integers(r=r, minimum=0)
+        key = ("roughness", int(r))
+        if key not in self._exact:
+            dr = _poly_derivative(self._full, key[1])
+            s = self.support_halfwidth
+            self._exact[key] = float(_poly_integral(_poly_multiply(dr, dr), -s, s))
+        return self._exact[key]
 
     # ------------------------------------------------------------------
     # sampling
@@ -203,9 +201,9 @@ class Kernel:
         is 1 / (2 s K(0)).  Returns a scalar when size is None.
         """
         scalar = size is None
+        if not scalar:
+            _require_integers(size=size, minimum=0)
         n = 1 if scalar else int(size)
-        if n < 0:
-            raise ParameterError("size must be nonnegative")
         s = float(self.support_halfwidth)
         out = np.empty(n)
         filled = 0
@@ -252,13 +250,9 @@ def multivariate_norm_constant(kernel: Kernel, d: int) -> float:
     c_d = 1 / (S_{d-1} * int_0^s K(rho) rho^(d-1) drho) with S_{d-1} the
     surface area of the unit (d-1)-sphere.  d = 1 recovers 1 exactly.
     """
-    if d < 1 or d != int(d):
-        raise ParameterError("dimension must be a positive integer")
+    _require_integers(d=d, minimum=1)
     d = int(d)
-    s = kernel.support_halfwidth
-    radial = Fraction(0)
-    for k, c in enumerate(kernel.poly_coeffs):
-        deg = 2 * k + d - 1
-        radial += c * s ** (deg + 1) / (deg + 1)
+    radial = _poly_integral([Fraction(0)] * (d - 1) + kernel._full, Fraction(0),
+                            kernel.support_halfwidth)
     surface = 2 * pi ** (d / 2) / gamma(d / 2)
     return 1.0 / (surface * float(radial))

@@ -38,6 +38,7 @@ from .errors import (
     ParameterError,
     RegimeError,
     _require_integers,
+    _require_positive,
 )
 from .kde import kde_mean_var
 from .kernels import TRIWEIGHT, Kernel
@@ -165,11 +166,8 @@ def empirical_risk(pair: DensityPair, m: int, n: int, h1: float, h2: float,
     """
     if rule not in ("ahat", "body"):
         raise ParameterError("rule must be 'ahat' or 'body'")
-    _require_integers(reps=reps, m=m, n=n)
-    if reps < 1:
-        raise ParameterError("reps must be at least 1")
-    if m < 1 or n < 1:
-        raise ParameterError("sample sizes must be positive")
+    _require_integers(reps=reps, m=m, n=n, minimum=1)
+    _require_integers(seed=seed, minimum=0)
     if rule == "ahat":
         if interval is not None:
             raise ParameterError("the composite rule is scored on the whole line")
@@ -238,10 +236,7 @@ def expansion_b1_b2(pair: DensityPair, cs: CrossingSet, H1: float, H2: float,
     """First-order regime constants (B1, B2); excess ~ B1/(n h) + B2 h^4
     at h = n^(-1/5), h_j = H_j h."""
     _check_cs(cs)
-    if H1 <= 0 or H2 <= 0:
-        raise ParameterError("H1, H2 must be positive")
-    if r <= 0:
-        raise ParameterError("sampling ratio r must be positive")
+    _require_positive(H1=H1, H2=H2, r=r)
     kappa = kernel.roughness(0)
     mu2 = kernel.moment(2)
     p, q = pair.p, 1.0 - pair.p
@@ -280,8 +275,7 @@ def expansion_b3_b4(pair: DensityPair, cs: CrossingSet, r: float = 1.0,
     _check_cs(cs)
     if cs.regime != "class2":
         raise RegimeError("second-order constants need a class2 crossing set")
-    if r <= 0:
-        raise ParameterError("sampling ratio r must be positive")
+    _require_positive(r=r)
     R = float(cs.ratio)
     kappa = kernel.roughness(0)
     mu4 = kernel.moment(4)
@@ -304,8 +298,8 @@ def predicted_excess(pair: DensityPair, cs: CrossingSet, m: int, n: int,
                               + (mu2^2/8)(h1^2 p f'' - h2^2 q g'')^2 ].
     """
     _check_cs(cs)
-    if h1 <= 0 or h2 <= 0:
-        raise ParameterError("bandwidths must be positive")
+    _require_integers(m=m, n=n, minimum=1)
+    _require_positive(h1=h1, h2=h2)
     kappa = kernel.roughness(0)
     mu2 = kernel.moment(2)
     p, q = pair.p, 1.0 - pair.p
@@ -350,10 +344,8 @@ def optimal_bandwidths(pair: DensityPair, cs: CrossingSet, n: int, r: float = 1.
     rate n^(-1/13) with conventional constants H1 = 1, H2 = sqrt(R).
     """
     _check_cs(cs)
-    if n < 1:
-        raise ParameterError("n must be positive")
-    if r <= 0:
-        raise ParameterError("sampling ratio r must be positive")
+    _require_integers(n=n, minimum=1)
+    _require_positive(r=r)
 
     if cs.regime == "class2":
         c1, c2, R = expansion_b3_b4(pair, cs, r, kernel)
@@ -408,8 +400,9 @@ def _validate_multi(models, crossing_table, r):
     if not (np.all(priors > 0) and abs(priors.sum() - 1.0) <= 1e-9):  # NaN fails too
         raise ParameterError("priors must be positive and sum to 1")
     r = np.asarray(r, dtype=float)
-    if r.shape != (len(models),) or np.any(r <= 0):
-        raise ParameterError("r must give one positive sampling ratio per population")
+    if r.shape != (len(models),):
+        raise ParameterError("r must give one sampling ratio per population")
+    _require_positive(r=r)
     table = {}
     all_y = []
     for key, ys in dict(crossing_table).items():
@@ -439,8 +432,9 @@ def multi_t(models, crossing_table, H, r, kernel: Kernel = TRIWEIGHT) -> float:
     """
     models, table, r = _validate_multi(models, crossing_table, r)
     H = np.asarray(H, dtype=float)
-    if H.shape != (len(models),) or np.any(H <= 0):
-        raise ParameterError("H must give one positive constant per population")
+    if H.shape != (len(models),):
+        raise ParameterError("H must give one constant per population")
+    _require_positive(H=H)
     kappa = kernel.roughness(0)
     mu2 = kernel.moment(2)
     total = 0.0

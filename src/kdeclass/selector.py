@@ -23,7 +23,8 @@ from math import factorial, sqrt, pi
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ParameterError, _require_integers
+from .errors import (DegenerateSampleError, ParameterError, _require_integers,
+                     _require_open_unit, _require_positive)
 from .kde import KdeEstimate, _checked_sample, _kde_many, smoothed_bootstrap
 from .kernels import TRIWEIGHT, Kernel
 
@@ -91,24 +92,18 @@ class SelectorConfig:
     fine_grid_factor: float = 1.0
 
     def __post_init__(self):
-        _require_integers(boot_iters=self.boot_iters, grid_per_dim=self.grid_per_dim,
-                          pilot_deriv=self.pilot_deriv, quad_points=self.quad_points)
-        if self.boot_iters < 1:
-            raise ParameterError("boot_iters must be at least 1")
-        if self.grid_per_dim < 2:
-            raise ParameterError("grid_per_dim must be at least 2")
+        _require_integers(boot_iters=self.boot_iters, minimum=1)
+        _require_integers(grid_per_dim=self.grid_per_dim, pilot_deriv=self.pilot_deriv,
+                          quad_points=self.quad_points, minimum=2)
         if not 0.0 < self.c1 < 1.0 / 9.0:
             raise ParameterError("c1 must lie in (0, 1/9) so the grid covers n^(-1/9)")
         if not 0.2 < self.c2 < 1.0:
             raise ParameterError("c2 must lie in (1/5, 1) so the grid covers n^(-1/5)")
-        if self.pilot_deriv < 2 or self.pilot_deriv % 2:
+        if self.pilot_deriv % 2:
             raise ParameterError("pilot_deriv must be an even integer >= 2")
-        if self.quad_points < 2:
-            raise ParameterError("quad_points must be at least 2")
         if self.scale_rule not in _SCALE_RULES:
             raise ParameterError(f"scale_rule must be one of {_SCALE_RULES}")
-        if not (np.isfinite(self.fine_grid_factor) and self.fine_grid_factor > 0.0):
-            raise ParameterError("fine_grid_factor must be positive and finite")
+        _require_positive(fine_grid_factor=self.fine_grid_factor)
 
 
 @dataclass(frozen=True)
@@ -128,8 +123,8 @@ class SelectionResult:
 def normal_deriv_roughness(k: int) -> float:
     """Exact integral of the squared k-th derivative of the standard normal
     density: (2k)! / (2^(2k+1) k! sqrt(pi))."""
-    if k < 0:
-        raise ParameterError("derivative order must be nonnegative")
+    _require_integers(k=k, minimum=0)
+    k = int(k)
     return factorial(2 * k) / (2 ** (2 * k + 1) * factorial(k) * sqrt(pi))
 
 
@@ -218,16 +213,14 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
     """
     if config is None:
         config = SelectorConfig()
-    if not 0.0 < p < 1.0:
-        raise ParameterError("p must lie strictly between 0 and 1")
+    _require_open_unit(p=p)
     x_data = _checked_sample(x_data)
     y_data = _checked_sample(y_data)
     grid_h1 = np.asarray(grid_h1, dtype=float)
     grid_h2 = np.asarray(grid_h2, dtype=float)
     if grid_h1.size == 0 or grid_h2.size == 0:
         raise ParameterError("candidate grids must be nonempty")
-    if np.any(grid_h1 <= 0) or np.any(grid_h2 <= 0):
-        raise ParameterError("candidate bandwidths must be positive")
+    _require_positive(grid_h1=grid_h1, grid_h2=grid_h2)
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -278,6 +271,8 @@ def bootstrap_err(x_data: np.ndarray, y_data: np.ndarray, h1: float, h2: float,
     """Smoothed-bootstrap estimate of the error of the rule trained at
     (h1, h2): single-cell version of error_surface.
     """
+    if seed is not None:
+        _require_integers(seed=seed, minimum=0)
     if rng is None:
         rng = np.random.default_rng(seed)
     return float(error_surface(x_data, y_data, [h1], [h2], p, config, rng)[0, 0])
@@ -296,6 +291,8 @@ def select_bandwidths(x_data: np.ndarray, y_data: np.ndarray, p: float = 0.5,
     """
     if config is None:
         config = SelectorConfig()
+    if seed is not None:
+        _require_integers(seed=seed, minimum=0)
     if rng is None:
         rng = np.random.default_rng(seed)
 
@@ -338,12 +335,7 @@ def cv_err(x_data: np.ndarray, y_data: np.ndarray, h1: float, h2: float,
     minimize depends on that point's own class, which rewards bandwidths
     that overfit the training labels.
     """
-    x_data = np.asarray(x_data, dtype=float)
-    y_data = np.asarray(y_data, dtype=float)
-    if x_data.size < 2 or y_data.size < 2:
-        raise ParameterError("leave-one-out needs at least two points per sample")
-    if not 0.0 < p < 1.0:
-        raise ParameterError("p must lie strictly between 0 and 1")
+    _require_open_unit(p=p)
     fhat = KdeEstimate(x_data, h1, kernel)
     ghat = KdeEstimate(y_data, h2, kernel)
     q = 1.0 - p

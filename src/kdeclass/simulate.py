@@ -49,12 +49,6 @@ def _entries(n_list) -> dict:
     return {f"n_list[{i}]": n for i, n in enumerate(n_list)}
 
 
-def _require_positive(**counts) -> None:
-    for name, value in counts.items():
-        if value < 1:
-            raise ParameterError(f"{name} must be at least 1")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration of one rate study.  Rows do not depend on `threads`, and
@@ -70,18 +64,17 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        _require_integers(reps=self.reps, threads=self.threads, **_entries(self.n_list))
+        _require_integers(reps=self.reps, threads=self.threads, minimum=1)
+        _require_integers(**_entries(self.n_list), minimum=2)
+        _require_integers(seed=self.seed, minimum=0)
         n_list = tuple(int(n) for n in self.n_list)
         object.__setattr__(self, "n_list", n_list)
-        object.__setattr__(self, "reps", int(self.reps))
-        object.__setattr__(self, "threads", int(self.threads))
+        for name in ("reps", "seed", "threads"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ParameterError(
                 "n_list must be strictly increasing with at least two sizes "
                 "(the study fits a rate over log n)")
-        if any(n < 2 for n in n_list):
-            raise ParameterError("sample sizes must be at least 2")
-        _require_positive(reps=self.reps, threads=self.threads)
 
 
 @dataclass(frozen=True)
@@ -120,6 +113,8 @@ class StudyResult:
 def fit_slope(points, which: str = "h1") -> SlopeFit:
     """Closed-form least squares of y on x for a sequence of (x, y) pairs."""
     pts = [(float(x), float(y)) for x, y in points]
+    if not np.all(np.isfinite(pts)):
+        raise ParameterError("points must be finite")
     if len(pts) < 2:
         raise DegenerateRegressionError("need at least two points")
     xs = np.array([x for x, _ in pts])
@@ -294,9 +289,9 @@ def run_tail_study(alpha: float = 2.0, beta: float = 2.5,
     assigned to the first (heavier-tailed, and there correct) population.
     """
     lo, hi, count = contrast_grid
-    _require_integers(reps=reps, contrast_n=contrast_n, threads=threads,
-                      **_entries(n_list), **{"contrast_grid[2]": count})
-    _require_positive(reps=reps, threads=threads, **{"contrast_grid[2]": count})
+    _require_integers(reps=reps, threads=threads, minimum=1, **{"contrast_grid[2]": count})
+    _require_integers(contrast_n=contrast_n, minimum=2, **_entries(n_list))
+    _require_integers(seed=seed, minimum=0)
     n_list = tuple(int(n) for n in n_list)
     pair = make_pair("pareto", alpha=alpha, beta=beta)
     if x0 is None:
@@ -400,8 +395,9 @@ def run_cv_comparison(pair_id: str = "class1a", n: int = 100, reps: int = 50,
     """Replicated head-to-head of the bootstrap selector against the
     leave-one-out argmin on the same grid and data; reports interquartile
     ranges of log selected h1 and their CV/bootstrap ratio."""
-    _require_integers(n=n, reps=reps, threads=threads)
-    _require_positive(reps=reps, threads=threads)
+    _require_integers(reps=reps, threads=threads, minimum=1)
+    _require_integers(n=n, minimum=2)
+    _require_integers(seed=seed, minimum=0)
     if config is None:
         config = SelectorConfig()
     pair = make_pair(pair_id)

@@ -120,3 +120,25 @@ def test_cli_rejects_bad_arguments():
         main(["study", "--pair", "class1a", "--n-list", "20,不"])
     with pytest.raises(SystemExit):
         main([])  # a subcommand is required
+
+
+@pytest.mark.parametrize("command, absent, present", [
+    ("tail", ("--boot-iters", "--grid", "--c2"), ("--threads",)),
+    ("risk-surface", ("--threads",), ("--boot-iters", "--grid", "--c2")),
+])
+def test_subcommand_help_lists_only_the_flags_it_reads(capsys, command, absent, present):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    assert all(flag not in text for flag in absent)
+    assert all(flag in text for flag in present)
+
+
+@pytest.mark.parametrize("line, key", [("reps = abc", "reps"), ("n_list = 20,x", "n_list")])
+def test_config_file_bad_value_names_file_line_and_key(tmp_path, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# comment\nseed = 1\n" + line + "\n")
+    with pytest.raises(ParameterError) as info:
+        main(["study", "--pair", "class1a", "--config", str(cfg)])
+    message = str(info.value)
+    assert message.startswith(f"{cfg}:3: ") and repr(key) in message

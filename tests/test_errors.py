@@ -1,0 +1,276 @@
+"""The argument validators of `kdeclass.errors`, and one table of bad
+arguments at every site that uses them.
+
+Each row of the table passes one bad value to one argument of one public
+function (or of a private one the selector and risk code rely on) and
+expects ParameterError with a message that begins with the argument's name.
+Every kind of argument is tried with NaN, +inf and -inf; positive values
+also with 0 and a negative value, priors with 0, a negative value and 1,
+and counts with the value just below their minimum, -1 and a non-whole
+value above the minimum.  The other arguments are small, so that a call
+which wrongly accepts its bad value still returns quickly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from kdeclass import (
+    EPANECHNIKOV,
+    TRIWEIGHT,
+    Cauchy,
+    DensityPair,
+    ExperimentConfig,
+    KdeEstimate,
+    Kernel,
+    Normal,
+    NormalMixture,
+    ParameterError,
+    Pareto,
+    SelectorConfig,
+    bootstrap_err,
+    class1_objective,
+    classify_multivariate,
+    crossings,
+    cv_err,
+    empirical_risk,
+    error_surface,
+    expansion_b1_b2,
+    expansion_b3_b4,
+    fit_classifier,
+    kde_mean_var,
+    make_pair,
+    multi_t,
+    multivariate_norm_constant,
+    normal_deriv_roughness,
+    optimal_bandwidths,
+    predicted_excess,
+    run_cv_comparison,
+    run_tail_study,
+    select_bandwidths,
+    smoothed_bootstrap,
+)
+from kdeclass.errors import _require_integers, _require_open_unit, _require_positive
+from kdeclass.kde import _kde_many
+
+NAN, INF = math.nan, math.inf
+
+
+# ----------------------------------------------------------------------
+# the validators
+# ----------------------------------------------------------------------
+def test_require_integers_accepts_whole_numbers_only():
+    _require_integers(a=30, b=30.0, c=np.int64(30), d=np.float64(30.0), e=2**80)
+    for bad in (30.5, NAN, INF, -INF):
+        with pytest.raises(ParameterError, match="^x must be an integer$"):
+            _require_integers(x=bad)
+
+
+def test_require_integers_minimum():
+    _require_integers(n=2, m=2.0, big=10**300, minimum=2)
+    for below in (1, 1.0, 0, -3):
+        with pytest.raises(ParameterError, match="^n must be at least 2"):
+            _require_integers(n=below, minimum=2)
+    _require_integers(seed=0, minimum=0)
+    with pytest.raises(ParameterError, match="^seed must be at least 0"):
+        _require_integers(seed=-1, minimum=0)
+    # without a minimum any whole number passes
+    _require_integers(k=-5)
+
+
+def test_require_positive_scalars_and_arrays():
+    _require_positive(h=5e-324, r=1.0, big=1e308, arr=[0.1, 2.0], empty=[])
+    for bad in (0.0, -0.0, -1e-300, NAN, INF, -INF):
+        with pytest.raises(ParameterError, match="^h must be positive and finite"):
+            _require_positive(h=bad)
+    for bad in ([0.3, NAN, 0.4], [0.3, 0.0, 0.4], [[1.0, 2.0], [3.0, INF]]):
+        with pytest.raises(ParameterError, match="^grid must be positive and finite"):
+            _require_positive(grid=np.array(bad))
+
+
+def test_require_open_unit():
+    _require_open_unit(p=0.5, q=np.nextafter(0.0, 1.0), s=np.nextafter(1.0, 0.0))
+    for bad in (0.0, 1.0, -0.5, 1.5, NAN, INF, -INF):
+        with pytest.raises(ParameterError, match=r"^p must lie strictly inside \(0, 1\)"):
+            _require_open_unit(p=bad)
+
+
+def test_validators_name_the_first_failing_argument():
+    with pytest.raises(ParameterError, match="^second "):
+        _require_integers(first=1, second=1.5, third=NAN)
+    with pytest.raises(ParameterError, match="^second "):
+        _require_positive(first=1.0, second=0.0, third=NAN)
+    with pytest.raises(ParameterError, match="^second "):
+        _require_open_unit(first=0.5, second=1.0, third=NAN)
+
+
+def test_messages_other_tests_match_are_kept():
+    with pytest.raises(ParameterError, match="reps must be an integer"):
+        empirical_risk(make_pair("class1a"), 10, 10, 0.5, 0.5, reps=1.5, seed=0)
+    with pytest.raises(ParameterError, match="data must be finite"):
+        KdeEstimate([0.0, NAN], 0.5)
+    with pytest.raises(ParameterError, match="data must be nonempty"):
+        KdeEstimate([], 0.5)
+
+
+# ----------------------------------------------------------------------
+# the table of bad arguments
+# ----------------------------------------------------------------------
+CLASS1A = make_pair("class1a")
+CS1A = crossings(CLASS1A)
+CLASS2B = make_pair("class2b")
+CS2B = crossings(CLASS2B)
+_rng = np.random.default_rng(5)
+X, Y = _rng.normal(0.0, 1.0, 20), _rng.normal(1.0, 1.0, 20)
+X2, Y2 = X.reshape(10, 2), Y.reshape(10, 2)
+TINY = SelectorConfig(boot_iters=4, grid_per_dim=3, quad_points=51)
+MODELS = [(CLASS1A.f, 0.5), (CLASS1A.g, 0.5)]
+TABLE = {(0, 1): [pt.y for pt in CS1A]}
+EST = KdeEstimate([0.0, 1.0, 2.0], 0.5)
+TAIL = dict(n_list=(30,), reps=1, contrast_n=40, contrast_grid=(3.0, 6.0, 11), seed=0)
+
+
+def _tail(**kw):
+    return run_tail_study(**{**TAIL, **kw})
+
+
+def _cv(**kw):
+    return run_cv_comparison(**{"n": 20, "reps": 1, "seed": 0, "config": TINY, **kw})
+
+
+POSITIVE, OPEN_UNIT, SEED = "positive", "open unit", 0
+
+# (site, argument name, kind, call with the bad value, extra bad values);
+# a kind that is a number is the minimum of a whole-number argument
+SITES = [
+    # kde
+    ("KdeEstimate", "h", POSITIVE, lambda v: KdeEstimate(X, v), ()),
+    ("_kde_many", "bandwidths", POSITIVE, lambda v: _kde_many(X[None, :], [0.3, v], [0.0]), ()),
+    ("kde_mean_var", "h", POSITIVE, lambda v: kde_mean_var(Normal(0, 1), TRIWEIGHT, v, 10, 0.0), ()),
+    ("kde_mean_var", "count", 1, lambda v: kde_mean_var(Normal(0, 1), TRIWEIGHT, 0.5, v, 0.0), ()),
+    ("loo", "i", 0, lambda v: EST.loo(v), (1.5, 3)),
+    ("smoothed_bootstrap", "size", 0,
+     lambda v: smoothed_bootstrap(EST, v, np.random.default_rng(0)), ()),
+    # kernels
+    ("Kernel", "support_halfwidth", POSITIVE,
+     lambda v: Kernel("k", EPANECHNIKOV.poly_coeffs, v), ()),
+    ("moment_exact", "j", 0, lambda v: TRIWEIGHT.moment_exact(v), ()),
+    ("roughness", "r", 0, lambda v: TRIWEIGHT.roughness(v), ()),
+    ("sample", "size", 0, lambda v: TRIWEIGHT.sample(np.random.default_rng(0), v), ()),
+    ("multivariate_norm_constant", "d", 1, lambda v: multivariate_norm_constant(TRIWEIGHT, v), ()),
+    # densities
+    ("Normal", "sigma", POSITIVE, lambda v: Normal(0.0, v), ()),
+    ("Cauchy", "gamma", POSITIVE, lambda v: Cauchy(0.0, v), ()),
+    ("NormalMixture", "weights", POSITIVE,
+     lambda v: NormalMixture((0.5, v), (0.0, 1.0), (1.0, 1.0)), ()),
+    ("Pareto", "alpha", POSITIVE, lambda v: Pareto(v), (0.5, 1.0)),
+    ("DensityPair", "p", OPEN_UNIT, lambda v: DensityPair(Normal(0, 1), Normal(1, 1), v), ()),
+    ("crossings", "grid_points", 8, lambda v: crossings(CLASS1A, grid_points=v), ()),
+    # classifier
+    ("fit_classifier", "p", OPEN_UNIT, lambda v: fit_classifier(X, Y, 0.3, 0.3, p=v), ()),
+    ("classify_multivariate", "p", OPEN_UNIT,
+     lambda v: classify_multivariate(X2, Y2, 0.5, 0.5, [0.0, 0.0], p=v), ()),
+    ("classify_multivariate", "h1", POSITIVE,
+     lambda v: classify_multivariate(X2, Y2, v, 0.5, [0.0, 0.0]), ()),
+    ("classify_multivariate", "h2", POSITIVE,
+     lambda v: classify_multivariate(X2, Y2, 0.5, v, [0.0, 0.0]), ()),
+    # selector
+    ("SelectorConfig", "boot_iters", 1, lambda v: SelectorConfig(boot_iters=v), ()),
+    ("SelectorConfig", "grid_per_dim", 2, lambda v: SelectorConfig(grid_per_dim=v), ()),
+    ("SelectorConfig", "quad_points", 2, lambda v: SelectorConfig(quad_points=v), ()),
+    ("SelectorConfig", "pilot_deriv", 2, lambda v: SelectorConfig(pilot_deriv=v), ()),
+    ("SelectorConfig", "fine_grid_factor", POSITIVE,
+     lambda v: SelectorConfig(fine_grid_factor=v), ()),
+    ("normal_deriv_roughness", "k", 0, lambda v: normal_deriv_roughness(v), ()),
+    ("error_surface", "p", OPEN_UNIT,
+     lambda v: error_surface(X, Y, [0.5], [0.5], p=v, config=TINY), ()),
+    ("error_surface", "grid_h1", POSITIVE,
+     lambda v: error_surface(X, Y, [0.5, v], [0.5], config=TINY), ()),
+    ("error_surface", "grid_h2", POSITIVE,
+     lambda v: error_surface(X, Y, [0.5], [v, 0.5], config=TINY), ()),
+    ("cv_err", "p", OPEN_UNIT, lambda v: cv_err(X, Y, 0.5, 0.5, p=v), ()),
+    ("select_bandwidths", "seed", SEED, lambda v: select_bandwidths(X, Y, config=TINY, seed=v),
+     (0.5,)),
+    ("bootstrap_err", "seed", SEED, lambda v: bootstrap_err(X, Y, 0.5, 0.5, config=TINY, seed=v),
+     (0.5,)),
+    # risk
+    ("empirical_risk", "reps", 1,
+     lambda v: empirical_risk(CLASS1A, 20, 20, 0.5, 0.5, reps=v, seed=0), ()),
+    ("empirical_risk", "m", 1,
+     lambda v: empirical_risk(CLASS1A, v, 20, 0.5, 0.5, reps=1, seed=0), ()),
+    ("empirical_risk", "n", 1,
+     lambda v: empirical_risk(CLASS1A, 20, v, 0.5, 0.5, reps=1, seed=0), ()),
+    ("empirical_risk", "seed", SEED,
+     lambda v: empirical_risk(CLASS1A, 20, 20, 0.5, 0.5, reps=1, seed=v), (0.5,)),
+    ("expansion_b1_b2", "H1", POSITIVE, lambda v: expansion_b1_b2(CLASS1A, CS1A, v, 1.0), ()),
+    ("expansion_b1_b2", "H2", POSITIVE, lambda v: expansion_b1_b2(CLASS1A, CS1A, 1.0, v), ()),
+    ("expansion_b1_b2", "r", POSITIVE,
+     lambda v: expansion_b1_b2(CLASS1A, CS1A, 1.0, 1.0, r=v), ()),
+    ("class1_objective", "r", POSITIVE,
+     lambda v: class1_objective(CLASS1A, CS1A, r=v)(1.0, 1.0), ()),
+    ("expansion_b3_b4", "r", POSITIVE, lambda v: expansion_b3_b4(CLASS2B, CS2B, r=v), ()),
+    ("predicted_excess", "m", 1, lambda v: predicted_excess(CLASS1A, CS1A, v, 100, 0.3, 0.3), ()),
+    ("predicted_excess", "n", 1, lambda v: predicted_excess(CLASS1A, CS1A, 100, v, 0.3, 0.3), ()),
+    ("predicted_excess", "h1", POSITIVE,
+     lambda v: predicted_excess(CLASS1A, CS1A, 100, 100, v, 0.3), ()),
+    ("predicted_excess", "h2", POSITIVE,
+     lambda v: predicted_excess(CLASS1A, CS1A, 100, 100, 0.3, v), ()),
+    ("optimal_bandwidths", "n", 1, lambda v: optimal_bandwidths(CLASS1A, CS1A, n=v), ()),
+    ("optimal_bandwidths-class1a", "r", POSITIVE,
+     lambda v: optimal_bandwidths(CLASS1A, CS1A, n=100, r=v), ()),
+    ("optimal_bandwidths-class2b", "r", POSITIVE,
+     lambda v: optimal_bandwidths(CLASS2B, CS2B, n=100, r=v), ()),
+    ("multi_t", "r", POSITIVE, lambda v: multi_t(MODELS, TABLE, [1.0, 1.0], [1.0, v]), ()),
+    ("multi_t", "H", POSITIVE, lambda v: multi_t(MODELS, TABLE, [v, 1.0], [1.0, 1.0]), ()),
+    # simulate
+    ("ExperimentConfig", "reps", 1, lambda v: ExperimentConfig("class1a", reps=v), ()),
+    ("ExperimentConfig", "threads", 1, lambda v: ExperimentConfig("class1a", threads=v), ()),
+    ("ExperimentConfig", "n_list[1]", 2,
+     lambda v: ExperimentConfig("class1a", n_list=(20, v)), ()),
+    ("ExperimentConfig", "seed", SEED, lambda v: ExperimentConfig("class1a", seed=v), ()),
+    ("run_tail_study", "reps", 1, lambda v: _tail(reps=v), ()),
+    ("run_tail_study", "threads", 1, lambda v: _tail(threads=v), ()),
+    ("run_tail_study", "contrast_grid[2]", 1, lambda v: _tail(contrast_grid=(3.0, 6.0, v)), ()),
+    ("run_tail_study", "contrast_n", 2, lambda v: _tail(contrast_n=v), ()),
+    ("run_tail_study", "n_list[0]", 2, lambda v: _tail(n_list=(v,)), (-3,)),
+    ("run_tail_study", "seed", SEED, lambda v: _tail(seed=v), ()),
+    ("run_cv_comparison", "n", 2, lambda v: _cv(n=v), (-5,)),
+    ("run_cv_comparison", "reps", 1, lambda v: _cv(reps=v), ()),
+    ("run_cv_comparison", "threads", 1, lambda v: _cv(threads=v), ()),
+    ("run_cv_comparison", "seed", SEED, lambda v: _cv(seed=v), (1.5,)),
+]
+
+
+def _bad_values(kind) -> tuple:
+    if kind == POSITIVE:
+        values = (NAN, INF, -INF, 0.0, -1.0)
+    elif kind == OPEN_UNIT:
+        values = (NAN, INF, -INF, 0.0, -0.5, 1.0)
+    else:
+        values = (NAN, INF, -INF, kind - 1, -1, max(kind, 2) + 0.5)
+    return tuple(dict.fromkeys(values))
+
+
+ROWS = [pytest.param(name, value, call, id=f"{site}-{name}-{value!r}")
+        for site, name, kind, call, extra in SITES
+        for value in _bad_values(kind) + extra]
+
+
+@pytest.mark.parametrize("name, value, call", ROWS)
+def test_bad_argument_raises_parameter_error_naming_it(name, value, call):
+    with pytest.raises(ParameterError) as info:
+        call(value)
+    assert str(info.value).startswith(name + " "), str(info.value)
+
+
+def test_whole_floats_act_as_integers():
+    assert optimal_bandwidths(CLASS1A, CS1A, n=100.0) == optimal_bandwidths(CLASS1A, CS1A, n=100)
+    assert EST.loo(1.0) == EST.loo(1)
+    cfg = ExperimentConfig("class1a", reps=2.0, seed=3.0, threads=1.0)
+    assert (cfg.reps, cfg.seed, cfg.threads) == (2, 3, 1)
+    assert all(type(v) is int for v in (cfg.reps, cfg.seed, cfg.threads))
+    draws = [smoothed_bootstrap(EST, size, np.random.default_rng(1)) for size in (5, 5.0)]
+    assert np.array_equal(*draws)
+    assert TRIWEIGHT.moment_exact(2.0) == TRIWEIGHT.moment_exact(2)
+    assert normal_deriv_roughness(2.0) == normal_deriv_roughness(2)

@@ -348,6 +348,18 @@ def test_scalar_call_equals_array_call_bit_for_bit(seed, n, kernel, h, decimals)
         assert same_bits(est(float(x)), est(np.array([x]))[0])
 
 
+def test_scalar_call_at_non_finite_point_evaluates_no_kernel_value():
+    kernel = CountingKernel()
+    est = KdeEstimate(np.random.default_rng(3).normal(size=1000), 0.4, kernel)
+    for x in (-np.inf, np.inf, np.nan):
+        kernel.evaluated = 0
+        assert same_bits(est(x), 0.0)
+        assert kernel.evaluated == 0
+    assert np.array_equal(est(np.array([-np.inf, np.inf, np.nan])), np.zeros(3))
+    est(0.0)
+    assert kernel.evaluated > 0  # a finite point does reach the kernel
+
+
 def test_matches_naive_sum_fixed_cases():
     rng = np.random.default_rng(0)
     for n in (1, 2, 7, 50, 500):

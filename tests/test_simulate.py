@@ -79,6 +79,14 @@ def test_fit_slope_errors():
         fit_slope([(1.0, 2.0), (1.0, 3.0)])
 
 
+def test_fit_slope_rejects_non_finite_points():
+    for bad in (math.nan, math.inf, -math.inf):
+        for pts in ([(1.0, 2.0), (2.0, bad), (3.0, 5.0)],
+                    [(1.0, 2.0), (bad, 3.0), (3.0, 5.0)]):
+            with pytest.raises(ParameterError, match="points must be finite"):
+                fit_slope(pts)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ParameterError):
         _tiny_cfg(n_list=(26, 20))
