@@ -256,8 +256,9 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
     bisected to width 1e-10.  Midpoints, not grid points, since both
     estimates are exactly zero at island edges and where supports touch: a
     vacuous tie.  In the gaps the rule is piecewise constant, so one interior
-    point labels the whole gap.  A region narrower than the scan pitch can
-    fall between two midpoints and is then missed, with no warning.
+    point labels the whole gap, all gaps by one call per estimate.  A region
+    narrower than the scan pitch can fall between two midpoints and is then
+    missed, with no warning.
     """
     if rule not in ("ahat", "body"):
         raise ParameterError("rule must be 'ahat' or 'body'")
@@ -283,13 +284,18 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
     # labels 0 = f, 1 = g, split back into islands
     labs = np.split(np.where(dv >= 0.0, 0, 1), np.cumsum([m.size for m in scans[:-1]]))
 
+    # one interior point labels each gap; deltahat == 0 there, a tie that
+    # "body" gives to the first population
+    at = np.array([_interior_point(a, b) for a, b in pieces[::2] if a < b], float)
+    gap_f = _ahat_from_f(clf, at) if rule == "ahat" else np.ones(at.size, bool)
+    gap_labels = iter(np.where(gap_f, FROM_F, FROM_G).tolist())
+
     segs: list[tuple[float, float, str]] = []
     for k, (a, b) in enumerate(pieces):
         if not a < b:
             continue
         if k % 2 == 0:
-            segs.append((a, b, FROM_F if rule == "body"  # deltahat == 0 there; tie-break
-                         else classify_ahat(clf, float(_interior_point(a, b))).population))
+            segs.append((a, b, next(gap_labels)))
             continue
         x, lab = scans[k // 2], labs[k // 2]
         flips = np.flatnonzero(lab[1:] != lab[:-1])

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .densities import PAIR_IDS, make_pair
-from .errors import ParameterError
+from .errors import ParameterError, _require_integers
 from .selector import SelectorConfig, select_bandwidths
 from .simulate import (
     DEFAULT_N_LIST,
@@ -161,6 +161,7 @@ def _cmd_cvcheck(args) -> int:
 
 
 def _cmd_risk_surface(args) -> int:
+    _require_integers(seed=args.seed, minimum=0)
     pair = make_pair(args.pair)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     x = pair.sample("f", args.n, rng)

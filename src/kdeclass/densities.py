@@ -35,7 +35,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .errors import (DegenerateCrossingError, NumericError, ParameterError, ResolutionError,
-                     _require_integers, _require_open_unit, _require_positive)
+                     _require_finite, _require_integers, _require_open_unit,
+                     _require_positive)
 
 __all__ = [
     "Density",
@@ -145,6 +146,7 @@ class Normal(Density):
     """Normal density with mean mu and standard deviation sigma."""
 
     def __init__(self, mu: float, sigma: float):
+        _require_finite(mu=mu)
         _require_positive(sigma=sigma)
         self.mu = float(mu)
         self.sigma = float(sigma)
@@ -172,10 +174,10 @@ class NormalMixture(Density):
     """Finite mixture of normals given by weights, means, and sds."""
 
     def __init__(self, weights, means, sigmas):
+        _require_positive(weights=weights)
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or len(w) != len(means) or len(w) != len(sigmas):
             raise ParameterError("weights, means, sigmas must have equal length")
-        _require_positive(weights=w)
         if abs(w.sum() - 1.0) > 1e-12:
             raise ParameterError("weights must sum to 1")
         self.weights = w
@@ -206,6 +208,7 @@ class Cauchy(Density):
     """Cauchy density with location loc and scale gamma (standard by default)."""
 
     def __init__(self, loc: float = 0.0, gamma: float = 1.0):
+        _require_finite(loc=loc)
         _require_positive(gamma=gamma)
         self.loc = float(loc)
         self.gamma = float(gamma)
@@ -248,7 +251,8 @@ class Pareto(Density):
     """
 
     def __init__(self, alpha: float):
-        if not 1.0 < alpha < np.inf:  # NaN fails too
+        _require_finite(alpha=alpha)
+        if not alpha > 1.0:
             raise ParameterError(f"alpha must be finite and exceed 1, got {alpha!r}")
         self.alpha = float(alpha)
         self.support = (1.0, np.inf)

@@ -5,16 +5,18 @@ Every failure mode that callers are expected to handle gets its own class;
 all inherit from KdeClassError so library users can catch broadly.
 ParameterError doubles as a ValueError for argument validation.
 
-Numeric arguments are checked by three validators, one per kind, each
+Numeric arguments are checked by four validators, one per kind, each
 taking the arguments by name and naming the first that fails:
 
 * `_require_integers`: whole numbers (2 and 2.0 pass, 2.5 does not), at
   least `minimum` when one is given: counts, sizes, orders and seeds;
 * `_require_positive`: finite and > 0, scalars or every entry of an array:
   bandwidths, scales, weights, ratios and constants;
-* `_require_open_unit`: strictly inside (0, 1): priors.
+* `_require_open_unit`: strictly inside (0, 1): priors;
+* `_require_finite`: any finite real: locations.
 
-NaN and +-inf pass none of them.
+NaN, +-inf and values that are not numbers (a string, None) pass none of
+them.
 """
 
 from __future__ import annotations
@@ -91,7 +93,11 @@ def _require_integers(*, minimum: int | None = None, **values) -> None:
     number (2 and 2.0 are whole; 2.5, NaN and inf are not) or, when
     `minimum` is given, is below it."""
     for name, value in values.items():
-        if not math.isfinite(value) or value != int(value):
+        try:
+            whole = math.isfinite(value) and value == int(value)
+        except (TypeError, ValueError):  # not a number: a string, None
+            whole = False
+        if not whole:
             raise ParameterError(f"{name} must be an integer")
         if minimum is not None and value < minimum:
             raise ParameterError(f"{name} must be at least {minimum}, got {value!r}")
@@ -104,7 +110,10 @@ def _require_positive(**values) -> None:
         if isinstance(value, (int, float, np.number)):  # fast path for scalars
             positive = 0.0 < value < math.inf  # False for NaN
         else:
-            arr = np.asarray(value, dtype=float)
+            try:
+                arr = np.asarray(value, dtype=float)
+            except (TypeError, ValueError):  # not numbers: a string, a dict
+                arr = np.nan
             positive = np.all((arr > 0.0) & (arr < math.inf))
         if not positive:
             raise ParameterError(f"{name} must be positive and finite, got {value!r}")
@@ -114,5 +123,21 @@ def _require_open_unit(**values) -> None:
     """Raise ParameterError naming the first value that is not strictly
     inside (0, 1)."""
     for name, value in values.items():
-        if not 0.0 < value < 1.0:  # NaN fails too
+        try:
+            inside = 0.0 < value < 1.0  # False for NaN
+        except (TypeError, ValueError):  # not a number: a string, None, an array
+            inside = False
+        if not inside:
             raise ParameterError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+
+
+def _require_finite(**values) -> None:
+    """Raise ParameterError naming the first value that is not a finite
+    real number."""
+    for name, value in values.items():
+        try:
+            finite = math.isfinite(value)
+        except TypeError:  # not a real number: a string, None, a complex
+            finite = False
+        if not finite:
+            raise ParameterError(f"{name} must be finite, got {value!r}")

@@ -20,6 +20,15 @@ most eps * (n * sum_i |K(u_i)| + 4 * d * S * m) / (n * h), with d, S as in
 a point the estimate is exactly 0.0.  A scalar call adds the same values in
 the same order, with a running sum rather than np.sum's pairwise one, over a
 binary-search window, so it equals the array value bit for bit.
+
+The blocks allocate nothing larger than the kernel's output and bincount's
+sums: each writes its indices and its u, and then a split sample's carried
+values in u's place, into one pair of flat scratch arrays, reused from block
+to block and from call to call.  A call takes a set from a free list and gives it back when it
+ends, even by an exception, so concurrent calls (the bootstrap surface's
+two threads) never share one.  A set above _SCRATCH_KEEP elements is
+dropped rather than kept, so the scratch that stays allocated is at most
+that size times the number of calls ever run at once.
 """
 
 from __future__ import annotations
@@ -39,11 +48,16 @@ __all__ = [
 ]
 
 #: cap on the (data x window) block one engine step evaluates, in doubles.
-#: perfbench ops/s, medians of 4-7 runs at 25k / 50k / 100k on a 2-vCPU VM:
-#: study 18.4 / 20.9 / 20.1 (peak RSS 95.8 / 97.4 / 102.5 MiB), risk 119 /
-#: 91 / 93.  study, the selector's workload, is fastest here; risk's n = 2000
-#: blocks page-fault more at 50k (163k against 31k minor faults in 60 ops)
+#: perfbench ops/s, medians of 3 runs at 25k / 50k / 100k on a 2-vCPU VM:
+#: study 9.1 / 10.5 / 11.5 (peak RSS 96.2 / 98.4 / 101.3 MiB), risk 72 / 72 /
+#: 63; minor page faults per op, study 387 / 335 / 224, risk 0 / 155 / 341.
+#: 50k keeps risk at its best; 100k would buy study 10% with 3 MiB and 12%
+#: of risk's speed
 _BLOCK_ELEMENTS = 50_000
+#: free scratch sets (index, u) of `_kde_many`, two flat arrays of one
+#: size; a set above _SCRATCH_KEEP elements is not kept
+_SCRATCH: list[tuple[np.ndarray, np.ndarray]] = []
+_SCRATCH_KEEP = 2 * _BLOCK_ELEMENTS
 
 
 def _checked_sample(data) -> np.ndarray:
@@ -82,13 +96,13 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
     and exactly 0.0 where no datum reaches; NaN and infinite points give 0.
     """
     samples = np.asarray(samples, dtype=float)
+    _require_positive(bandwidths=hs)
     hs = np.asarray(hs, dtype=float).ravel()
     points = np.asarray(points, dtype=float).ravel()
     if samples.ndim != 2 or samples.shape[1] == 0:
         raise ParameterError("samples must be a 2-D array with at least one column")
     if not np.all(np.isfinite(samples)):
         raise ParameterError("samples must be finite")
-    _require_positive(bandwidths=hs)
     numbered = points.size - np.count_nonzero(np.isnan(points))
     if (np.any(np.isnan(points[:numbered]))
             or np.any(points[1:numbered] < points[:numbered - 1])):
@@ -100,46 +114,65 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
         return out
     data = np.sort(samples, axis=1)
     s = float(kernel.support_halfwidth)
-    for g, h in enumerate(hs):
-        reach = _reach(h * s, data)
-        lo = np.searchsorted(points, data - reach, side="left")
-        runs = np.searchsorted(points, data + reach, side="right") - lo
-        # the live columns: those whose run is nonempty in some sample
-        live = np.flatnonzero(runs.max(axis=0))
-        if live.size == 0:
-            continue
-        width = int(runs.max())
-        # shifting a run left to fit the array only adds points below
-        # X - h*s, whose kernel values are exact zeros
-        start = np.minimum(lo, T - width)
-        windows = np.lib.stride_tricks.sliding_window_view(points, width)
-        window = np.arange(width)
-        # blocks of at most _BLOCK_ELEMENTS values: whole samples over all
-        # live columns, or one sample over a run of its live columns
-        span = range(live[0], live[-1] + 1)
-        step = max(1, _BLOCK_ELEMENTS // width)
-        per_block = max(1, step // len(span))
-        for b0 in range(0, B, per_block):
-            rows = slice(b0, b0 + per_block)
-            total = None
-            for c0 in span[::step]:
-                cols = slice(c0, min(c0 + step, span.stop))
-                # (t - X) / h in place: the dense sum's two roundings
-                u = windows[start[rows, cols]]
-                u -= data[rows, cols, None]
-                u /= h
-                # sample k of the block adds into entries k*T..; a sample
-                # split over several blocks carries its sums so far in as
-                # the leading values, so each point adds its values in
-                # sorted-data order however the blocks fall
-                first = start[rows, cols] + np.arange(u.shape[0])[:, None] * T
-                index = (first[..., None] + window).ravel()
-                values = kernel(u).ravel()
-                if total is not None:
-                    index = np.concatenate([np.arange(T), index])
-                    values = np.concatenate([total, values])
-                total = np.bincount(index, values, minlength=u.shape[0] * T)
-            out[rows, g] = total.reshape(-1, T) * (1.0 / (n * h))
+    try:  # list.pop and list.append are atomic, so each thread holds its own set
+        index, u = _SCRATCH.pop()
+    except IndexError:
+        index = u = np.empty(0)
+    try:
+        for g, h in enumerate(hs):
+            reach = _reach(h * s, data)
+            lo = np.searchsorted(points, data - reach, side="left")
+            runs = np.searchsorted(points, data + reach, side="right") - lo
+            # the live columns: those whose run is nonempty in some sample
+            live = np.flatnonzero(runs.max(axis=0))
+            if live.size == 0:
+                continue
+            width = int(runs.max())
+            # shifting a run left to fit the array only adds points below
+            # X - h*s, whose kernel values are exact zeros
+            start = np.minimum(lo, T - width)
+            window = np.arange(width)
+            # blocks of at most _BLOCK_ELEMENTS values: whole samples over all
+            # live columns, or one sample over a run of its live columns
+            span = range(live[0], live[-1] + 1)
+            step = max(1, _BLOCK_ELEMENTS // width)
+            per_block = max(1, step // len(span))
+            need = T + min(per_block, B) * min(step, len(span)) * width
+            if index.size < need:
+                index, u = np.empty(need, np.intp), np.empty(need)
+            # slots 0..T-1 carry a split sample's sums so far; blocks use the rest
+            index[:T] = np.arange(T)
+            for b0 in range(0, B, per_block):
+                rows = slice(b0, b0 + per_block)
+                total = None
+                for c0 in span[::step]:
+                    cols = slice(c0, min(c0 + step, span.stop))
+                    first = start[rows, cols]
+                    shape = (*first.shape, width)
+                    m = math.prod(shape)
+                    pos = index[T:T + m].reshape(shape)
+                    np.add(first[..., None], window, out=pos)
+                    # (t - X) / h in place: the dense sum's two roundings
+                    blk = np.take(points, pos, out=u[:m].reshape(shape), mode="clip")
+                    blk -= data[rows, cols, None]
+                    blk /= h
+                    # sample k of the block adds into entries k*T..; a sample
+                    # split over several blocks carries its sums so far in as
+                    # the leading values, so each point adds its values in
+                    # sorted-data order however the blocks fall
+                    if shape[0] > 1:
+                        pos += (np.arange(shape[0]) * T)[:, None, None]
+                    kvals = kernel(blk).ravel()
+                    if total is None:
+                        total = np.bincount(index[T:T + m], kvals, minlength=shape[0] * T)
+                    else:  # u is free once the kernel has read it
+                        u[T:T + m] = kvals
+                        u[:T] = total
+                        total = np.bincount(index[:T + m], u[:T + m], minlength=T)
+                out[rows, g] = total.reshape(-1, T) * (1.0 / (n * h))
+    finally:
+        if index.size <= _SCRATCH_KEEP:
+            _SCRATCH.append((index, u))
     return out
 
 

@@ -121,6 +121,16 @@ def _segment_mass(density, a: float, b: float) -> float:
     return val
 
 
+def _default_crossings(pair: DensityPair) -> CrossingSet:
+    """crossings(pair) at its defaults.  It depends on f, g and p alone, so
+    it is kept on the pair and found again until one of them is reassigned."""
+    key = (pair.f, pair.g, pair.p)
+    kept = vars(pair).get("_crossings")
+    if kept is None or kept[0] != key:
+        kept = pair._crossings = (key, crossings(pair))
+    return kept[1]
+
+
 def bayes_risk(pair: DensityPair, interval: tuple[float, float] | None = None,
                cs: CrossingSet | None = None) -> float:
     """Risk of the optimal rule: integral of min(p f, q g) over the region.
@@ -128,13 +138,14 @@ def bayes_risk(pair: DensityPair, interval: tuple[float, float] | None = None,
     interval None means the whole line.  The domain is split at the crossing
     points of delta so that on each piece the minimum is a single density,
     whose mass is then a cdf difference (exact; quadrature only for custom
-    densities without a cdf).
+    densities without a cdf).  cs None means crossings(pair) at its
+    defaults, found once per pair (see _default_crossings).
     """
     lo, hi = (-np.inf, np.inf) if interval is None else (float(interval[0]), float(interval[1]))
     if not lo < hi:
         raise ParameterError("interval must satisfy lo < hi")
     if cs is None:
-        cs = crossings(pair)
+        cs = _default_crossings(pair)
     cuts = [y.y for y in cs.points if lo < y.y < hi]
     edges = [lo, *cuts, hi]
     total = 0.0
@@ -399,10 +410,10 @@ def _validate_multi(models, crossing_table, r):
     priors = np.array([w for _, w in models])
     if not (np.all(priors > 0) and abs(priors.sum() - 1.0) <= 1e-9):  # NaN fails too
         raise ParameterError("priors must be positive and sum to 1")
+    _require_positive(r=r)
     r = np.asarray(r, dtype=float)
     if r.shape != (len(models),):
         raise ParameterError("r must give one sampling ratio per population")
-    _require_positive(r=r)
     table = {}
     all_y = []
     for key, ys in dict(crossing_table).items():
@@ -431,10 +442,10 @@ def multi_t(models, crossing_table, H, r, kernel: Kernel = TRIWEIGHT) -> float:
     kappa/4 and mu2^2/16; with N = 2 the sum collapses to B1 + B2 exactly.
     """
     models, table, r = _validate_multi(models, crossing_table, r)
+    _require_positive(H=H)
     H = np.asarray(H, dtype=float)
     if H.shape != (len(models),):
         raise ParameterError("H must give one constant per population")
-    _require_positive(H=H)
     kappa = kernel.roughness(0)
     mu2 = kernel.moment(2)
     total = 0.0

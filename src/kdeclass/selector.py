@@ -216,11 +216,11 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
     _require_open_unit(p=p)
     x_data = _checked_sample(x_data)
     y_data = _checked_sample(y_data)
+    _require_positive(grid_h1=grid_h1, grid_h2=grid_h2)
     grid_h1 = np.asarray(grid_h1, dtype=float)
     grid_h2 = np.asarray(grid_h2, dtype=float)
     if grid_h1.size == 0 or grid_h2.size == 0:
         raise ParameterError("candidate grids must be nonempty")
-    _require_positive(grid_h1=grid_h1, grid_h2=grid_h2)
     if rng is None:
         rng = np.random.default_rng(0)
 

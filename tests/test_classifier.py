@@ -580,6 +580,33 @@ def test_decision_segments_edge_islands_match_oracle(x, y, ranges):
             assert repr(decision_segments(clf, lo, hi, rule)) == repr(want)
 
 
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_decision_segments_many_gaps_take_classify_ahat_labels(p):
+    # 40 + 40 data spaced far beyond their supports: some 80 islands and as
+    # many gaps, all labeled by one composite-rule call per estimate; the
+    # segment holding each gap's interior point has classify_ahat's label
+    rng = np.random.default_rng(17)
+    clf = fit_classifier(rng.uniform(-60.0, 60.0, 40), rng.uniform(-50.0, 70.0, 40),
+                         0.1, 0.15, p=p)
+    islands = []
+    for a, b in sorted((x - e.reach, x + e.reach) for e in (clf.fhat, clf.ghat) for x in e.data):
+        if islands and a <= islands[-1][1]:
+            islands[-1][1] = max(islands[-1][1], b)
+        else:
+            islands.append([a, b])
+    edges = [-np.inf, *np.ravel(islands), np.inf]
+    for lo, hi in ((-np.inf, np.inf), (-20.0, np.inf), (-55.5, 33.3)):
+        segs = decision_segments(clf, lo, hi)
+        assert repr(segs) == repr(scan_segments_oracle(clf, lo, hi))
+        gaps = [(max(a, lo), min(b, hi)) for a, b in zip(edges[::2], edges[1::2])
+                if max(a, lo) < min(b, hi)]
+        assert len(gaps) > 30
+        for a, b in gaps:
+            x = 0.5 * (a + b) if np.isfinite(a + b) else (a + 1.0 if np.isfinite(a) else b - 1.0)
+            (label,) = [lab for sa, sb, lab in segs if sa <= x <= sb]
+            assert label == classify_ahat(clf, x).population
+
+
 def test_decision_segments_validation():
     clf = fit_classifier([0.0], [1.0], 0.5, 0.5)
     with pytest.raises(ParameterError):

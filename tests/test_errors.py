@@ -51,7 +51,9 @@ from kdeclass import (
     select_bandwidths,
     smoothed_bootstrap,
 )
-from kdeclass.errors import _require_integers, _require_open_unit, _require_positive
+from kdeclass.cli import main
+from kdeclass.errors import (_require_finite, _require_integers, _require_open_unit,
+                             _require_positive)
 from kdeclass.kde import _kde_many
 
 NAN, INF = math.nan, math.inf
@@ -94,6 +96,21 @@ def test_require_open_unit():
     for bad in (0.0, 1.0, -0.5, 1.5, NAN, INF, -INF):
         with pytest.raises(ParameterError, match=r"^p must lie strictly inside \(0, 1\)"):
             _require_open_unit(p=bad)
+
+
+def test_validators_reject_what_is_not_a_number():
+    _require_finite(mu=-3.5, loc=0, big=np.float64(1e308))
+    messages = {_require_integers: "x must be an integer$",
+                _require_positive: "x must be positive and finite",
+                _require_open_unit: r"x must lie strictly inside \(0, 1\)",
+                _require_finite: "x must be finite"}
+    for check, message in messages.items():
+        for bad in ("a", None, {}, (0.5, "a")):
+            with pytest.raises(ParameterError, match="^" + message):
+                check(x=bad)
+    for bad in (NAN, INF, -INF, 1j):
+        with pytest.raises(ParameterError, match="^x must be finite"):
+            _require_finite(x=bad)
 
 
 def test_validators_name_the_first_failing_argument():
@@ -139,7 +156,10 @@ def _cv(**kw):
     return run_cv_comparison(**{"n": 20, "reps": 1, "seed": 0, "config": TINY, **kw})
 
 
-POSITIVE, OPEN_UNIT, SEED = "positive", "open unit", 0
+POSITIVE, OPEN_UNIT, FINITE, SEED = "positive", "open unit", "finite", 0
+#: an integer CLI flag: argparse rejects what is not an integer, so the
+#: flag's rows are its extra values alone
+FLAG = None
 
 # (site, argument name, kind, call with the bad value, extra bad values);
 # a kind that is a number is the minimum of a whole-number argument
@@ -160,7 +180,9 @@ SITES = [
     ("sample", "size", 0, lambda v: TRIWEIGHT.sample(np.random.default_rng(0), v), ()),
     ("multivariate_norm_constant", "d", 1, lambda v: multivariate_norm_constant(TRIWEIGHT, v), ()),
     # densities
+    ("Normal", "mu", FINITE, lambda v: Normal(v, 1.0), ()),
     ("Normal", "sigma", POSITIVE, lambda v: Normal(0.0, v), ()),
+    ("Cauchy", "loc", FINITE, lambda v: Cauchy(v), ()),
     ("Cauchy", "gamma", POSITIVE, lambda v: Cauchy(0.0, v), ()),
     ("NormalMixture", "weights", POSITIVE,
      lambda v: NormalMixture((0.5, v), (0.0, 1.0), (1.0, 1.0)), ()),
@@ -239,17 +261,25 @@ SITES = [
     ("run_cv_comparison", "reps", 1, lambda v: _cv(reps=v), ()),
     ("run_cv_comparison", "threads", 1, lambda v: _cv(threads=v), ()),
     ("run_cv_comparison", "seed", SEED, lambda v: _cv(seed=v), (1.5,)),
+    # cli
+    ("risk-surface", "seed", FLAG,
+     lambda v: main(["risk-surface", "--pair", "class1a", "--n", "20", "--seed", str(v),
+                     "--boot-iters", "4", "--grid", "3"]), (-1,)),
 ]
 
 
 def _bad_values(kind) -> tuple:
+    if kind is FLAG:
+        return ()
     if kind == POSITIVE:
         values = (NAN, INF, -INF, 0.0, -1.0)
     elif kind == OPEN_UNIT:
         values = (NAN, INF, -INF, 0.0, -0.5, 1.0)
+    elif kind == FINITE:
+        values = (NAN, INF, -INF)
     else:
         values = (NAN, INF, -INF, kind - 1, -1, max(kind, 2) + 0.5)
-    return tuple(dict.fromkeys(values))
+    return tuple(dict.fromkeys(values)) + ("a",)
 
 
 ROWS = [pytest.param(name, value, call, id=f"{site}-{name}-{value!r}")

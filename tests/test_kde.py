@@ -11,6 +11,8 @@ scalar call adds the same values in the same order, so it is held to the
 array value bit for bit.
 """
 
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -319,6 +321,106 @@ def test_kde_many_validation():
         _kde_many(data, [1.0], [0.0, np.nan, -1.0])  # NaN before a number
     assert _kde_many(data, [1.0], [0.0, 1.0, np.nan, np.nan]).shape == (2, 1, 4)
     assert _kde_many(np.zeros((0, 3)), [1.0, 2.0], [0.0]).shape == (0, 2, 1)
+
+
+# ----------------------------------------------------------------------
+# the engine's scratch pool
+# ----------------------------------------------------------------------
+def engine_calls(seed, count):
+    """Arguments of `count` engine calls of random sizes, kernels and
+    bandwidths, some points NaN at the end."""
+    rng = np.random.default_rng(seed)
+    calls = []
+    for k in range(count):
+        B, n, T, G = (int(v) for v in rng.integers(1, (9, 300, 400, 4)))
+        samples = rng.normal(size=(B, n)) * rng.uniform(0.2, 4.0)
+        points = np.sort(rng.uniform(-8.0, 8.0, T))
+        points[T - k % 3:] = np.nan
+        calls.append((samples, rng.uniform(0.01, 2.0, G), points, KERNELS[k % 3]))
+    return calls
+
+
+@pytest.mark.parametrize("cap", [7, 500, 50_000])
+def test_kde_many_same_bytes_at_every_block_size(cap, monkeypatch):
+    # caps 7 and 500 split samples over blocks and carry their sums in the
+    # scratch's leading slots; the calls come in random sizes, so a kept set
+    # is reused by smaller calls and replaced for larger ones
+    calls = engine_calls(3, 40)
+    monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", 10**9)  # one block each
+    whole = [_kde_many(*call).tobytes() for call in calls]
+    monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", cap)
+    assert [_kde_many(*call).tobytes() for call in calls] == whole
+
+
+def test_kde_many_threads_hold_their_own_scratch(monkeypatch):
+    # four threads on two cores, switching every microsecond, each repeat
+    # their own calls; a shared scratch set would mix their values
+    monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", 500)
+    calls = [engine_calls(seed, 5) for seed in (1, 2, 1, 2)]
+    want = [[_kde_many(*call).tobytes() for call in own] for own in calls]
+    done = []
+
+    def repeat(own, expected):
+        for _ in range(10):
+            if [_kde_many(*call).tobytes() for call in own] != expected:
+                return
+        done.append(True)
+
+    threads = [threading.Thread(target=repeat, args=pair) for pair in zip(calls, want)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(done) == len(threads)
+
+
+class FailingKernel(Kernel):
+    """The triweight kernel, raising on its k-th call."""
+
+    def __init__(self, k):
+        super().__init__("failing-triweight", TRIWEIGHT.poly_coeffs)
+        self.calls, self.k = 0, k
+
+    def __call__(self, u):
+        self.calls += 1
+        if self.calls == self.k:
+            raise RuntimeError("kernel failed")
+        return super().__call__(u)
+
+
+def test_kde_many_correct_after_a_call_that_raises(monkeypatch):
+    # a call that stops mid-way returns its scratch set, partly written,
+    # and the next call still gives the same bytes
+    monkeypatch.setattr(kde_module, "_SCRATCH", [])
+    monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", 500)
+    samples, hs, points, _ = engine_calls(4, 1)[0]
+    want = _kde_many(samples, hs, points).tobytes()
+    for k in (1, 2, 5):
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            _kde_many(samples[:, ::-1], hs[::-1], points, FailingKernel(k))
+        assert len(kde_module._SCRATCH) == 1
+        assert _kde_many(samples, hs, points).tobytes() == want
+
+
+def test_kde_many_keeps_no_scratch_above_the_bound(monkeypatch):
+    # every datum reaches all T points, so one call's set holds about 2 * T
+    # elements; it is dropped, and a small call after it still works
+    monkeypatch.setattr(kde_module, "_SCRATCH", [])
+    keep = kde_module._SCRATCH_KEEP
+    small = (np.array([[0.0, 0.5]]), [0.3], np.linspace(-1.0, 1.0, 50))
+    _kde_many(*small)
+    points = np.linspace(-1.0, 1.0, 3 * keep)
+    got = _kde_many(np.array([[-0.5, 0.0, 0.25]]), [2.0], points)
+    assert_matches_dense(got[0, 0], np.array([-0.5, 0.0, 0.25]), 2.0, TRIWEIGHT, points)
+    assert all(index.size <= keep for index, _ in kde_module._SCRATCH)
+    assert_matches_dense(_kde_many(*small)[0, 0], small[0][0], 0.3, TRIWEIGHT, small[2])
+    assert len(kde_module._SCRATCH) == 1
 
 
 def same_bits(a, b) -> bool:

@@ -38,6 +38,7 @@ from kdeclass import (
     optimal_bandwidths,
     predicted_excess,
 )
+from kdeclass import risk as risk_module
 from kdeclass.kernels import TRIWEIGHT
 from kdeclass.risk import PILOT_RATE
 
@@ -166,6 +167,30 @@ def test_empirical_risk_body_rule_interval(class1a):
     assert rep.region == (-4.0, 3.0)
     assert 0.0 < rep.err_rule < 1.0
     assert rep.err_bayes == pytest.approx(bayes_risk(pair, (-4.0, 3.0)), abs=1e-12)
+
+
+def test_empirical_risk_finds_the_crossings_once_per_pair(monkeypatch):
+    # err_bayes needs crossings(pair) at its defaults: found on the first
+    # call and kept on the pair, found again once f, g or p is reassigned
+    calls = []
+
+    def counted(pair, *args, **kwargs):
+        calls.append(pair.p)
+        return crossings(pair, *args, **kwargs)
+
+    monkeypatch.setattr(risk_module, "crossings", counted)
+    pair = make_pair("class1a")
+    first = empirical_risk(pair, 30, 30, 0.5, 0.5, reps=1, seed=0)
+    second = empirical_risk(pair, 30, 30, 0.5, 0.5, reps=2, seed=1)
+    body = empirical_risk(pair, 30, 30, 0.5, 0.5, reps=1, seed=1, rule="body")
+    assert calls == [pair.p]
+    fresh = make_pair("class1a")
+    assert first.err_bayes == second.err_bayes == bayes_risk(fresh, cs=crossings(fresh))
+    assert body.err_bayes == bayes_risk(fresh, body.region, cs=crossings(fresh))
+    pair.p = 0.4
+    shifted = DensityPair(pair.f, pair.g, 0.4)
+    assert bayes_risk(pair) == bayes_risk(shifted, cs=crossings(shifted))
+    assert calls == [0.5, 0.4]
 
 
 def test_empirical_risk_validation(class1a):
