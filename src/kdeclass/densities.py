@@ -332,7 +332,7 @@ class CustomDensity(Density):
 # ----------------------------------------------------------------------
 # density pairs
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class DensityPair:
     """Two population densities plus the prior p of the first population."""
 

@@ -61,8 +61,11 @@ _SCRATCH_KEEP = 2 * _BLOCK_ELEMENTS
 
 
 def _checked_sample(data) -> np.ndarray:
-    """data as a float array, which must be nonempty and finite."""
-    data = np.asarray(data, dtype=float)
+    """data as a float array, which must be numeric, nonempty and finite."""
+    try:
+        data = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError("data must be numeric") from None
     if data.size == 0:
         raise ParameterError("data must be nonempty")
     if not np.all(np.isfinite(data)):

@@ -65,8 +65,7 @@ PILOT_RATE = 1.0 / 13.0  # rate exponent of the derivative-estimation pilots
 class BandwidthPlan:
     """Theoretically optimal bandwidths for a pair at sample size n.
 
-    h1, h2 are the concrete bandwidths H1 * n^(-rho), H2 * n^(-rho); h3, h4
-    are data-driven pilot bandwidths when a selector filled them in.  sigma
+    h1, h2 are the concrete bandwidths H1 * n^(-rho), H2 * n^(-rho).  sigma
     is the pilot rate exponent (1/13 for fourth-derivative pilots).  For the
     degenerate second-order case the constants are unidentifiable at this
     order, so H1 = 1 by convention and only rho = 1/13 is meaningful.
@@ -81,8 +80,6 @@ class BandwidthPlan:
     r: float
     regime: str
     degenerate: bool = False
-    h3: float | None = None
-    h4: float | None = None
     sigma: float = PILOT_RATE
 
 
@@ -122,13 +119,11 @@ def _segment_mass(density, a: float, b: float) -> float:
 
 
 def _default_crossings(pair: DensityPair) -> CrossingSet:
-    """crossings(pair) at its defaults.  It depends on f, g and p alone, so
-    it is kept on the pair and found again until one of them is reassigned."""
-    key = (pair.f, pair.g, pair.p)
-    kept = vars(pair).get("_crossings")
-    if kept is None or kept[0] != key:
-        kept = pair._crossings = (key, crossings(pair))
-    return kept[1]
+    """crossings(pair) at its defaults, found on the first call and kept on
+    the (frozen) pair."""
+    if "_crossings" not in vars(pair):
+        vars(pair)["_crossings"] = crossings(pair)
+    return vars(pair)["_crossings"]
 
 
 def bayes_risk(pair: DensityPair, interval: tuple[float, float] | None = None,
@@ -306,21 +301,15 @@ def predicted_excess(pair: DensityPair, cs: CrossingSet, m: int, n: int,
     """Leading-order predicted excess risk for concrete bandwidths:
 
         sum_j |delta'|^{-1} [ (kappa/2)(p^2 f/(m h1) + q^2 g/(n h2))
-                              + (mu2^2/8)(h1^2 p f'' - h2^2 q g'')^2 ].
+                              + (mu2^2/8)(h1^2 p f'' - h2^2 q g'')^2 ],
+
+    that is B1/(n h) + B2 h^4 at h = n^(-1/5), H_j = h_j/h and r = m/n.
     """
-    _check_cs(cs)
     _require_integers(m=m, n=n, minimum=1)
     _require_positive(h1=h1, h2=h2)
-    kappa = kernel.roughness(0)
-    mu2 = kernel.moment(2)
-    p, q = pair.p, 1.0 - pair.p
-    total = 0.0
-    for pt in cs.points:
-        w = 1.0 / abs(pt.delta_prime)
-        var = 0.5 * kappa * (p * p * pt.f_value / (m * h1) + q * q * pt.g_value / (n * h2))
-        bias = h1 * h1 * p * pt.f2 - h2 * h2 * q * pt.g2
-        total += w * (var + 0.125 * mu2 * mu2 * bias * bias)
-    return total
+    h = float(n) ** -0.2
+    b1, b2 = expansion_b1_b2(pair, cs, h1 / h, h2 / h, m / n, kernel)
+    return b1 / (n * h) + b2 * h ** 4
 
 
 _DEGENERATE_RTOL = 1e-9

@@ -139,6 +139,7 @@ def _study_cell(pair: DensityPair, pair_id: str, n_index: int, n: int, rep: int,
 
 
 def _map_cells(fn, cells, threads: int):
+    """[fn(c) for c in cells], in cell order also when `threads` > 1."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, cells))
@@ -152,10 +153,9 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     pair = make_pair(cfg.pair_id)
     cells = [(i, n, rep) for i, n in enumerate(cfg.n_list)
              for rep in range(cfg.reps)]
-    rows = _map_cells(
+    rows = tuple(_map_cells(
         lambda c: _study_cell(pair, cfg.pair_id, c[0], c[1], c[2], cfg),
-        cells, cfg.threads)
-    rows = tuple(sorted(rows, key=lambda r: (r.n, r.rep)))
+        cells, cfg.threads))
 
     summary = []
     pts1, pts2 = [], []
@@ -317,8 +317,7 @@ def run_tail_study(alpha: float = 2.0, beta: float = 2.5,
             contrast_pair, contrast_n,
             np.random.SeedSequence((int(seed), len(n_list), rep)), grid)),
         list(range(int(reps))), threads)
-    contrast_rows = tuple({"rep": rep, "frac_from_f": frac}
-                          for rep, frac in sorted(cons))
+    contrast_rows = tuple({"rep": rep, "frac_from_f": frac} for rep, frac in cons)
     contrast_fraction = float(np.mean([r["frac_from_f"] for r in contrast_rows]))
 
     result = TailStudyResult(
@@ -401,9 +400,8 @@ def run_cv_comparison(pair_id: str = "class1a", n: int = 100, reps: int = 50,
     if config is None:
         config = SelectorConfig()
     pair = make_pair(pair_id)
-    rows = _map_cells(lambda rep: _cv_cell(pair, n, rep, int(seed), config),
-                      list(range(int(reps))), threads)
-    rows = tuple(sorted(rows, key=lambda r: r["rep"]))
+    rows = tuple(_map_cells(lambda rep: _cv_cell(pair, n, rep, int(seed), config),
+                            list(range(int(reps))), threads))
 
     def iqr(vals):
         q75, q25 = np.percentile(vals, [75.0, 25.0])

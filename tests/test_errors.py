@@ -48,6 +48,7 @@ from kdeclass import (
     predicted_excess,
     run_cv_comparison,
     run_tail_study,
+    sample_scale,
     select_bandwidths,
     smoothed_bootstrap,
 )
@@ -129,6 +130,19 @@ def test_messages_other_tests_match_are_kept():
         KdeEstimate([0.0, NAN], 0.5)
     with pytest.raises(ParameterError, match="data must be nonempty"):
         KdeEstimate([], 0.5)
+
+
+def test_non_numeric_data_raises_parameter_error():
+    calls = [lambda d: KdeEstimate(d, 0.5),
+             lambda d: fit_classifier(d, [1.0], 0.5, 0.5),
+             lambda d: fit_classifier([1.0], d, 0.5, 0.5),
+             lambda d: error_surface(d, [1.0, 2.0], [0.5], [0.5], config=TINY),
+             lambda d: sample_scale(d),
+             lambda d: classify_multivariate(d, [1.0], 0.5, 0.5, [0.0])]
+    for call in calls:
+        for data in (["a", 1.0], [0.0, "b"], [None, object()]):
+            with pytest.raises(ParameterError, match="^data must be numeric$"):
+                call(data)
 
 
 # ----------------------------------------------------------------------

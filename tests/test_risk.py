@@ -7,6 +7,8 @@ closed-form second-order constant, and frozen full-precision constants for
 every benchmark plan.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -171,7 +173,7 @@ def test_empirical_risk_body_rule_interval(class1a):
 
 def test_empirical_risk_finds_the_crossings_once_per_pair(monkeypatch):
     # err_bayes needs crossings(pair) at its defaults: found on the first
-    # call and kept on the pair, found again once f, g or p is reassigned
+    # call and kept on the pair, whose fields cannot be reassigned
     calls = []
 
     def counted(pair, *args, **kwargs):
@@ -187,10 +189,10 @@ def test_empirical_risk_finds_the_crossings_once_per_pair(monkeypatch):
     fresh = make_pair("class1a")
     assert first.err_bayes == second.err_bayes == bayes_risk(fresh, cs=crossings(fresh))
     assert body.err_bayes == bayes_risk(fresh, body.region, cs=crossings(fresh))
-    pair.p = 0.4
-    shifted = DensityPair(pair.f, pair.g, 0.4)
-    assert bayes_risk(pair) == bayes_risk(shifted, cs=crossings(shifted))
-    assert calls == [0.5, 0.4]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.p = 0.4
+    assert bayes_risk(pair) == first.err_bayes
+    assert calls == [pair.p]
 
 
 def test_empirical_risk_validation(class1a):
