@@ -74,6 +74,7 @@ class TrainedClassifier:
 def fit_classifier(x_data, y_data, h1: float, h2: float, p: float = 0.5,
                    kernel: Kernel = TRIWEIGHT) -> TrainedClassifier:
     """Fit the two density estimates and cache the pooled lower median."""
+    _require_positive(h1=h1, h2=h2)
     _require_open_unit(p=p)
     fhat = KdeEstimate(x_data, h1, kernel)
     ghat = KdeEstimate(y_data, h2, kernel)

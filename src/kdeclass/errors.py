@@ -15,8 +15,8 @@ taking the arguments by name and naming the first that fails:
 * `_require_open_unit`: strictly inside (0, 1): priors;
 * `_require_finite`: any finite real: locations.
 
-NaN, +-inf and values that are not numbers (a string, None) pass none of
-them.
+NaN, +-inf and values that are not numbers (a string, even '1.5', None)
+pass none of them.
 """
 
 from __future__ import annotations
@@ -110,9 +110,10 @@ def _require_positive(**values) -> None:
         if isinstance(value, (int, float, np.number)):  # fast path for scalars
             positive = 0.0 < value < math.inf  # False for NaN
         else:
-            try:
-                arr = np.asarray(value, dtype=float)
-            except (TypeError, ValueError):  # not numbers: a string, a dict
+            try:  # text is not a number, though numpy would parse '1.5'
+                text = np.asarray(value).dtype.kind in "US"
+                arr = np.nan if text else np.asarray(value, dtype=float)
+            except (TypeError, ValueError):  # not numbers: a dict, a ragged list
                 arr = np.nan
             positive = np.all((arr > 0.0) & (arr < math.inf))
         if not positive:

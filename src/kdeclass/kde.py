@@ -61,8 +61,10 @@ _SCRATCH_KEEP = 2 * _BLOCK_ELEMENTS
 
 
 def _checked_sample(data) -> np.ndarray:
-    """data as a float array, which must be numeric, nonempty and finite."""
+    """data as a float array, which must be numbers (not text), nonempty and finite."""
     try:
+        if np.asarray(data).dtype.kind in "US":  # text, which numpy would parse
+            raise ValueError
         data = np.asarray(data, dtype=float)
     except (TypeError, ValueError):
         raise ParameterError("data must be numeric") from None
@@ -179,6 +181,14 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
     return out
 
 
+def _loo(v, count: int, h, kernel: Kernel):
+    """Leave-one-out values (count*h*v - K(0)) / ((count - 1) * h) from the
+    estimates v at the data; h may be a column, one bandwidth per row of v."""
+    if count < 2:
+        raise ParameterError("leave-one-out needs at least two points")
+    return (v * count * h - kernel.at_zero) / ((count - 1) * h)
+
+
 class KdeEstimate:
     """A fitted kernel density estimate.
 
@@ -233,18 +243,11 @@ class KdeEstimate:
         _require_integers(i=i, minimum=0)
         if i >= self.count:
             raise ParameterError(f"i must be below the count {self.count}, got {i!r}")
-        return self._loo(float(self.data[int(i)]))
+        return _loo(self(float(self.data[int(i)])), self.count, self.h, self.kernel)
 
     def loo_all(self) -> np.ndarray:
         """Leave-one-out values at every data point, in sorted-data order."""
-        return self._loo(self.data)
-
-    def _loo(self, at):
-        """Uses the identity count*h*fhat(X_i) = sum_j K((X_i-X_j)/h), so the
-        left-out value is (that sum - K(0)) / ((count - 1) * h)."""
-        if self.count < 2:
-            raise ParameterError("leave-one-out needs at least two points")
-        return (self(at) * self.count * self.h - self.kernel.at_zero) / ((self.count - 1) * self.h)
+        return _loo(self(self.data), self.count, self.h, self.kernel)
 
     def __repr__(self) -> str:
         return (

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (DegenerateSampleError, ParameterError, _require_integers,
                      _require_open_unit, _require_positive)
-from .kde import KdeEstimate, _checked_sample, _kde_many, smoothed_bootstrap
+from .kde import KdeEstimate, _checked_sample, _kde_many, _loo, smoothed_bootstrap
 from .kernels import TRIWEIGHT, Kernel
 
 __all__ = [
@@ -188,6 +188,19 @@ def _first_argmin(surface: np.ndarray) -> tuple[int, int]:
     return divmod(int(np.argmin(surface)), surface.shape[1])
 
 
+def _surface_args(x_data, y_data, grid_h1, grid_h2, p):
+    """Samples and grids of a surface as flat arrays, checked in that order after p."""
+    _require_open_unit(p=p)
+    x_data = _checked_sample(x_data).ravel()
+    y_data = _checked_sample(y_data).ravel()
+    _require_positive(grid_h1=grid_h1, grid_h2=grid_h2)
+    grid_h1 = np.asarray(grid_h1, dtype=float).ravel()
+    grid_h2 = np.asarray(grid_h2, dtype=float).ravel()
+    if grid_h1.size == 0 or grid_h2.size == 0:
+        raise ParameterError("candidate grids must be nonempty")
+    return x_data, y_data, grid_h1, grid_h2
+
+
 def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
                   p: float = 0.5, config: SelectorConfig | None = None,
                   rng: np.random.Generator | None = None) -> np.ndarray:
@@ -213,14 +226,7 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
     """
     if config is None:
         config = SelectorConfig()
-    _require_open_unit(p=p)
-    x_data = _checked_sample(x_data)
-    y_data = _checked_sample(y_data)
-    _require_positive(grid_h1=grid_h1, grid_h2=grid_h2)
-    grid_h1 = np.asarray(grid_h1, dtype=float)
-    grid_h2 = np.asarray(grid_h2, dtype=float)
-    if grid_h1.size == 0 or grid_h2.size == 0:
-        raise ParameterError("candidate grids must be nonempty")
+    x_data, y_data, grid_h1, grid_h2 = _surface_args(x_data, y_data, grid_h1, grid_h2, p)
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -271,6 +277,7 @@ def bootstrap_err(x_data: np.ndarray, y_data: np.ndarray, h1: float, h2: float,
     """Smoothed-bootstrap estimate of the error of the rule trained at
     (h1, h2): single-cell version of error_surface.
     """
+    _require_positive(h1=h1, h2=h2)
     if seed is not None:
         _require_integers(seed=seed, minimum=0)
     if rng is None:
@@ -323,6 +330,24 @@ def select_bandwidths(x_data: np.ndarray, y_data: np.ndarray, p: float = 0.5,
     )
 
 
+def _cv_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
+                p: float = 0.5, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
+    """Leave-one-out error at each candidate pair: cell (i, j) is cv_err at
+    (grid_h1[i], grid_h2[j]).  Each sorted sample is evaluated at all its
+    candidates at its own data and at the other sample, and the comparisons
+    run one grid_h1 row at a time."""
+    x_data, y_data, grid_h1, grid_h2 = _surface_args(x_data, y_data, grid_h1, grid_h2, p)
+    x, y = np.sort(x_data), np.sort(y_data)
+    q = 1.0 - p
+    f_loo = p * _loo(_kde_many(x[None], grid_h1, x, kernel)[0], x.size, grid_h1[:, None], kernel)
+    g_loo = q * _loo(_kde_many(y[None], grid_h2, y, kernel)[0], y.size, grid_h2[:, None], kernel)
+    f_at_y = p * _kde_many(x[None], grid_h1, y, kernel)[0]
+    g_at_x = q * _kde_many(y[None], grid_h2, x, kernel)[0]
+    return np.array([p * (np.count_nonzero(f_x - g_at_x < 0.0, axis=1) / x.size)
+                     + q * (np.count_nonzero(f_y - g_loo > 0.0, axis=1) / y.size)
+                     for f_x, f_y in zip(f_loo, f_at_y)])
+
+
 def cv_err(x_data: np.ndarray, y_data: np.ndarray, h1: float, h2: float,
            p: float = 0.5, kernel: Kernel = TRIWEIGHT) -> float:
     """Leave-one-out cross-validation error of the rule trained at (h1, h2):
@@ -330,15 +355,10 @@ def cv_err(x_data: np.ndarray, y_data: np.ndarray, h1: float, h2: float,
         (p/m)   #{ i : p fhat_{-i}(X_i) - (1-p) ghat(X_i) < 0 }
       + ((1-p)/n) #{ j : p fhat(Y_j)   - (1-p) ghat_{-j}(Y_j) > 0 }
 
-    with strict inequalities on both sides.  Included as the negative
-    control for the bootstrap selector: the criterion each point helps
-    minimize depends on that point's own class, which rewards bandwidths
-    that overfit the training labels.
+    with strict inequalities on both sides; single cell of _cv_surface.
+    Included as the negative control for the bootstrap selector: the
+    criterion each point helps minimize depends on that point's own class,
+    which rewards bandwidths that overfit the training labels.
     """
-    _require_open_unit(p=p)
-    fhat = KdeEstimate(x_data, h1, kernel)
-    ghat = KdeEstimate(y_data, h2, kernel)
-    q = 1.0 - p
-    f_side = np.mean(p * fhat.loo_all() - q * ghat(fhat.data) < 0.0)
-    g_side = np.mean(p * fhat(ghat.data) - q * ghat.loo_all() > 0.0)
-    return float(p * f_side + q * g_side)
+    _require_positive(h1=h1, h2=h2)
+    return float(_cv_surface(x_data, y_data, [h1], [h2], p, kernel)[0, 0])

@@ -20,8 +20,7 @@ from .classifier import (FROM_G, TrainedClassifier, _ahat_from_f,
                          decision_segments, fit_classifier)
 from .densities import DensityPair, make_pair
 from .errors import DegenerateRegressionError, ParameterError, _require_integers
-from .kde import KdeEstimate
-from .selector import SelectorConfig, _first_argmin, sample_scale, select_bandwidths
+from .selector import SelectorConfig, _cv_surface, _first_argmin, sample_scale, select_bandwidths
 
 __all__ = [
     "DEFAULT_N_LIST",
@@ -360,28 +359,13 @@ class CvComparisonResult:
         return self.iqr_log_h1_cv / self.iqr_log_h1_boot
 
 
-def _cv_surface(x: np.ndarray, y: np.ndarray, p: float,
-                grid_h1: np.ndarray, grid_h2: np.ndarray, kernel) -> np.ndarray:
-    """Leave-one-out error over the grid: cell (i, j) is cv_err at
-    (grid_h1[i], grid_h2[j]) from the same vectors, but each vector depends
-    on one bandwidth, so each estimate is fitted once per candidate."""
-    q = 1.0 - p
-    fhats = [KdeEstimate(x, float(h), kernel) for h in grid_h1]
-    ghats = [KdeEstimate(y, float(h), kernel) for h in grid_h2]
-    f_vecs = [(p * f.loo_all(), p * f(ghats[0].data)) for f in fhats]
-    g_vecs = [(q * g.loo_all(), q * g(fhats[0].data)) for g in ghats]
-    return np.array([[p * np.mean(f_loo - g_at_x < 0.0)
-                      + q * np.mean(f_at_y - g_loo > 0.0)
-                      for g_loo, g_at_x in g_vecs] for f_loo, f_at_y in f_vecs])
-
-
 def _cv_cell(pair: DensityPair, n: int, rep: int, seed: int,
              config: SelectorConfig) -> dict:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, rep))))
     x = pair.sample("f", n, rng)
     y = pair.sample("g", n, rng)
     sel = select_bandwidths(x, y, pair.p, config, rng=rng)
-    i, j = _first_argmin(_cv_surface(x, y, pair.p, sel.grid_h1, sel.grid_h2,
+    i, j = _first_argmin(_cv_surface(x, y, sel.grid_h1, sel.grid_h2, pair.p,
                                      config.kernel))
     return {"rep": rep, "h1_boot": sel.h1, "h2_boot": sel.h2,
             "h1_cv": float(sel.grid_h1[i]), "h2_cv": float(sel.grid_h2[j])}

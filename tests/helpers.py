@@ -8,7 +8,7 @@ arithmetic on the raw data.
 
 import numpy as np
 
-from kdeclass import classify_ahat
+from kdeclass import KdeEstimate, classify_ahat
 
 
 def polyval_kernel(kernel, u):
@@ -182,3 +182,18 @@ def scan_segments_oracle(clf, lo, hi, rule="ahat"):
         else:
             merged.append((a, b, lab))
     return merged
+
+
+def dense_cv_surface(x, y, p, grid_h1, grid_h2, kernel):
+    """Reference leave-one-out surface: the library's former per-candidate
+    loop, one KdeEstimate fit per bandwidth.  Cell (i, j) is cv_err at
+    (grid_h1[i], grid_h2[j]) from the same vectors, but each vector depends
+    on one bandwidth, so each estimate is fitted once per candidate."""
+    q = 1.0 - p
+    fhats = [KdeEstimate(x, float(h), kernel) for h in grid_h1]
+    ghats = [KdeEstimate(y, float(h), kernel) for h in grid_h2]
+    f_vecs = [(p * f.loo_all(), p * f(ghats[0].data)) for f in fhats]
+    g_vecs = [(q * g.loo_all(), q * g(fhats[0].data)) for g in ghats]
+    return np.array([[p * np.mean(f_loo - g_at_x < 0.0)
+                      + q * np.mean(f_at_y - g_loo > 0.0)
+                      for g_loo, g_at_x in g_vecs] for f_loo, f_at_y in f_vecs])

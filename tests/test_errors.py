@@ -12,6 +12,7 @@ which wrongly accepts its bad value still returns quickly.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +146,23 @@ def test_non_numeric_data_raises_parameter_error():
                 call(data)
 
 
+def test_numeric_text_is_not_a_number():
+    for text in ("0.5", b"0.5", np.str_("0.5"), ["0.5"], [0.5, "0.5"], np.array([b"0.5"])):
+        with pytest.raises(ParameterError, match="^h must be positive and finite"):
+            _require_positive(h=text)
+    for data in (["1.5", 2.0], [b"1.5", b"2"], np.array(["1.5", "2.0"]), "1.5"):
+        with pytest.raises(ParameterError, match="^data must be numeric$"):
+            KdeEstimate(data, 0.5)
+    with pytest.raises(ParameterError, match="^h must be positive and finite"):
+        KdeEstimate([1.0, 2.0], "0.5")
+    with pytest.raises(ParameterError, match="^grid_h1 must be positive and finite"):
+        error_surface(X, Y, ["0.5"], [0.5], config=TINY)
+    # exact rationals are numbers, not text
+    _require_positive(h=Fraction(1, 2), arr=[Fraction(1, 3), 2.0])
+    assert Kernel("u", [Fraction(1, 6)], support_halfwidth=Fraction(3)).support_halfwidth == 3
+    assert KdeEstimate([Fraction(1, 2), 2.0], Fraction(1, 2))(1.0) == KdeEstimate([0.5, 2.0], 0.5)(1.0)
+
+
 # ----------------------------------------------------------------------
 # the table of bad arguments
 # ----------------------------------------------------------------------
@@ -205,6 +223,8 @@ SITES = [
     ("crossings", "grid_points", 8, lambda v: crossings(CLASS1A, grid_points=v), ()),
     # classifier
     ("fit_classifier", "p", OPEN_UNIT, lambda v: fit_classifier(X, Y, 0.3, 0.3, p=v), ()),
+    ("fit_classifier", "h1", POSITIVE, lambda v: fit_classifier(X, Y, v, 0.3), ()),
+    ("fit_classifier", "h2", POSITIVE, lambda v: fit_classifier(X, Y, 0.3, v), ()),
     ("classify_multivariate", "p", OPEN_UNIT,
      lambda v: classify_multivariate(X2, Y2, 0.5, 0.5, [0.0, 0.0], p=v), ()),
     ("classify_multivariate", "h1", POSITIVE,
@@ -226,6 +246,10 @@ SITES = [
     ("error_surface", "grid_h2", POSITIVE,
      lambda v: error_surface(X, Y, [0.5], [v, 0.5], config=TINY), ()),
     ("cv_err", "p", OPEN_UNIT, lambda v: cv_err(X, Y, 0.5, 0.5, p=v), ()),
+    ("cv_err", "h1", POSITIVE, lambda v: cv_err(X, Y, v, 0.5), ()),
+    ("cv_err", "h2", POSITIVE, lambda v: cv_err(X, Y, 0.5, v), ()),
+    ("bootstrap_err", "h1", POSITIVE, lambda v: bootstrap_err(X, Y, v, 0.5, config=TINY), ()),
+    ("bootstrap_err", "h2", POSITIVE, lambda v: bootstrap_err(X, Y, 0.5, v, config=TINY), ()),
     ("select_bandwidths", "seed", SEED, lambda v: select_bandwidths(X, Y, config=TINY, seed=v),
      (0.5,)),
     ("bootstrap_err", "seed", SEED, lambda v: bootstrap_err(X, Y, 0.5, 0.5, config=TINY, seed=v),
@@ -239,6 +263,10 @@ SITES = [
      lambda v: empirical_risk(CLASS1A, 20, v, 0.5, 0.5, reps=1, seed=0), ()),
     ("empirical_risk", "seed", SEED,
      lambda v: empirical_risk(CLASS1A, 20, 20, 0.5, 0.5, reps=1, seed=v), (0.5,)),
+    ("empirical_risk", "h1", POSITIVE,
+     lambda v: empirical_risk(CLASS1A, 20, 20, v, 0.5, reps=1, seed=0), ()),
+    ("empirical_risk", "h2", POSITIVE,
+     lambda v: empirical_risk(CLASS1A, 20, 20, 0.5, v, reps=1, seed=0), ()),
     ("expansion_b1_b2", "H1", POSITIVE, lambda v: expansion_b1_b2(CLASS1A, CS1A, v, 1.0), ()),
     ("expansion_b1_b2", "H2", POSITIVE, lambda v: expansion_b1_b2(CLASS1A, CS1A, 1.0, v), ()),
     ("expansion_b1_b2", "r", POSITIVE,

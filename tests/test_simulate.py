@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import dense_cv_surface
 from kdeclass import (
     DEFAULT_N_LIST,
     TRIWEIGHT,
@@ -27,8 +28,7 @@ from kdeclass import (
     run_study,
     run_tail_study,
 )
-from kdeclass.selector import _first_argmin
-from kdeclass.simulate import _cv_surface
+from kdeclass.selector import _cv_surface, _first_argmin
 
 TINY_SELECTOR = SelectorConfig(boot_iters=20, grid_per_dim=5, quad_points=101)
 
@@ -340,10 +340,11 @@ def test_cv_selected_bandwidths_come_from_grid():
 
 
 def test_cv_surface_matches_brute_force_cv_err():
-    """Oracle: the surface built from per-bandwidth leave-one-out vectors
-    equals cv_err cell for cell, on grids with and without duplicated
-    candidates; its row-major first minimum is the first minimal cell also
-    where distinct bandwidths tie (CV errors are step functions of h)."""
+    """Oracle: the surface equals cv_err cell for cell and the former
+    per-candidate loop `dense_cv_surface`, on grids with and without
+    duplicated candidates; its row-major first minimum is the first minimal
+    cell also where distinct bandwidths tie (CV errors are step functions
+    of h)."""
     pair = make_pair("class1a")
     grids = [(np.geomspace(0.1, 2.0, 7), np.geomspace(0.15, 1.5, 6)),
              (np.array([0.3, 0.3, 0.8, 0.8]), np.array([0.5, 0.25, 0.5]))]
@@ -354,8 +355,9 @@ def test_cv_surface_matches_brute_force_cv_err():
         for gh1, gh2 in grids:
             brute = np.array([[cv_err(x, y, float(a), float(b), pair.p)
                                for b in gh2] for a in gh1])
-            surface = _cv_surface(x, y, pair.p, gh1, gh2, TRIWEIGHT)
+            surface = _cv_surface(x, y, gh1, gh2, pair.p, TRIWEIGHT)
             assert np.array_equal(surface, brute)
+            assert np.array_equal(surface, dense_cv_surface(x, y, pair.p, gh1, gh2, TRIWEIGHT))
             minimal = np.flatnonzero(brute == brute.min())
             assert _first_argmin(surface) == divmod(int(minimal[0]), gh2.size)
             ties += minimal.size > 1
