@@ -75,13 +75,14 @@ def _scalar_like(value):
 class Density:
     """Interface shared by all population densities.
 
-    The public `deriv`, `cdf` and `ppf` handle the arguments: they check the
-    derivative order (an integer in [0, 4]) and the quantile level (strictly
-    inside (0, 1)), pass x on as a float array, and return a float for
-    scalar input and an array of x's shape otherwise.  A subclass supplies
-    only the formulas: `_deriv(order, x)` and `_cdf(x)` on a float array x,
-    `_ppf(q)` where a closed form exists (the default inverts the cdf
-    numerically), and `sample(n, rng)`.
+    The public `deriv`, `cdf`, `ppf` and `sample` handle the arguments: they
+    check the derivative order (an integer in [0, 4]), the quantile level
+    (strictly inside (0, 1)) and the sample size (a whole number >= 0), pass
+    x on as a float array, and return a float for scalar input and an array
+    of x's shape otherwise.  A subclass supplies only the formulas:
+    `_deriv(order, x)` and `_cdf(x)` on a float array x, `_ppf(q)` where a
+    closed form exists (the default inverts the cdf numerically), and
+    `_sample(n, rng)` with n an int.
     """
 
     support: tuple[float, float] = (-np.inf, np.inf)
@@ -119,7 +120,11 @@ class Density:
         return _invert_cdf(self.cdf, q, _finite_or(lo, -1.0),
                            min(_finite_or(hi, 1.0), 1.0))
 
-    def sample(self, n: int, rng: np.random.Generator):  # pragma: no cover - abstract
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        _require_integers(n=n, minimum=0)
+        return self._sample(int(n), rng)
+
+    def _sample(self, n, rng):  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -163,8 +168,8 @@ class Normal(Density):
     def _ppf(self, q):
         return self.mu + self.sigma * ndtri(q)
 
-    def sample(self, n, rng):
-        return rng.normal(self.mu, self.sigma, size=int(n))
+    def _sample(self, n, rng):
+        return rng.normal(self.mu, self.sigma, size=n)
 
     def __repr__(self):
         return f"Normal({self.mu:g}, {self.sigma:g})"
@@ -189,8 +194,7 @@ class NormalMixture(Density):
     def _cdf(self, x):
         return sum(w * c.cdf(x) for w, c in zip(self.weights, self.components))
 
-    def sample(self, n, rng):
-        n = int(n)
+    def _sample(self, n, rng):
         counts = rng.multinomial(n, self.weights)
         parts = [c.sample(k, rng) for c, k in zip(self.components, counts) if k > 0]
         out = np.concatenate(parts) if parts else np.empty(0)
@@ -234,9 +238,9 @@ class Cauchy(Density):
     def _ppf(self, q):
         return self.loc + self.gamma * np.tan(np.pi * (q - 0.5))
 
-    def sample(self, n, rng):
+    def _sample(self, n, rng):
         # quantile transform of uniforms
-        u = rng.uniform(0.0, 1.0, size=int(n))
+        u = rng.uniform(0.0, 1.0, size=n)
         return self.loc + self.gamma * np.tan(np.pi * (u - 0.5))
 
     def __repr__(self):
@@ -274,8 +278,8 @@ class Pareto(Density):
     def _ppf(self, q):
         return (1.0 - q) ** (-1.0 / (self.alpha - 1.0))
 
-    def sample(self, n, rng):
-        u = rng.uniform(0.0, 1.0, size=int(n))
+    def _sample(self, n, rng):
+        u = rng.uniform(0.0, 1.0, size=n)
         return (1.0 - u) ** (-1.0 / (self.alpha - 1.0))
 
     def __repr__(self):
@@ -323,10 +327,10 @@ class CustomDensity(Density):
             raise ParameterError("custom density has no cdf to invert")
         return super()._ppf(q)
 
-    def sample(self, n, rng):
+    def _sample(self, n, rng):
         if self._sampler is None:
             raise ParameterError("custom density has no sampler")
-        return self._sampler(int(n), rng)
+        return self._sampler(n, rng)
 
 
 # ----------------------------------------------------------------------
@@ -412,6 +416,7 @@ def make_pair(pair_id: str, *, alpha: float | None = None, beta: float | None = 
     if pid == "pareto":
         if alpha is None or beta is None:
             raise ParameterError("pareto pair requires alpha and beta")
+        _require_finite(alpha=alpha, beta=beta)
         if not (1.0 < alpha < beta < alpha + 1.0):
             raise ParameterError(
                 "pareto pair requires 1 < alpha < beta < alpha + 1, got "

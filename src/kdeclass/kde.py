@@ -11,9 +11,10 @@ bootstrap selector: each datum adds its kernel values to the contiguous run
 of sorted points it reaches.  Only the live columns, the sorted data from
 the first to the last datum that reaches some point, are evaluated, each on
 the widest run, so work grows with live columns x widest run rather than
-with points x data.  One np.bincount per block of at most _BLOCK_ELEMENTS
-values adds them, each point's values in sorted-data order, so the results
-do not depend on the block size or on how the samples are split.  They
+with points x data.  Each block of at most _BLOCK_ELEMENTS values adds them
+straight into the output with one np.add.at, which adds in array order, so
+each point adds its values in sorted-data order and the results do not
+depend on the block size or on how the samples are split.  They
 differ from the dense (point x datum) sum by rounding only: per point at
 most eps * (n * sum_i |K(u_i)| + 4 * d * S * m) / (n * h), with d, S as in
 `kernels` and m the number of data with |u_i| <= s; where no datum reaches
@@ -21,14 +22,14 @@ a point the estimate is exactly 0.0.  A scalar call adds the same values in
 the same order, with a running sum rather than np.sum's pairwise one, over a
 binary-search window, so it equals the array value bit for bit.
 
-The blocks allocate nothing larger than the kernel's output and bincount's
-sums: each writes its indices and its u, and then a split sample's carried
-values in u's place, into one pair of flat scratch arrays, reused from block
-to block and from call to call.  A call takes a set from a free list and gives it back when it
-ends, even by an exception, so concurrent calls (the bootstrap surface's
-two threads) never share one.  A set above _SCRATCH_KEEP elements is
-dropped rather than kept, so the scratch that stays allocated is at most
-that size times the number of calls ever run at once.
+The blocks allocate nothing larger than the kernel's output: each writes
+its indices and its u into one pair of flat scratch arrays, which hold at
+most one block and are reused from block to block and from call to call.
+A call takes a set from a free list and gives it back when it ends, even by
+an exception, so concurrent calls (the bootstrap surface's two threads)
+never share one.  A set above _BLOCK_ELEMENTS elements (one block wider
+than the cap) is dropped rather than kept, so the scratch that stays
+allocated is at most that size times the number of calls ever run at once.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import NumericError, ParameterError, _require_integers, _require_positive
+from .errors import (NumericError, ParameterError, _require_finite, _require_integers,
+                     _require_positive)
 from .kernels import TRIWEIGHT, Kernel
 
 __all__ = [
@@ -48,16 +50,15 @@ __all__ = [
 ]
 
 #: cap on the (data x window) block one engine step evaluates, in doubles.
-#: perfbench ops/s, medians of 3 runs at 25k / 50k / 100k on a 2-vCPU VM:
-#: study 9.1 / 10.5 / 11.5 (peak RSS 96.2 / 98.4 / 101.3 MiB), risk 72 / 72 /
-#: 63; minor page faults per op, study 387 / 335 / 224, risk 0 / 155 / 341.
-#: 50k keeps risk at its best; 100k would buy study 10% with 3 MiB and 12%
-#: of risk's speed
+#: perfbench ops/s, medians of 3 runs at 25k / 50k / 100k on a 2-vCPU VM,
+#: measured on the engine before it added with np.add.at (one np.bincount
+#: per block): study 9.1 / 10.5 / 11.5 (peak RSS 96.2 / 98.4 / 101.3 MiB),
+#: risk 72 / 72 / 63.  50k kept risk at its best; 100k would have bought
+#: study 10% with 3 MiB and 12% of risk's speed
 _BLOCK_ELEMENTS = 50_000
 #: free scratch sets (index, u) of `_kde_many`, two flat arrays of one
-#: size; a set above _SCRATCH_KEEP elements is not kept
+#: size; a set above _BLOCK_ELEMENTS elements is not kept
 _SCRATCH: list[tuple[np.ndarray, np.ndarray]] = []
-_SCRATCH_KEEP = 2 * _BLOCK_ELEMENTS
 
 
 def _checked_sample(data) -> np.ndarray:
@@ -93,9 +94,10 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
     blocks with the same u as the dense sum over all pairs; the live
     columns run from the first to the last sorted datum whose run is
     nonempty in some sample, and the others would add exact zeros.  Each
-    block's values are added by one np.bincount, which carries the sums of
-    the sample's earlier blocks, so every point adds its values in sorted-
-    data order whatever the blocks, and the sums are scaled by 1 / (n * h).
+    block's values are added straight into their samples' rows of `out` by
+    one np.add.at, in array order, so every point adds its values in
+    sorted-data order whatever the blocks; each bandwidth's rows are then
+    scaled once by 1 / (n * h).
     The result is within the rounding bound of the module docstring of
     `kernel((points[:, None] - np.sort(sample)) / h).sum(axis=-1) * (1 / (n * h))`,
     and exactly 0.0 where no datum reaches; NaN and infinite points give 0.
@@ -113,8 +115,8 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
             or np.any(points[1:numbered] < points[:numbered - 1])):
         raise ParameterError("points must be sorted ascending, NaN last")
     B, n = samples.shape
-    T = points.size
-    out = np.zeros((B, hs.size, T))
+    G, T = hs.size, points.size
+    out = np.zeros((B, G, T))
     if B == 0 or T == 0:
         return out
     data = np.sort(samples, axis=1)
@@ -142,41 +144,32 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
             span = range(live[0], live[-1] + 1)
             step = max(1, _BLOCK_ELEMENTS // width)
             per_block = max(1, step // len(span))
-            need = T + min(per_block, B) * min(step, len(span)) * width
+            need = min(per_block, B) * min(step, len(span)) * width
             if index.size < need:
                 index, u = np.empty(need, np.intp), np.empty(need)
-            # slots 0..T-1 carry a split sample's sums so far; blocks use the rest
-            index[:T] = np.arange(T)
             for b0 in range(0, B, per_block):
                 rows = slice(b0, b0 + per_block)
-                total = None
+                # sample b0 + k adds into out[b0 + k, g], k*G*T entries past out[b0, g]
+                into = out.reshape(-1)[(b0 * G + g) * T:]
                 for c0 in span[::step]:
                     cols = slice(c0, min(c0 + step, span.stop))
                     first = start[rows, cols]
                     shape = (*first.shape, width)
                     m = math.prod(shape)
-                    pos = index[T:T + m].reshape(shape)
+                    pos = index[:m].reshape(shape)
                     np.add(first[..., None], window, out=pos)
                     # (t - X) / h in place: the dense sum's two roundings
                     blk = np.take(points, pos, out=u[:m].reshape(shape), mode="clip")
                     blk -= data[rows, cols, None]
                     blk /= h
-                    # sample k of the block adds into entries k*T..; a sample
-                    # split over several blocks carries its sums so far in as
-                    # the leading values, so each point adds its values in
-                    # sorted-data order however the blocks fall
                     if shape[0] > 1:
-                        pos += (np.arange(shape[0]) * T)[:, None, None]
-                    kvals = kernel(blk).ravel()
-                    if total is None:
-                        total = np.bincount(index[T:T + m], kvals, minlength=shape[0] * T)
-                    else:  # u is free once the kernel has read it
-                        u[T:T + m] = kvals
-                        u[:T] = total
-                        total = np.bincount(index[:T + m], u[:T + m], minlength=T)
-                out[rows, g] = total.reshape(-1, T) * (1.0 / (n * h))
+                        pos += (np.arange(shape[0]) * (G * T))[:, None, None]
+                    # np.add.at adds in array order, so each point adds its
+                    # values in sorted-data order however the blocks fall
+                    np.add.at(into, index[:m], kernel(blk).ravel())
+            out[:, g] *= 1.0 / (n * h)
     finally:
-        if index.size <= _SCRATCH_KEEP:
+        if index.size <= _BLOCK_ELEMENTS:
             _SCRATCH.append((index, u))
     return out
 
@@ -267,6 +260,7 @@ def kde_mean_var(density, kernel: Kernel, h: float, count: int, y: float):
     """
     _require_positive(h=h)
     _require_integers(count=count, minimum=1)
+    _require_finite(y=y)
     s = float(kernel.support_halfwidth)
 
     def _quad(fn):

@@ -238,10 +238,8 @@ def get_kernel(name: str) -> Kernel:
     """Look up a built-in kernel by name (case-insensitive)."""
     try:
         return KERNELS[name.lower()]
-    except KeyError:
-        raise ParameterError(
-            f"unknown kernel {name!r}; choose from {sorted(KERNELS)}"
-        ) from None
+    except (KeyError, AttributeError):  # not a kernel's name, or not text
+        raise ParameterError(f"name must be one of {sorted(KERNELS)}, got {name!r}") from None
 
 
 def multivariate_norm_constant(kernel: Kernel, d: int) -> float:

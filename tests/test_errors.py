@@ -4,10 +4,11 @@ arguments at every site that uses them.
 Each row of the table passes one bad value to one argument of one public
 function (or of a private one the selector and risk code rely on) and
 expects ParameterError with a message that begins with the argument's name.
-Every kind of argument is tried with NaN, +inf and -inf; positive values
-also with 0 and a negative value, priors with 0, a negative value and 1,
-and counts with the value just below their minimum, -1 and a non-whole
-value above the minimum.  The other arguments are small, so that a call
+Every numeric kind of argument is tried with NaN, +inf and -inf; positive
+values also with 0 and a negative value, priors with 0, a negative value
+and 1, and counts with the value just below their minimum, -1 and a
+non-whole value above the minimum.  Names from a fixed set are tried with
+one that is not in it.  The other arguments are small, so that a call
 which wrongly accepts its bad value still returns quickly.
 """
 
@@ -21,6 +22,7 @@ from kdeclass import (
     EPANECHNIKOV,
     TRIWEIGHT,
     Cauchy,
+    CustomDensity,
     DensityPair,
     ExperimentConfig,
     KdeEstimate,
@@ -40,6 +42,7 @@ from kdeclass import (
     expansion_b1_b2,
     expansion_b3_b4,
     fit_classifier,
+    get_kernel,
     kde_mean_var,
     make_pair,
     multi_t,
@@ -177,6 +180,7 @@ TINY = SelectorConfig(boot_iters=4, grid_per_dim=3, quad_points=51)
 MODELS = [(CLASS1A.f, 0.5), (CLASS1A.g, 0.5)]
 TABLE = {(0, 1): [pt.y for pt in CS1A]}
 EST = KdeEstimate([0.0, 1.0, 2.0], 0.5)
+CUSTOM = CustomDensity(Normal(0, 1).pdf, sampler=lambda n, rng: rng.normal(size=n))
 TAIL = dict(n_list=(30,), reps=1, contrast_n=40, contrast_grid=(3.0, 6.0, 11), seed=0)
 
 
@@ -189,6 +193,8 @@ def _cv(**kw):
 
 
 POSITIVE, OPEN_UNIT, FINITE, SEED = "positive", "open unit", "finite", 0
+#: a name from a fixed set: its rows are "a" and its extra values
+CHOICE = "choice"
 #: an integer CLI flag: argparse rejects what is not an integer, so the
 #: flag's rows are its extra values alone
 FLAG = None
@@ -201,6 +207,7 @@ SITES = [
     ("_kde_many", "bandwidths", POSITIVE, lambda v: _kde_many(X[None, :], [0.3, v], [0.0]), ()),
     ("kde_mean_var", "h", POSITIVE, lambda v: kde_mean_var(Normal(0, 1), TRIWEIGHT, v, 10, 0.0), ()),
     ("kde_mean_var", "count", 1, lambda v: kde_mean_var(Normal(0, 1), TRIWEIGHT, 0.5, v, 0.0), ()),
+    ("kde_mean_var", "y", FINITE, lambda v: kde_mean_var(Normal(0, 1), TRIWEIGHT, 0.5, 10, v), ()),
     ("loo", "i", 0, lambda v: EST.loo(v), (1.5, 3)),
     ("smoothed_bootstrap", "size", 0,
      lambda v: smoothed_bootstrap(EST, v, np.random.default_rng(0)), ()),
@@ -211,6 +218,7 @@ SITES = [
     ("roughness", "r", 0, lambda v: TRIWEIGHT.roughness(v), ()),
     ("sample", "size", 0, lambda v: TRIWEIGHT.sample(np.random.default_rng(0), v), ()),
     ("multivariate_norm_constant", "d", 1, lambda v: multivariate_norm_constant(TRIWEIGHT, v), ()),
+    ("get_kernel", "name", CHOICE, get_kernel, (None, 1.5)),
     # densities
     ("Normal", "mu", FINITE, lambda v: Normal(v, 1.0), ()),
     ("Normal", "sigma", POSITIVE, lambda v: Normal(0.0, v), ()),
@@ -220,6 +228,13 @@ SITES = [
      lambda v: NormalMixture((0.5, v), (0.0, 1.0), (1.0, 1.0)), ()),
     ("Pareto", "alpha", POSITIVE, lambda v: Pareto(v), (0.5, 1.0)),
     ("DensityPair", "p", OPEN_UNIT, lambda v: DensityPair(Normal(0, 1), Normal(1, 1), v), ()),
+    ("DensityPair.sample", "n", 0, lambda v: CLASS1A.sample("f", v, np.random.default_rng(0)),
+     ("3",)),
+    ("Normal.sample", "n", 0, lambda v: Normal(0, 1).sample(v, np.random.default_rng(0)), ("3",)),
+    ("CustomDensity.sample", "n", 0,
+     lambda v: CUSTOM.sample(v, np.random.default_rng(0)), ("3",)),
+    ("make_pair-pareto", "alpha", FINITE, lambda v: make_pair("pareto", alpha=v, beta=2.5), ()),
+    ("make_pair-pareto", "beta", FINITE, lambda v: make_pair("pareto", alpha=2.0, beta=v), ()),
     ("crossings", "grid_points", 8, lambda v: crossings(CLASS1A, grid_points=v), ()),
     # classifier
     ("fit_classifier", "p", OPEN_UNIT, lambda v: fit_classifier(X, Y, 0.3, 0.3, p=v), ()),
@@ -313,7 +328,9 @@ SITES = [
 def _bad_values(kind) -> tuple:
     if kind is FLAG:
         return ()
-    if kind == POSITIVE:
+    if kind == CHOICE:
+        values = ()
+    elif kind == POSITIVE:
         values = (NAN, INF, -INF, 0.0, -1.0)
     elif kind == OPEN_UNIT:
         values = (NAN, INF, -INF, 0.0, -0.5, 1.0)

@@ -3,8 +3,8 @@ evaluation vs the dense sum over all pairs, leave-one-out identities, exact
 pointwise moments vs Monte Carlo, and smoothed-bootstrap distributional
 correctness.
 
-The engine adds each point's kernel values in sorted-data order with one
-np.bincount and evaluates the kernel in s**2 - u**2, so it is held to the
+The engine adds each point's kernel values in sorted-data order with
+np.add.at and evaluates the kernel in s**2 - u**2, so it is held to the
 dense oracle within the per-point rounding bound helpers.kde_rounding_bound,
 which is 0 (so the match is exact) where no datum reaches a point.  A
 scalar call adds the same values in the same order, so it is held to the
@@ -84,8 +84,8 @@ def test_kde_many_matches_dense_sum(kernel, B, G):
 def test_kde_many_follows_numpy_pairwise_blocks(n, cap, monkeypatch):
     # sizes below, at and past numpy's pairwise blocks of 8 and 128 values;
     # caps 1 and 1000 evaluate one column, or a few dozen, of one sample per
-    # step, carrying each sample's sums from block to block, and give the
-    # very same values
+    # step, each block adding into the sums the sample's earlier blocks left
+    # in the output, and give the very same values
     rng = np.random.default_rng(n)
     samples = rng.normal(size=(3, n))
     hs = [0.1, 0.9]
@@ -342,9 +342,10 @@ def engine_calls(seed, count):
 
 @pytest.mark.parametrize("cap", [7, 500, 50_000])
 def test_kde_many_same_bytes_at_every_block_size(cap, monkeypatch):
-    # caps 7 and 500 split samples over blocks and carry their sums in the
-    # scratch's leading slots; the calls come in random sizes, so a kept set
-    # is reused by smaller calls and replaced for larger ones
+    # caps 7 and 500 split samples over blocks, each adding into the sums
+    # the sample's earlier blocks left in the output; the calls come in
+    # random sizes, so a kept set is reused by smaller calls and replaced
+    # for larger ones
     calls = engine_calls(3, 40)
     monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", 10**9)  # one block each
     whole = [_kde_many(*call).tobytes() for call in calls]
@@ -409,10 +410,10 @@ def test_kde_many_correct_after_a_call_that_raises(monkeypatch):
 
 
 def test_kde_many_keeps_no_scratch_above_the_bound(monkeypatch):
-    # every datum reaches all T points, so one call's set holds about 2 * T
-    # elements; it is dropped, and a small call after it still works
+    # every datum reaches all T points, so one call's set holds a block of
+    # T elements; it is dropped, and a small call after it still works
     monkeypatch.setattr(kde_module, "_SCRATCH", [])
-    keep = kde_module._SCRATCH_KEEP
+    keep = kde_module._BLOCK_ELEMENTS
     small = (np.array([[0.0, 0.5]]), [0.3], np.linspace(-1.0, 1.0, 50))
     _kde_many(*small)
     points = np.linspace(-1.0, 1.0, 3 * keep)

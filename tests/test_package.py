@@ -1,9 +1,12 @@
 """The package namespace: each module's `__all__` is the one list of its
-public names, and `kdeclass` re-exports exactly those names."""
+public names, and `kdeclass` re-exports exactly those names; and the
+private constants the README names exist."""
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import kdeclass
 
@@ -33,3 +36,13 @@ def test_package_exports_each_name_as_its_modules_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(kdeclass, name) is getattr(module, name), name
+
+
+def test_every_private_constant_the_readme_names_exists():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = set(re.findall(r"`(_[A-Z][A-Z0-9_]*)`", readme))
+    modules = [importlib.import_module(f"kdeclass.{info.name}")
+               for info in pkgutil.iter_modules(kdeclass.__path__)]
+    assert names
+    missing = {name for name in names if not any(hasattr(m, name) for m in modules)}
+    assert not missing, missing
