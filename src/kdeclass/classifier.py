@@ -26,7 +26,8 @@ from operator import itemgetter
 import numpy as np
 
 from .densities import DensityPair
-from .errors import EmptyTailError, ParameterError, _require_open_unit, _require_positive
+from .errors import (EmptyTailError, ParameterError, _require_open_unit, _require_positive,
+                     _require_priors)
 from .kde import KdeEstimate, _checked_sample
 from .kernels import TRIWEIGHT, Kernel, multivariate_norm_constant
 
@@ -167,9 +168,7 @@ def classify_multi(models, x: float) -> int | None:
     models = list(models)
     if len(models) < 2:
         raise ParameterError("need at least two populations")
-    priors = np.array([float(w) for _, w in models])
-    if not (np.all(priors > 0) and abs(priors.sum() - 1.0) <= 1e-9):  # NaN fails too
-        raise ParameterError("priors must be positive and sum to 1")
+    _require_priors([w for _, w in models])
     scores = np.array([w * est(x) for est, w in models])
     if np.all(scores == 0.0):
         return None

@@ -185,6 +185,8 @@ class NormalMixture(Density):
             raise ParameterError("weights, means, sigmas must have equal length")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ParameterError("weights must sum to 1")
+        _require_finite(**{f"means[{i}]": m for i, m in enumerate(means)})
+        _require_positive(**{f"sigmas[{i}]": s for i, s in enumerate(sigmas)})
         self.weights = w
         self.components = tuple(Normal(m, s) for m, s in zip(means, sigmas))
 
@@ -308,7 +310,14 @@ class CustomDensity(Density):
         self._cdf_fn = cdf
         self._ppf_fn = ppf
         self._sampler = sampler
-        self.support = (float(support[0]), float(support[1]))
+        try:  # comparing text, None or an array with a float raises
+            lo, hi = support
+            ordered = -np.inf <= lo < hi <= np.inf  # False for NaN
+        except (TypeError, ValueError):
+            ordered = False
+        if not ordered:
+            raise ParameterError(f"support must be an interval lo < hi, got {support!r}")
+        self.support = (float(lo), float(hi))
 
     def _deriv(self, order, x):
         if order >= len(self._fns) or self._fns[order] is None:

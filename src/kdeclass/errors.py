@@ -15,6 +15,9 @@ taking the arguments by name and naming the first that fails:
 * `_require_open_unit`: strictly inside (0, 1): priors;
 * `_require_finite`: any finite real: locations.
 
+`_require_priors` checks a list of class priors with `_require_positive`,
+one `priors[i]` at a time, and then their sum.
+
 NaN, +-inf and values that are not numbers (a string, even '1.5', None)
 pass none of them.
 """
@@ -142,3 +145,11 @@ def _require_finite(**values) -> None:
             finite = False
         if not finite:
             raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
+def _require_priors(priors) -> None:
+    """Raise ParameterError naming the first prior, as priors[i], that is
+    not finite and > 0, or when the priors do not sum to 1 within 1e-9."""
+    _require_positive(**{f"priors[{i}]": w for i, w in enumerate(priors)})
+    if abs(sum(float(w) for w in priors) - 1.0) > 1e-9:
+        raise ParameterError(f"priors must sum to 1, got {list(priors)!r}")

@@ -25,16 +25,19 @@ binary-search window, so it equals the array value bit for bit.
 The blocks allocate nothing larger than the kernel's output: each writes
 its indices and its u into one pair of flat scratch arrays, which hold at
 most one block and are reused from block to block and from call to call.
-A call takes a set from a free list and gives it back when it ends, even by
-an exception, so concurrent calls (the bootstrap surface's two threads)
-never share one.  A set above _BLOCK_ELEMENTS elements (one block wider
-than the cap) is dropped rather than kept, so the scratch that stays
-allocated is at most that size times the number of calls ever run at once.
+Each thread keeps its own pair in a threading.local, so concurrent calls
+(the bootstrap surface's two threads) never share one, and a pair above
+_BLOCK_ELEMENTS elements (one block wider than the cap) is not kept, so
+the scratch that stays allocated is at most that size per thread.  A
+thread that lives for one call would drop its pair when it ends, so its
+caller passes a `scratch` dict of its own, which keeps the pair between
+calls.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from scipy.integrate import quad
@@ -49,16 +52,16 @@ __all__ = [
     "smoothed_bootstrap",
 ]
 
-#: cap on the (data x window) block one engine step evaluates, in doubles.
+#: cap on the (rows x window) block one engine step evaluates, in doubles.
 #: perfbench ops/s, medians of 3 runs at 25k / 50k / 100k on a 2-vCPU VM,
-#: measured on the engine before it added with np.add.at (one np.bincount
-#: per block): study 9.1 / 10.5 / 11.5 (peak RSS 96.2 / 98.4 / 101.3 MiB),
-#: risk 72 / 72 / 63.  50k kept risk at its best; 100k would have bought
-#: study 10% with 3 MiB and 12% of risk's speed
+#: measured on the np.bincount engine that preceded np.add.at and not
+#: re-measured since: study 9.1 / 10.5 / 11.5 (peak RSS 96.2 / 98.4 /
+#: 101.3 MiB), risk 72 / 72 / 63.  50k kept risk at its best; 100k would
+#: have bought study 10% with 3 MiB and 12% of risk's speed
 _BLOCK_ELEMENTS = 50_000
-#: free scratch sets (index, u) of `_kde_many`, two flat arrays of one
-#: size; a set above _BLOCK_ELEMENTS elements is not kept
-_SCRATCH: list[tuple[np.ndarray, np.ndarray]] = []
+#: this thread's scratch `pair` (index, u) of `_kde_many`, two flat arrays
+#: of one size; a pair above _BLOCK_ELEMENTS elements is not kept
+_SCRATCH = threading.local()
 
 
 def _checked_sample(data) -> np.ndarray:
@@ -82,22 +85,27 @@ def _reach(hs: float, at):
     return hs * (1.0 + 1e-14) + 1e-15 * abs(at)
 
 
-def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
+def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT,
+              scratch: dict | None = None) -> np.ndarray:
     """Estimates of B samples at G bandwidths on T sorted points at once:
 
         out[b, g, t] = (1 / (n * hs[g])) * sum_i K((points[t] - samples[b, i]) / hs[g])
 
     with samples of shape (B, n), finite, and points sorted ascending as
     np.sort orders them (NaN last).  Each datum's kernel reaches a
-    contiguous run of points; one searchsorted per bandwidth finds it and
-    the kernel is evaluated on the padded (live columns x widest run)
-    blocks with the same u as the dense sum over all pairs; the live
-    columns run from the first to the last sorted datum whose run is
-    nonempty in some sample, and the others would add exact zeros.  Each
-    block's values are added straight into their samples' rows of `out` by
-    one np.add.at, in array order, so every point adds its values in
-    sorted-data order whatever the blocks; each bandwidth's rows are then
-    scaled once by 1 / (n * h).
+    contiguous run of points; one searchsorted per bandwidth finds it.  The
+    live columns run from the first to the last sorted datum whose run is
+    nonempty in some sample (the others would add exact zeros); their
+    (sample, datum) rows, raveled sample-major, are evaluated on the widest
+    run in blocks of whole rows with the same u as the dense sum over all
+    pairs.  `points` is tiled once per call, B copies end to end, so one
+    index, run start + b*T + window, both gathers row b's points and
+    addresses sample b's row of out[g]; one np.add.at per block adds the
+    values there in array order, so every point adds its values in
+    sorted-data order whatever the blocks.  Each bandwidth is then scaled
+    once by 1 / (n * h).  out is laid out (G, B, T) and returned as its
+    (B, G, T) transpose view.  The scratch pair is `scratch["pair"]`,
+    this thread's own when `scratch` is None.
     The result is within the rounding bound of the module docstring of
     `kernel((points[:, None] - np.sort(sample)) / h).sum(axis=-1) * (1 / (n * h))`,
     and exactly 0.0 where no datum reaches; NaN and infinite points give 0.
@@ -116,62 +124,49 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
         raise ParameterError("points must be sorted ascending, NaN last")
     B, n = samples.shape
     G, T = hs.size, points.size
-    out = np.zeros((B, G, T))
+    out = np.zeros((G, B, T))
     if B == 0 or T == 0:
-        return out
+        return out.transpose(1, 0, 2)
     data = np.sort(samples, axis=1)
     s = float(kernel.support_halfwidth)
-    try:  # list.pop and list.append are atomic, so each thread holds its own set
-        index, u = _SCRATCH.pop()
-    except IndexError:
-        index = u = np.empty(0)
-    try:
-        for g, h in enumerate(hs):
-            reach = _reach(h * s, data)
-            lo = np.searchsorted(points, data - reach, side="left")
-            runs = np.searchsorted(points, data + reach, side="right") - lo
-            # the live columns: those whose run is nonempty in some sample
-            live = np.flatnonzero(runs.max(axis=0))
-            if live.size == 0:
-                continue
-            width = int(runs.max())
-            # shifting a run left to fit the array only adds points below
-            # X - h*s, whose kernel values are exact zeros
-            start = np.minimum(lo, T - width)
-            window = np.arange(width)
-            # blocks of at most _BLOCK_ELEMENTS values: whole samples over all
-            # live columns, or one sample over a run of its live columns
-            span = range(live[0], live[-1] + 1)
-            step = max(1, _BLOCK_ELEMENTS // width)
-            per_block = max(1, step // len(span))
-            need = min(per_block, B) * min(step, len(span)) * width
-            if index.size < need:
-                index, u = np.empty(need, np.intp), np.empty(need)
-            for b0 in range(0, B, per_block):
-                rows = slice(b0, b0 + per_block)
-                # sample b0 + k adds into out[b0 + k, g], k*G*T entries past out[b0, g]
-                into = out.reshape(-1)[(b0 * G + g) * T:]
-                for c0 in span[::step]:
-                    cols = slice(c0, min(c0 + step, span.stop))
-                    first = start[rows, cols]
-                    shape = (*first.shape, width)
-                    m = math.prod(shape)
-                    pos = index[:m].reshape(shape)
-                    np.add(first[..., None], window, out=pos)
-                    # (t - X) / h in place: the dense sum's two roundings
-                    blk = np.take(points, pos, out=u[:m].reshape(shape), mode="clip")
-                    blk -= data[rows, cols, None]
-                    blk /= h
-                    if shape[0] > 1:
-                        pos += (np.arange(shape[0]) * (G * T))[:, None, None]
-                    # np.add.at adds in array order, so each point adds its
-                    # values in sorted-data order however the blocks fall
-                    np.add.at(into, index[:m], kernel(blk).ravel())
-            out[:, g] *= 1.0 / (n * h)
-    finally:
-        if index.size <= _BLOCK_ELEMENTS:
-            _SCRATCH.append((index, u))
-    return out
+    tiled = np.tile(points, B)
+    offset = np.arange(0, B * T, T)[:, None]  # sample b's row starts at b*T
+    if scratch is None:
+        scratch = _SCRATCH.__dict__  # this thread's
+    index, u = scratch.get("pair", (np.empty(0, np.intp), np.empty(0)))
+    for g, h in enumerate(hs):
+        reach = _reach(h * s, data)
+        lo = np.searchsorted(points, data - reach, side="left")
+        runs = np.searchsorted(points, data + reach, side="right") - lo
+        # the live columns: those whose run is nonempty in some sample
+        live = np.flatnonzero(runs.max(axis=0))
+        if live.size == 0:
+            continue
+        cols = slice(live[0], live[-1] + 1)
+        width = int(runs.max())
+        # shifting a run left to fit the row only adds points below
+        # X - h*s, whose kernel values are exact zeros
+        start = (np.minimum(lo[:, cols], T - width) + offset).ravel()
+        x = data[:, cols].ravel()
+        window = np.arange(width)
+        step = max(1, _BLOCK_ELEMENTS // width)
+        need = min(step, x.size) * width
+        if index.size < need:
+            index, u = np.empty(need, np.intp), np.empty(need)
+            if need <= _BLOCK_ELEMENTS:
+                scratch["pair"] = index, u
+        into = out[g].reshape(-1)
+        for r0 in range(0, x.size, step):
+            first = start[r0:r0 + step, None]
+            m = first.size * width
+            pos = np.add(first, window, out=index[:m].reshape(-1, width))
+            # (t - X) / h in place: the dense sum's two roundings
+            blk = np.take(tiled, pos, out=u[:m].reshape(pos.shape), mode="clip")
+            blk -= x[r0:r0 + step, None]
+            blk /= h
+            np.add.at(into, index[:m], kernel(blk).ravel())
+        out[g] *= 1.0 / (n * h)
+    return out.transpose(1, 0, 2)
 
 
 def _loo(v, count: int, h, kernel: Kernel):

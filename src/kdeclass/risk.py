@@ -39,6 +39,7 @@ from .errors import (
     RegimeError,
     _require_integers,
     _require_positive,
+    _require_priors,
 )
 from .kde import kde_mean_var
 from .kernels import TRIWEIGHT, Kernel
@@ -393,12 +394,11 @@ def optimal_bandwidths(pair: DensityPair, cs: CrossingSet, n: int, r: float = 1.
 # several populations
 # ----------------------------------------------------------------------
 def _validate_multi(models, crossing_table, r):
-    models = [(d, float(w)) for d, w in models]
+    models = list(models)
     if len(models) < 2:
         raise ParameterError("need at least two populations")
-    priors = np.array([w for _, w in models])
-    if not (np.all(priors > 0) and abs(priors.sum() - 1.0) <= 1e-9):  # NaN fails too
-        raise ParameterError("priors must be positive and sum to 1")
+    _require_priors([w for _, w in models])
+    models = [(d, float(w)) for d, w in models]
     _require_positive(r=r)
     r = np.asarray(r, dtype=float)
     if r.shape != (len(models),):

@@ -17,6 +17,7 @@ writes only its own array, so the surface does not depend on that.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import factorial, sqrt, pi
@@ -49,6 +50,10 @@ _SCALE_RULES = ("normal-sd", "iqr", "robust-min")
 #: cap on the (replicates, G1, G2, T) comparison that error_surface counts
 #: per chunk of replicates, in booleans, so memory does not grow with B
 _COUNT_ELEMENTS = 1 << 20
+#: per calling thread, the `_kde_many` scratch of error_surface's worker
+#: thread: the worker is new on every call, and a pair kept on it would be
+#: freed and allocated again each time
+_WORKER_SCRATCH = threading.local()
 
 
 @dataclass(frozen=True)
@@ -251,11 +256,17 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
         xs[b] = smoothed_bootstrap(ftilde, x_data.size, rng)
         ys[b] = smoothed_bootstrap(gtilde, y_data.size, rng)
     # the two calls spend most of their time in numpy code that releases
-    # the GIL, so the y call on a worker overlaps the x call here
+    # the GIL, so the y call on a worker overlaps the x call here; the
+    # worker ends with this call, so its scratch is kept by this thread
     with ThreadPoolExecutor(max_workers=1) as pool:
-        g_future = pool.submit(_kde_many, ys, grid_h2, grid, config.kernel)
-        pf = p * _kde_many(xs, grid_h1, grid, config.kernel)
-        qg = (1.0 - p) * g_future.result()
+        g_future = pool.submit(_kde_many, ys, grid_h2, grid, config.kernel,
+                               _WORKER_SCRATCH.__dict__)
+        pf = _kde_many(xs, grid_h1, grid, config.kernel)
+        qg = g_future.result()
+    # scaled in place, so a call allocates no output-sized array beyond the
+    # two estimates
+    pf *= p
+    qg *= 1.0 - p
 
     # fraction over replicates of deltahat* < 0, all cells at once: chunks
     # of (c, n1, 1, T) against (c, 1, n2, T) counted into (n1, n2, T); a

@@ -166,6 +166,13 @@ def test_custom_density_adapter():
         bare.cdf(0.0)
 
 
+def test_custom_density_support_edges_may_be_infinite():
+    pdf = Normal(0.0, 1.0).pdf
+    assert CustomDensity(pdf).support == (-np.inf, np.inf)
+    assert CustomDensity(pdf, support=(0, np.inf)).support == (0.0, np.inf)
+    assert CustomDensity(pdf, support=(-np.inf, np.float64(2.5))).support == (-np.inf, 2.5)
+
+
 def _laplace():
     return CustomDensity(lambda x: np.exp(-np.abs(x)) / 2.0,
                          derivs=(lambda x: -np.sign(x) * np.exp(-np.abs(x)) / 2.0,),

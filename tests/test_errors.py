@@ -34,6 +34,7 @@ from kdeclass import (
     SelectorConfig,
     bootstrap_err,
     class1_objective,
+    classify_multi,
     classify_multivariate,
     crossings,
     cv_err,
@@ -195,6 +196,9 @@ def _cv(**kw):
 POSITIVE, OPEN_UNIT, FINITE, SEED = "positive", "open unit", "finite", 0
 #: a name from a fixed set: its rows are "a" and its extra values
 CHOICE = "choice"
+#: an interval (lo, hi): its rows are empty, reversed and NaN-edged
+#: intervals, one with a text edge, "a" and its extra values
+INTERVAL = "interval"
 #: an integer CLI flag: argparse rejects what is not an integer, so the
 #: flag's rows are its extra values alone
 FLAG = None
@@ -226,6 +230,12 @@ SITES = [
     ("Cauchy", "gamma", POSITIVE, lambda v: Cauchy(0.0, v), ()),
     ("NormalMixture", "weights", POSITIVE,
      lambda v: NormalMixture((0.5, v), (0.0, 1.0), (1.0, 1.0)), ()),
+    ("NormalMixture", "means[1]", FINITE,
+     lambda v: NormalMixture((0.5, 0.5), (0.0, v), (1.0, 1.0)), ()),
+    ("NormalMixture", "sigmas[1]", POSITIVE,
+     lambda v: NormalMixture((0.5, 0.5), (0.0, 1.0), (1.0, v)), ()),
+    ("CustomDensity", "support", INTERVAL,
+     lambda v: CustomDensity(Normal(0, 1).pdf, support=v), (None, (0.0, 1.0, 2.0))),
     ("Pareto", "alpha", POSITIVE, lambda v: Pareto(v), (0.5, 1.0)),
     ("DensityPair", "p", OPEN_UNIT, lambda v: DensityPair(Normal(0, 1), Normal(1, 1), v), ()),
     ("DensityPair.sample", "n", 0, lambda v: CLASS1A.sample("f", v, np.random.default_rng(0)),
@@ -240,6 +250,8 @@ SITES = [
     ("fit_classifier", "p", OPEN_UNIT, lambda v: fit_classifier(X, Y, 0.3, 0.3, p=v), ()),
     ("fit_classifier", "h1", POSITIVE, lambda v: fit_classifier(X, Y, v, 0.3), ()),
     ("fit_classifier", "h2", POSITIVE, lambda v: fit_classifier(X, Y, 0.3, v), ()),
+    ("classify_multi", "priors[0]", POSITIVE,
+     lambda v: classify_multi([(EST, v), (EST, 0.5)], 0.0), (None, "0.5")),
     ("classify_multivariate", "p", OPEN_UNIT,
      lambda v: classify_multivariate(X2, Y2, 0.5, 0.5, [0.0, 0.0], p=v), ()),
     ("classify_multivariate", "h1", POSITIVE,
@@ -302,6 +314,9 @@ SITES = [
      lambda v: optimal_bandwidths(CLASS2B, CS2B, n=100, r=v), ()),
     ("multi_t", "r", POSITIVE, lambda v: multi_t(MODELS, TABLE, [1.0, 1.0], [1.0, v]), ()),
     ("multi_t", "H", POSITIVE, lambda v: multi_t(MODELS, TABLE, [v, 1.0], [1.0, 1.0]), ()),
+    ("multi_t", "priors[1]", POSITIVE,
+     lambda v: multi_t([(CLASS1A.f, 0.5), (CLASS1A.g, v)], TABLE, [1.0, 1.0], [1.0, 1.0]),
+     (None, "0.5")),
     # simulate
     ("ExperimentConfig", "reps", 1, lambda v: ExperimentConfig("class1a", reps=v), ()),
     ("ExperimentConfig", "threads", 1, lambda v: ExperimentConfig("class1a", threads=v), ()),
@@ -330,6 +345,8 @@ def _bad_values(kind) -> tuple:
         return ()
     if kind == CHOICE:
         values = ()
+    elif kind == INTERVAL:
+        values = ((1.0, 1.0), (1.0, 0.0), (INF, INF), (NAN, 1.0), (0.0, NAN), ("0", 1.0))
     elif kind == POSITIVE:
         values = (NAN, INF, -INF, 0.0, -1.0)
     elif kind == OPEN_UNIT:

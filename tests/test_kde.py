@@ -396,32 +396,32 @@ class FailingKernel(Kernel):
 
 
 def test_kde_many_correct_after_a_call_that_raises(monkeypatch):
-    # a call that stops mid-way returns its scratch set, partly written,
-    # and the next call still gives the same bytes
-    monkeypatch.setattr(kde_module, "_SCRATCH", [])
+    # a call that stops mid-way leaves this thread's scratch pair partly
+    # written, and the next call still gives the same bytes
+    monkeypatch.setattr(kde_module, "_SCRATCH", threading.local())
     monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", 500)
     samples, hs, points, _ = engine_calls(4, 1)[0]
     want = _kde_many(samples, hs, points).tobytes()
     for k in (1, 2, 5):
         with pytest.raises(RuntimeError, match="kernel failed"):
             _kde_many(samples[:, ::-1], hs[::-1], points, FailingKernel(k))
-        assert len(kde_module._SCRATCH) == 1
+        assert hasattr(kde_module._SCRATCH, "pair")
         assert _kde_many(samples, hs, points).tobytes() == want
 
 
 def test_kde_many_keeps_no_scratch_above_the_bound(monkeypatch):
-    # every datum reaches all T points, so one call's set holds a block of
-    # T elements; it is dropped, and a small call after it still works
-    monkeypatch.setattr(kde_module, "_SCRATCH", [])
+    # every datum reaches all T points, so the call's one block holds T
+    # elements; that pair is not kept, and a small call after it still works
+    monkeypatch.setattr(kde_module, "_SCRATCH", threading.local())
     keep = kde_module._BLOCK_ELEMENTS
     small = (np.array([[0.0, 0.5]]), [0.3], np.linspace(-1.0, 1.0, 50))
     _kde_many(*small)
     points = np.linspace(-1.0, 1.0, 3 * keep)
     got = _kde_many(np.array([[-0.5, 0.0, 0.25]]), [2.0], points)
     assert_matches_dense(got[0, 0], np.array([-0.5, 0.0, 0.25]), 2.0, TRIWEIGHT, points)
-    assert all(index.size <= keep for index, _ in kde_module._SCRATCH)
+    index, u = kde_module._SCRATCH.pair
+    assert index.size <= keep and u.size == index.size
     assert_matches_dense(_kde_many(*small)[0, 0], small[0][0], 0.3, TRIWEIGHT, small[2])
-    assert len(kde_module._SCRATCH) == 1
 
 
 def same_bits(a, b) -> bool:

@@ -344,6 +344,21 @@ def test_error_surface_joins_its_worker(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_error_surface_keeps_its_workers_scratch(monkeypatch):
+    # each call's worker thread is new, and the next call's worker reuses
+    # the scratch pair the last one allocated, with the same values
+    monkeypatch.setattr(selector, "_WORKER_SCRATCH", threading.local())
+    rng = np.random.default_rng(8)
+    x = rng.normal(0.0, 1.0, 30)
+    y = rng.normal(1.0, 1.0, 25)
+    cfg = _tight_config(boot_iters=5, grid_per_dim=3)
+    grid = np.array([0.3, 0.6, 1.0])
+    want = error_surface(x, y, grid, grid, 0.5, cfg).tobytes()
+    pair = selector._WORKER_SCRATCH.pair
+    assert error_surface(x, y, grid, grid, 0.5, cfg).tobytes() == want
+    assert selector._WORKER_SCRATCH.pair is pair
+
+
 def test_error_surface_counts_in_chunks(monkeypatch):
     rng = np.random.default_rng(8)
     x = rng.normal(0.0, 1.0, 30)
