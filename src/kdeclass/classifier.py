@@ -26,8 +26,8 @@ from operator import itemgetter
 import numpy as np
 
 from .densities import DensityPair
-from .errors import (EmptyTailError, ParameterError, _require_open_unit, _require_positive,
-                     _require_priors)
+from .errors import (EmptyTailError, ParameterError, _checked_interval, _require_open_unit,
+                     _require_positive, _require_priors)
 from .kde import KdeEstimate, _checked_sample
 from .kernels import TRIWEIGHT, Kernel, multivariate_norm_constant
 
@@ -184,7 +184,7 @@ def classify_multivariate(x_data, y_data, h1: float, h2: float, x,
     """
     xd = np.atleast_2d(_checked_sample(x_data))
     yd = np.atleast_2d(_checked_sample(y_data))
-    q = np.asarray(x, dtype=float).ravel()
+    q = _checked_sample(x, "x").ravel()
     d = q.size
     if xd.shape[1] != d or yd.shape[1] != d:
         raise ParameterError("data and query dimensions disagree")
@@ -262,8 +262,7 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
     """
     if rule not in ("ahat", "body"):
         raise ParameterError("rule must be 'ahat' or 'body'")
-    if not lo < hi:
-        raise ParameterError("need lo < hi")
+    _checked_interval("(lo, hi)", (lo, hi))  # the segments keep lo's and hi's types
     starts, ends = _support_islands(clf)
     spacing = min((ends[-1] - starts[0]) / _BASE_GRID, min(clf.fhat.reach, clf.ghat.reach) / 4.0)
     # the islands meeting (lo, hi), clipped to it: edges run lo, a1, b1, a2,

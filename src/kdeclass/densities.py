@@ -24,6 +24,11 @@ All benchmark priors are 1/2.  The class1b mixture is
 (1/5) N(1/2, 1) + (1/5) N(1, (2/3)^2) + (3/5) N(19/12, (5/9)^2); its
 crossing with the standard normal sits at 0.70666 with curvatures
 -0.1556 / +0.3271, and it crosses exactly once on [-4, 5].
+
+scipy is imported where it is used, on the first call: the normal cdf and
+quantile (scipy.special's ndtr and ndtri) and the numeric cdf inversion
+behind the default `ppf` and `pooled_ppf` (scipy.optimize.brentq).  Densities,
+samples and derivatives use numpy alone.
 """
 
 from __future__ import annotations
@@ -31,12 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
 
 from .errors import (DegenerateCrossingError, NumericError, ParameterError, ResolutionError,
-                     _require_finite, _require_integers, _require_open_unit,
-                     _require_positive)
+                     _checked_interval, _require_finite, _require_integers,
+                     _require_open_unit, _require_positive)
 
 __all__ = [
     "Density",
@@ -144,6 +147,7 @@ def _invert_cdf(cdf, q: float, lo: float, hi: float) -> float:
         hi = hi * 2 if hi > 0 else hi + max(1.0, abs(hi))
     else:
         raise NumericError(f"no x with cdf(x) > {q:g} found up to {hi:.6g}")
+    from scipy.optimize import brentq
     return brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-12, rtol=1e-14)
 
 
@@ -163,9 +167,11 @@ class Normal(Density):
         return sign * _HERMITE[order](z) * phi / self.sigma ** (order + 1)
 
     def _cdf(self, x):
+        from scipy.special import ndtr
         return ndtr((x - self.mu) / self.sigma)
 
     def _ppf(self, q):
+        from scipy.special import ndtri
         return self.mu + self.sigma * ndtri(q)
 
     def _sample(self, n, rng):
@@ -181,8 +187,15 @@ class NormalMixture(Density):
     def __init__(self, weights, means, sigmas):
         _require_positive(weights=weights)
         w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or len(w) != len(means) or len(w) != len(sigmas):
-            raise ParameterError("weights, means, sigmas must have equal length")
+        if w.ndim != 1:
+            raise ParameterError(f"weights must be a sequence, got {weights!r}")
+        for name, values in (("means", means), ("sigmas", sigmas)):
+            try:
+                matched = len(values) == len(w)
+            except TypeError:  # no length: a number, None
+                matched = False
+            if not matched:
+                raise ParameterError(f"{name} must give one value per weight, got {values!r}")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ParameterError("weights must sum to 1")
         _require_finite(**{f"means[{i}]": m for i, m in enumerate(means)})
@@ -310,14 +323,7 @@ class CustomDensity(Density):
         self._cdf_fn = cdf
         self._ppf_fn = ppf
         self._sampler = sampler
-        try:  # comparing text, None or an array with a float raises
-            lo, hi = support
-            ordered = -np.inf <= lo < hi <= np.inf  # False for NaN
-        except (TypeError, ValueError):
-            ordered = False
-        if not ordered:
-            raise ParameterError(f"support must be an interval lo < hi, got {support!r}")
-        self.support = (float(lo), float(hi))
+        self.support = _checked_interval("support", support)
 
     def _deriv(self, order, x):
         if order >= len(self._fns) or self._fns[order] is None:
@@ -532,9 +538,7 @@ def crossings(pair: DensityPair, interval: tuple[float, float] | None = None,
     _require_integers(grid_points=grid_points, minimum=8)
     if interval is None:
         interval = (pair.pooled_ppf(1e-4), pair.pooled_ppf(1.0 - 1e-4))
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ParameterError("interval must satisfy lo < hi")
+    lo, hi = _checked_interval("interval", interval, finite=True)
 
     xs = np.linspace(lo, hi, int(grid_points))
     ds = pair.delta(xs)

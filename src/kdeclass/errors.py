@@ -16,7 +16,8 @@ taking the arguments by name and naming the first that fails:
 * `_require_finite`: any finite real: locations.
 
 `_require_priors` checks a list of class priors with `_require_positive`,
-one `priors[i]` at a time, and then their sum.
+one `priors[i]` at a time, and then their sum.  `_checked_interval` checks
+an interval (lo, hi) and returns it as two floats.
 
 NaN, +-inf and values that are not numbers (a string, even '1.5', None)
 pass none of them.
@@ -145,6 +146,23 @@ def _require_finite(**values) -> None:
             finite = False
         if not finite:
             raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
+def _checked_interval(name: str, value, *, finite: bool = False) -> tuple[float, float]:
+    """value as the floats (lo, hi); raise ParameterError naming it unless it
+    is a pair of numbers with lo < hi, either edge possibly infinite unless
+    `finite`."""
+    try:  # comparing text, None or an array with a float raises
+        lo, hi = value
+        ordered = -math.inf <= lo < hi <= math.inf  # False for NaN
+        if finite:
+            ordered = ordered and math.isfinite(lo) and math.isfinite(hi)
+    except (TypeError, ValueError):  # not a pair of numbers
+        ordered = False
+    if not ordered:
+        kind = "a finite interval" if finite else "an interval"
+        raise ParameterError(f"{name} must be {kind} lo < hi, got {value!r}")
+    return float(lo), float(hi)
 
 
 def _require_priors(priors) -> None:

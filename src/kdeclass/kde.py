@@ -32,6 +32,9 @@ the scratch that stays allocated is at most that size per thread.  A
 thread that lives for one call would drop its pair when it ends, so its
 caller passes a `scratch` dict of its own, which keeps the pair between
 calls.
+
+Only `kde_mean_var` needs scipy (scipy.integrate.quad), and imports it on
+its first call; the estimator, the engine and the bootstrap use numpy alone.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (NumericError, ParameterError, _require_finite, _require_integers,
                      _require_positive)
@@ -64,18 +66,19 @@ _BLOCK_ELEMENTS = 50_000
 _SCRATCH = threading.local()
 
 
-def _checked_sample(data) -> np.ndarray:
-    """data as a float array, which must be numbers (not text), nonempty and finite."""
+def _checked_sample(data, name: str = "data") -> np.ndarray:
+    """data as a float array, which must be numbers (not text), nonempty and
+    finite; the ParameterError otherwise names it as `name`."""
     try:
         if np.asarray(data).dtype.kind in "US":  # text, which numpy would parse
             raise ValueError
         data = np.asarray(data, dtype=float)
     except (TypeError, ValueError):
-        raise ParameterError("data must be numeric") from None
+        raise ParameterError(f"{name} must be numeric") from None
     if data.size == 0:
-        raise ParameterError("data must be nonempty")
+        raise ParameterError(f"{name} must be nonempty")
     if not np.all(np.isfinite(data)):
-        raise ParameterError("data must be finite")
+        raise ParameterError(f"{name} must be finite")
     return data
 
 
@@ -256,6 +259,7 @@ def kde_mean_var(density, kernel: Kernel, h: float, count: int, y: float):
     _require_positive(h=h)
     _require_integers(count=count, minimum=1)
     _require_finite(y=y)
+    from scipy.integrate import quad
     s = float(kernel.support_halfwidth)
 
     def _quad(fn):

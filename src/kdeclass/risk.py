@@ -20,6 +20,12 @@ Notation used throughout (p is the prior of the first population, q = 1-p):
   If the fourth-order factor also vanishes the h^8 bias term disappears and
   the optimal rate degrades to n^(-1/13); constants at that order are out of
   scope, so the plan only records the rate.
+
+scipy is imported where it is used, on the first call: the quadrature for a
+density without a cdf (scipy.integrate.quad, in _segment_mass) and the
+Nelder-Mead restarts of the class1 and multi-population optima
+(scipy.optimize.minimize).  The risks also reach it through the normal cdf
+and `crossings` (see `densities`).
 """
 
 from __future__ import annotations
@@ -27,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize
 
 from .classifier import FROM_F, FROM_G, _interior_point, decision_segments, fit_classifier
 from .densities import CrossingSet, DensityPair, crossings
@@ -37,6 +41,7 @@ from .errors import (
     OptimizationError,
     ParameterError,
     RegimeError,
+    _checked_interval,
     _require_integers,
     _require_positive,
     _require_priors,
@@ -113,6 +118,7 @@ def _segment_mass(density, a: float, b: float) -> float:
         pass
     if not (np.isfinite(a) and np.isfinite(b)):
         raise NumericError("cannot integrate a cdf-less density to infinity")
+    from scipy.integrate import quad
     val, err = quad(density.pdf, a, b, epsabs=1e-10, limit=200)
     if err > 1e-7:
         raise NumericError(f"segment quadrature error {err:.2g} too large")
@@ -137,9 +143,7 @@ def bayes_risk(pair: DensityPair, interval: tuple[float, float] | None = None,
     densities without a cdf).  cs None means crossings(pair) at its
     defaults, found once per pair (see _default_crossings).
     """
-    lo, hi = (-np.inf, np.inf) if interval is None else (float(interval[0]), float(interval[1]))
-    if not lo < hi:
-        raise ParameterError("interval must satisfy lo < hi")
+    lo, hi = (-np.inf, np.inf) if interval is None else _checked_interval("interval", interval)
     if cs is None:
         cs = _default_crossings(pair)
     cuts = [y.y for y in cs.points if lo < y.y < hi]
@@ -182,7 +186,7 @@ def empirical_risk(pair: DensityPair, m: int, n: int, h1: float, h2: float,
     else:
         if interval is None:
             interval = (pair.pooled_ppf(1e-4), pair.pooled_ppf(1.0 - 1e-4))
-        lo, hi = float(interval[0]), float(interval[1])
+        lo, hi = _checked_interval("interval", interval)
 
     vals = np.empty(int(reps))
     for rep in range(int(reps)):
@@ -320,6 +324,7 @@ def _multistart_nelder_mead(fun, starts, maxiter: int, maxfev: int,
                             context: str) -> np.ndarray:
     """Best Nelder-Mead minimizer over the starts; OptimizationError (message
     ending in `context`) when their minima differ by over 1e-8 relative."""
+    from scipy.optimize import minimize
     results = []
     for x0 in starts:
         res = minimize(fun, x0, method="Nelder-Mead",

@@ -32,12 +32,14 @@ from kdeclass import (
     ParameterError,
     Pareto,
     SelectorConfig,
+    bayes_risk,
     bootstrap_err,
     class1_objective,
     classify_multi,
     classify_multivariate,
     crossings,
     cv_err,
+    decision_segments,
     empirical_risk,
     error_surface,
     expansion_b1_b2,
@@ -181,6 +183,7 @@ TINY = SelectorConfig(boot_iters=4, grid_per_dim=3, quad_points=51)
 MODELS = [(CLASS1A.f, 0.5), (CLASS1A.g, 0.5)]
 TABLE = {(0, 1): [pt.y for pt in CS1A]}
 EST = KdeEstimate([0.0, 1.0, 2.0], 0.5)
+CLF = fit_classifier(X, Y, 0.5, 0.5)
 CUSTOM = CustomDensity(Normal(0, 1).pdf, sampler=lambda n, rng: rng.normal(size=n))
 TAIL = dict(n_list=(30,), reps=1, contrast_n=40, contrast_grid=(3.0, 6.0, 11), seed=0)
 
@@ -193,9 +196,17 @@ def _cv(**kw):
     return run_cv_comparison(**{"n": 20, "reps": 1, "seed": 0, "config": TINY, **kw})
 
 
+def _segments(v):
+    """decision_segments over the interval v: a pair gives lo and hi, any
+    other value is passed as both."""
+    return decision_segments(CLF, *(v if isinstance(v, tuple) else (v, v)))
+
+
 POSITIVE, OPEN_UNIT, FINITE, SEED = "positive", "open unit", "finite", 0
 #: a name from a fixed set: its rows are "a" and its extra values
 CHOICE = "choice"
+#: a sequence with one value per weight: its rows are "a" and its extra values
+SEQUENCE = "sequence"
 #: an interval (lo, hi): its rows are empty, reversed and NaN-edged
 #: intervals, one with a text edge, "a" and its extra values
 INTERVAL = "interval"
@@ -234,6 +245,10 @@ SITES = [
      lambda v: NormalMixture((0.5, 0.5), (0.0, v), (1.0, 1.0)), ()),
     ("NormalMixture", "sigmas[1]", POSITIVE,
      lambda v: NormalMixture((0.5, 0.5), (0.0, 1.0), (1.0, v)), ()),
+    ("NormalMixture", "means", SEQUENCE,
+     lambda v: NormalMixture((0.5, 0.5), v, (1.0, 1.0)), (3, None, (0.0, 1.0, 2.0))),
+    ("NormalMixture", "sigmas", SEQUENCE,
+     lambda v: NormalMixture((0.5, 0.5), (0.0, 1.0), v), (None, 1.0, (1.0,))),
     ("CustomDensity", "support", INTERVAL,
      lambda v: CustomDensity(Normal(0, 1).pdf, support=v), (None, (0.0, 1.0, 2.0))),
     ("Pareto", "alpha", POSITIVE, lambda v: Pareto(v), (0.5, 1.0)),
@@ -246,6 +261,8 @@ SITES = [
     ("make_pair-pareto", "alpha", FINITE, lambda v: make_pair("pareto", alpha=v, beta=2.5), ()),
     ("make_pair-pareto", "beta", FINITE, lambda v: make_pair("pareto", alpha=2.0, beta=v), ()),
     ("crossings", "grid_points", 8, lambda v: crossings(CLASS1A, grid_points=v), ()),
+    ("crossings", "interval", INTERVAL, lambda v: crossings(CLASS1A, v),
+     (("a", 1.0), (None, 1.0), (-INF, 1.0), (0.0, INF))),
     # classifier
     ("fit_classifier", "p", OPEN_UNIT, lambda v: fit_classifier(X, Y, 0.3, 0.3, p=v), ()),
     ("fit_classifier", "h1", POSITIVE, lambda v: fit_classifier(X, Y, v, 0.3), ()),
@@ -258,6 +275,9 @@ SITES = [
      lambda v: classify_multivariate(X2, Y2, v, 0.5, [0.0, 0.0]), ()),
     ("classify_multivariate", "h2", POSITIVE,
      lambda v: classify_multivariate(X2, Y2, 0.5, v, [0.0, 0.0]), ()),
+    ("classify_multivariate", "x", FINITE,
+     lambda v: classify_multivariate(X2, Y2, 0.5, 0.5, [v, 0.0]), (None, "0.5")),
+    ("decision_segments", "(lo, hi)", INTERVAL, _segments, (("a", 1.0), (None, 1.0))),
     # selector
     ("SelectorConfig", "boot_iters", 1, lambda v: SelectorConfig(boot_iters=v), ()),
     ("SelectorConfig", "grid_per_dim", 2, lambda v: SelectorConfig(grid_per_dim=v), ()),
@@ -294,6 +314,10 @@ SITES = [
      lambda v: empirical_risk(CLASS1A, 20, 20, v, 0.5, reps=1, seed=0), ()),
     ("empirical_risk", "h2", POSITIVE,
      lambda v: empirical_risk(CLASS1A, 20, 20, 0.5, v, reps=1, seed=0), ()),
+    ("empirical_risk", "interval", INTERVAL,
+     lambda v: empirical_risk(CLASS1A, 20, 20, 0.5, 0.5, reps=1, seed=0, rule="body", interval=v),
+     (("a", 1.0), (None, 1.0))),
+    ("bayes_risk", "interval", INTERVAL, lambda v: bayes_risk(CLASS1A, v, cs=CS1A), (("a", 0.0),)),
     ("expansion_b1_b2", "H1", POSITIVE, lambda v: expansion_b1_b2(CLASS1A, CS1A, v, 1.0), ()),
     ("expansion_b1_b2", "H2", POSITIVE, lambda v: expansion_b1_b2(CLASS1A, CS1A, 1.0, v), ()),
     ("expansion_b1_b2", "r", POSITIVE,
@@ -343,7 +367,7 @@ SITES = [
 def _bad_values(kind) -> tuple:
     if kind is FLAG:
         return ()
-    if kind == CHOICE:
+    if kind in (CHOICE, SEQUENCE):
         values = ()
     elif kind == INTERVAL:
         values = ((1.0, 1.0), (1.0, 0.0), (INF, INF), (NAN, 1.0), (0.0, NAN), ("0", 1.0))

@@ -1,14 +1,23 @@
 """The package namespace: each module's `__all__` is the one list of its
-public names, and `kdeclass` re-exports exactly those names; and the
-private constants the README names exist."""
+public names, and `kdeclass` re-exports exactly those names; the private
+constants the README names exist; the README's dependency floors are the
+declared ones; and the numpy-only paths load no scipy module."""
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import kdeclass
+from kdeclass import (TRIWEIGHT, Normal, bayes_risk, crossings, kde_mean_var, make_pair,
+                      optimal_bandwidths)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: every module except the command-line entry point, whose `main` is
 #: reached through the `kdeclass` script rather than the namespace
@@ -39,10 +48,66 @@ def test_package_exports_each_name_as_its_modules_object():
 
 
 def test_every_private_constant_the_readme_names_exists():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     names = set(re.findall(r"`(_[A-Z][A-Z0-9_]*)`", readme))
     modules = [importlib.import_module(f"kdeclass.{info.name}")
                for info in pkgutil.iter_modules(kdeclass.__path__)]
     assert names
     missing = {name for name in names if not any(hasattr(m, name) for m in modules)}
     assert not missing, missing
+
+
+def test_readme_dependency_floors_match_pyproject():
+    # a regular expression, not tomllib, which is Python 3.11+
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    python = re.search(r'^requires-python = ">=([\d.]+)"$', pyproject, re.M).group(1)
+    deps = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    declared = {"Python": python, **dict(re.findall(r'"([\w.-]+)>=([\d.]+)"', deps))}
+    line = re.search(r"^Requires (.*)$", (ROOT / "README.md").read_text(), re.M).group(1)
+    stated = dict(re.findall(r"`?([\w.-]+)`? ≥ (\d+(?:\.\d+)*)", line))
+    assert stated == declared == {"Python": "3.10", "numpy": "2.0", "scipy": "1.13"}
+
+
+def _theory_values(pair, cs):
+    """Values from the four scipy-backed functions, as JSON numbers."""
+    plan = optimal_bandwidths(pair, cs, n=100)
+    return [[pt.y for pt in cs], bayes_risk(pair, cs=cs),
+            list(kde_mean_var(Normal(0.0, 1.0), TRIWEIGHT, 0.5, 10, 0.3)), [plan.h1, plan.h2]]
+
+
+#: run in a fresh interpreter, since other test modules import scipy
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+import numpy as np
+import kdeclass
+from kdeclass import cli
+config = kdeclass.SelectorConfig(boot_iters=4, grid_per_dim=3, quad_points=51)
+rng = np.random.default_rng(0)
+x, y = rng.normal(0.0, 1.0, 20), rng.normal(1.0, 1.0, 20)
+kdeclass.select_bandwidths(x, y, config=config, seed=0)
+kdeclass.run_cv_comparison(n=20, reps=1, seed=0, config=config)
+kdeclass.run_study(kdeclass.ExperimentConfig("class1a", n_list=(20, 30), reps=1, selector=config))
+clf = kdeclass.fit_classifier(x, y, 0.5, 0.5)
+kdeclass.decision_segments(clf, -np.inf, np.inf)
+kdeclass.classify_ahat(clf, 9.0)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    cli.main(["--help"])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.path.insert(0, sys.argv[1])
+from test_package import _theory_values
+pair = kdeclass.make_pair("class1a")
+print(json.dumps({"loaded": loaded, "values": _theory_values(pair, kdeclass.crossings(pair))}))
+"""
+
+
+def test_numpy_only_paths_load_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(ROOT / "tests")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["loaded"] == []
+    # the first call of each scipy-backed function imports scipy there
+    pair = make_pair("class1a")
+    assert out["values"] == _theory_values(pair, crossings(pair))
