@@ -96,6 +96,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_study.add_argument("--n-list", type=_parse_n_list, default=DEFAULT_N_LIST,
                          dest="n_list", help="comma-separated sample sizes")
     p_study.add_argument("--reps", type=int, default=100)
+    p_study.set_defaults(run=_cmd_study)
 
     p_tail = sub.add_parser("tail", parents=[common, threads],
                             help="heavy-tail misclassification growth")
@@ -104,17 +105,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_tail.add_argument("--n-list", type=_parse_n_list, default=(100, 400, 1600),
                         dest="n_list")
     p_tail.add_argument("--reps", type=int, default=200)
+    p_tail.set_defaults(run=_cmd_tail)
 
     p_cv = sub.add_parser("cvcheck", parents=[common, threads, selector],
                           help="cross-validation vs bootstrap selector spread")
     p_cv.add_argument("--pair", default="class1a", choices=PAIR_IDS)
     p_cv.add_argument("--n", type=int, default=100)
     p_cv.add_argument("--reps", type=int, default=50)
+    p_cv.set_defaults(run=_cmd_cvcheck)
 
     p_rs = sub.add_parser("risk-surface", parents=[common, selector],
                           help="bootstrap error surface for one training draw")
     p_rs.add_argument("--pair", required=True, choices=PAIR_IDS)
     p_rs.add_argument("--n", type=int, default=100)
+    p_rs.set_defaults(run=_cmd_risk_surface)
 
     return parser, {"study": p_study, "tail": p_tail,
                     "cvcheck": p_cv, "risk-surface": p_rs}
@@ -163,7 +167,7 @@ def _cmd_cvcheck(args) -> int:
 def _cmd_risk_surface(args) -> int:
     _require_integers(seed=args.seed, minimum=0)
     pair = make_pair(args.pair)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
+    rng = np.random.default_rng(args.seed)
     x = pair.sample("f", args.n, rng)
     y = pair.sample("g", args.n, rng)
     sel = select_bandwidths(x, y, pair.p, _selector_config(args), rng=rng)
@@ -193,14 +197,7 @@ def main(argv=None) -> int:
         for sub in subparsers.values():
             sub.set_defaults(**values)
     args = parser.parse_args(argv)
-
-    handlers = {
-        "study": _cmd_study,
-        "tail": _cmd_tail,
-        "cvcheck": _cmd_cvcheck,
-        "risk-surface": _cmd_risk_surface,
-    }
-    return handlers[args.command](args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ samples and derivatives use numpy alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,7 +17,9 @@ taking the arguments by name and naming the first that fails:
 
 `_require_priors` checks a list of class priors with `_require_positive`,
 one `priors[i]` at a time, and then their sum.  `_checked_interval` checks
-an interval (lo, hi) and returns it as two floats.
+an interval (lo, hi) and returns it as two floats.  `_require_generator`
+checks a random generator (`kernels._require_kernel` checks a kernel, as
+this module cannot import `Kernel`).
 
 NaN, +-inf and values that are not numbers (a string, even '1.5', None)
 pass none of them.
@@ -163,6 +165,12 @@ def _checked_interval(name: str, value, *, finite: bool = False) -> tuple[float,
         kind = "a finite interval" if finite else "an interval"
         raise ParameterError(f"{name} must be {kind} lo < hi, got {value!r}")
     return float(lo), float(hi)
+
+
+def _require_generator(rng) -> None:
+    """Raise ParameterError unless rng is a numpy Generator."""
+    if not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"rng must be a numpy.random.Generator, got {rng!r}")
 
 
 def _require_priors(priors) -> None:

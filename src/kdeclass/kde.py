@@ -44,9 +44,9 @@ import threading
 
 import numpy as np
 
-from .errors import (NumericError, ParameterError, _require_finite, _require_integers,
-                     _require_positive)
-from .kernels import TRIWEIGHT, Kernel
+from .errors import (NumericError, ParameterError, _require_finite, _require_generator,
+                     _require_integers, _require_positive)
+from .kernels import TRIWEIGHT, Kernel, _require_kernel
 
 __all__ = [
     "KdeEstimate",
@@ -196,6 +196,7 @@ class KdeEstimate:
     def __init__(self, data, h: float, kernel: Kernel = TRIWEIGHT):
         arr = _checked_sample(data).ravel()
         _require_positive(h=h)
+        _require_kernel(kernel)
         self.data = np.sort(arr)
         self.h = float(h)
         self.kernel = kernel
@@ -256,6 +257,7 @@ def kde_mean_var(density, kernel: Kernel, h: float, count: int, y: float):
     both integrals over the kernel support [-s, s] by adaptive quadrature
     with absolute tolerance 1e-10.
     """
+    _require_kernel(kernel)
     _require_positive(h=h)
     _require_integers(count=count, minimum=1)
     _require_finite(y=y)
@@ -281,6 +283,7 @@ def smoothed_bootstrap(est: KdeEstimate, size: int, rng: np.random.Generator) ->
     eps a kernel draw (rejection sampled).
     """
     _require_integers(size=size, minimum=0)
+    _require_generator(rng)
     size = int(size)
     idx = rng.integers(0, est.count, size=size)
     eps = est.kernel.sample(rng, size=size)

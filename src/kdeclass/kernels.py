@@ -5,18 +5,19 @@ Conventions
 * A kernel K is even, nonnegative, integrates to one, and vanishes outside
   [-s, s] where s is the support halfwidth (s = 1 for all built-ins).
 * Inside the support K(u) is a polynomial in u**2; coefficients are kept as
-  exact rationals so moments, roughness values and c_d are computed in
-  closed form, by one exact integral (_poly_integral); a kernel keeps the
-  moments and roughness values it has computed.  Quadrature never enters
-  the library path (tests use it as an independent oracle).  K(u) itself
-  is evaluated by Horner's rule in
-  t = s**2 - u**2, with coefficients expanded exactly from those in u**2
-  (Kernel.__call__).  For the built-ins that is c * t**p, p = 1, 2, 3, so
-  every value is >= 0, K(+-s) is exactly +0.0 and K(0) exactly K's
-  constant coefficient.  Each value lies within 2 * d * S * eps of the
-  exact K at the same u, d = len(poly_coeffs), S = sum_k |a_k| s**(2k)
-  (0.36 * S * eps at most, measured for the built-ins), so within
-  4 * d * S * eps of np.polyval's value, which the tests check.
+  exact rationals (Fractions in an object array) so moments, roughness
+  values and c_d are computed in closed form by numpy.polynomial's
+  polyder, polymul, polyint and polyval, which stay exact on Fractions; a
+  kernel keeps the moments and roughness values it has computed.
+  Quadrature never enters the library path (tests use it as an independent
+  oracle).  K(u) itself is evaluated by Horner's rule in t = s**2 - u**2,
+  with coefficients expanded exactly from those in u**2 (Kernel.__call__).
+  For the built-ins that is c * t**p, p = 1, 2, 3, so every value is >= 0,
+  K(+-s) is exactly +0.0 and K(0) exactly K's constant coefficient.  Each
+  value lies within 2 * d * S * eps of the exact K at the same u,
+  d = len(poly_coeffs), S = sum_k |a_k| s**(2k) (0.36 * S * eps at most,
+  measured for the built-ins), so within 4 * d * S * eps of np.polyval's
+  value, which the tests check.
 * Derivatives are classical derivatives of the interior polynomial on the
   open support; roughness(r) integrates their square over [-s, s].
 """
@@ -24,9 +25,10 @@ Conventions
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gamma, pi
+from math import gamma, pi
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import ParameterError, _require_integers, _require_positive
 
@@ -39,28 +41,6 @@ __all__ = [
     "get_kernel",
     "multivariate_norm_constant",
 ]
-
-
-def _poly_derivative(coeffs: list[Fraction], times: int) -> list[Fraction]:
-    """Differentiate a full-degree coefficient list (index = power) `times` times."""
-    out = list(coeffs)
-    for _ in range(times):
-        out = [Fraction(k) * c for k, c in enumerate(out)][1:] or [Fraction(0)]
-    return out
-
-
-def _poly_multiply(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_integral(coeffs: list[Fraction], a: Fraction, b: Fraction) -> Fraction:
-    """Integrate a full-degree polynomial (index = power) over [a, b] exactly."""
-    return sum((c * (b ** (d + 1) - a ** (d + 1)) / (d + 1)
-                for d, c in enumerate(coeffs) if c), Fraction(0))
 
 
 class Kernel:
@@ -82,25 +62,24 @@ class Kernel:
         self.poly_coeffs = tuple(Fraction(c) for c in poly_coeffs)
         _require_positive(support_halfwidth=support_halfwidth)
         self.support_halfwidth = Fraction(support_halfwidth)
-        # full-degree coefficient list (index = power of u)
-        full = [Fraction(0)] * (2 * len(self.poly_coeffs) - 1)
-        for k, c in enumerate(self.poly_coeffs):
-            full[2 * k] = c
+        # full-degree coefficient array (index = power of u); every zero is a
+        # Fraction, since polyint would divide an int 0 into a float 0.0
+        full = np.full(2 * len(self.poly_coeffs) - 1, Fraction(0), dtype=object)
+        full[::2] = self.poly_coeffs
         self._full = full
         #: exact functionals already computed, by (name, order): the
         #: bandwidth formulas ask for the same few on every evaluation
         self._exact = {}
-        self._float_coeffs = np.array([float(c) for c in full[::-1]])  # np.polyval order
+        self._float_coeffs = full[::-1].astype(float)  # np.polyval order
         # K(u) = sum_k a_k (s2 - t)**k = sum_j b_j t**j with t = s2 - u**2,
-        # expanded exactly about the float s2 that __call__ subtracts from
+        # expanded exactly (Horner in t) about the float s2 that __call__
+        # subtracts from
         self._s2 = float(self.support_halfwidth) ** 2
-        b = [Fraction(0)] * len(self.poly_coeffs)
-        for k, c in enumerate(self.poly_coeffs):
-            for j in range(k + 1):
-                b[j] += c * comb(k, j) * Fraction(self._s2) ** (k - j) * (-1) ** j
-        self._t_coeffs = np.array([float(c) for c in b[::-1]])  # Horner order
-        anti = [Fraction(0)] + [c / (d + 1) for d, c in enumerate(full)]
-        self._float_anti = np.array([float(c) for c in anti[::-1]])
+        b = self.poly_coeffs[-1:]
+        for c in self.poly_coeffs[-2::-1]:
+            b = P.polyadd(P.polymul(b, [Fraction(self._s2), -1]), [c])
+        self._t_coeffs = np.asarray(b)[::-1].astype(float)  # Horner order
+        self._float_anti = P.polyint(full)[::-1].astype(float)
         self.at_zero = float(self.poly_coeffs[0])
         # K at s itself is never zeroed, so this is the Horner sequence at t = 0
         self._zero_at_edge = False
@@ -174,7 +153,8 @@ class Kernel:
         key = ("moment", int(j))
         if key not in self._exact:
             s = self.support_halfwidth
-            self._exact[key] = _poly_integral([Fraction(0)] * key[1] + self._full, -s, s)
+            moment = np.concatenate(([Fraction(0)] * key[1], self._full))
+            self._exact[key] = P.polyval(s, P.polyint(moment, lbnd=-s))
         return self._exact[key]
 
     def roughness(self, r: int = 0) -> float:
@@ -186,9 +166,9 @@ class Kernel:
         _require_integers(r=r, minimum=0)
         key = ("roughness", int(r))
         if key not in self._exact:
-            dr = _poly_derivative(self._full, key[1])
+            dr = P.polyder(self._full, key[1])
             s = self.support_halfwidth
-            self._exact[key] = float(_poly_integral(_poly_multiply(dr, dr), -s, s))
+            self._exact[key] = float(P.polyval(s, P.polyint(P.polymul(dr, dr), lbnd=-s)))
         return self._exact[key]
 
     # ------------------------------------------------------------------
@@ -242,15 +222,23 @@ def get_kernel(name: str) -> Kernel:
         raise ParameterError(f"name must be one of {sorted(KERNELS)}, got {name!r}") from None
 
 
+def _require_kernel(kernel) -> None:
+    """Raise ParameterError unless `kernel` is a Kernel.  Each function that
+    takes a kernel checks it where it first enters the library."""
+    if not isinstance(kernel, Kernel):
+        raise ParameterError(f"kernel must be a Kernel, got {kernel!r}")
+
+
 def multivariate_norm_constant(kernel: Kernel, d: int) -> float:
     """Normalizing constant c_d making c_d * K(||u||) a density on R^d.
 
     c_d = 1 / (S_{d-1} * int_0^s K(rho) rho^(d-1) drho) with S_{d-1} the
     surface area of the unit (d-1)-sphere.  d = 1 recovers 1 exactly.
     """
+    _require_kernel(kernel)
     _require_integers(d=d, minimum=1)
     d = int(d)
-    radial = _poly_integral([Fraction(0)] * (d - 1) + kernel._full, Fraction(0),
-                            kernel.support_halfwidth)
+    radial = P.polyval(kernel.support_halfwidth,
+                       P.polyint(np.concatenate(([Fraction(0)] * (d - 1), kernel._full))))
     surface = 2 * pi ** (d / 2) / gamma(d / 2)
     return 1.0 / (surface * float(radial))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import FROM_F, FROM_G, _interior_point, decision_segments, fit_classifier
+from .classifier import FROM_G, _interior_point, decision_segments, fit_classifier
 from .densities import CrossingSet, DensityPair, crossings
 from .errors import (
     NumericError,
@@ -47,7 +47,7 @@ from .errors import (
     _require_priors,
 )
 from .kde import kde_mean_var
-from .kernels import TRIWEIGHT, Kernel
+from .kernels import TRIWEIGHT, Kernel, _require_kernel
 
 __all__ = [
     "BandwidthPlan",
@@ -181,7 +181,8 @@ def empirical_risk(pair: DensityPair, m: int, n: int, h1: float, h2: float,
     _require_integers(seed=seed, minimum=0)
     if rule == "ahat":
         if interval is not None:
-            raise ParameterError("the composite rule is scored on the whole line")
+            raise ParameterError(
+                "interval must be None: the composite rule is scored on the whole line")
         lo, hi = -np.inf, np.inf
     else:
         if interval is None:
@@ -190,7 +191,7 @@ def empirical_risk(pair: DensityPair, m: int, n: int, h1: float, h2: float,
 
     vals = np.empty(int(reps))
     for rep in range(int(reps)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), rep))))
+        rng = np.random.default_rng((int(seed), rep))
         x = pair.sample("f", m, rng)
         y = pair.sample("g", n, rng)
         clf = fit_classifier(x, y, h1, h2, pair.p, kernel)
@@ -248,6 +249,7 @@ def expansion_b1_b2(pair: DensityPair, cs: CrossingSet, H1: float, H2: float,
     at h = n^(-1/5), h_j = H_j h."""
     _check_cs(cs)
     _require_positive(H1=H1, H2=H2, r=r)
+    _require_kernel(kernel)
     kappa = kernel.roughness(0)
     mu2 = kernel.moment(2)
     p, q = pair.p, 1.0 - pair.p
@@ -287,6 +289,7 @@ def expansion_b3_b4(pair: DensityPair, cs: CrossingSet, r: float = 1.0,
     if cs.regime != "class2":
         raise RegimeError("second-order constants need a class2 crossing set")
     _require_positive(r=r)
+    _require_kernel(kernel)
     R = float(cs.ratio)
     kappa = kernel.roughness(0)
     mu4 = kernel.moment(4)
@@ -440,6 +443,7 @@ def multi_t(models, crossing_table, H, r, kernel: Kernel = TRIWEIGHT) -> float:
     H = np.asarray(H, dtype=float)
     if H.shape != (len(models),):
         raise ParameterError("H must give one constant per population")
+    _require_kernel(kernel)
     kappa = kernel.roughness(0)
     mu2 = kernel.moment(2)
     total = 0.0

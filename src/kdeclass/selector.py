@@ -24,10 +24,10 @@ from math import factorial, sqrt, pi
 
 import numpy as np
 
-from .errors import (DegenerateSampleError, ParameterError, _require_integers,
-                     _require_open_unit, _require_positive)
+from .errors import (DegenerateSampleError, ParameterError, _require_generator,
+                     _require_integers, _require_open_unit, _require_positive)
 from .kde import KdeEstimate, _checked_sample, _kde_many, _loo, smoothed_bootstrap
-from .kernels import TRIWEIGHT, Kernel
+from .kernels import TRIWEIGHT, Kernel, _require_kernel
 
 __all__ = [
     "SelectorConfig",
@@ -109,6 +109,7 @@ class SelectorConfig:
         if self.scale_rule not in _SCALE_RULES:
             raise ParameterError(f"scale_rule must be one of {_SCALE_RULES}")
         _require_positive(fine_grid_factor=self.fine_grid_factor)
+        _require_kernel(self.kernel)
 
 
 @dataclass(frozen=True)
@@ -234,6 +235,7 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
     x_data, y_data, grid_h1, grid_h2 = _surface_args(x_data, y_data, grid_h1, grid_h2, p)
     if rng is None:
         rng = np.random.default_rng(0)
+    _require_generator(rng)
 
     h3 = pilot_bandwidth(x_data, config)
     h4 = pilot_bandwidth(y_data, config)
@@ -348,6 +350,7 @@ def _cv_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
     candidates at its own data and at the other sample, and the comparisons
     run one grid_h1 row at a time."""
     x_data, y_data, grid_h1, grid_h2 = _surface_args(x_data, y_data, grid_h1, grid_h2, p)
+    _require_kernel(kernel)
     x, y = np.sort(x_data), np.sort(y_data)
     q = 1.0 - p
     f_loo = p * _loo(_kde_many(x[None], grid_h1, x, kernel)[0], x.size, grid_h1[:, None], kernel)

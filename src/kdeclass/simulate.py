@@ -2,9 +2,9 @@
 misclassification growth, and the cross-validation negative control.
 
 Every study is deterministic given its seed: each (sample size, replicate)
-cell derives its own generator from SeedSequence((seed, n_index, rep)), so
-results are independent of evaluation order and of the number of worker
-threads, and reruns produce byte-identical CSV files.
+cell draws from its own generator, np.random.default_rng((seed, n_index,
+rep)), so results are independent of evaluation order and of the number of
+worker threads, and reruns produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 from .classifier import (FROM_G, TrainedClassifier, _ahat_from_f,
                          decision_segments, fit_classifier)
 from .densities import DensityPair, make_pair
-from .errors import DegenerateRegressionError, ParameterError, _require_integers
+from .errors import (DegenerateRegressionError, ParameterError, _checked_interval,
+                     _require_finite, _require_integers)
 from .selector import SelectorConfig, _cv_surface, _first_argmin, sample_scale, select_bandwidths
 
 __all__ = [
@@ -128,8 +129,7 @@ def fit_slope(points, which: str = "h1") -> SlopeFit:
 
 def _study_cell(pair: DensityPair, pair_id: str, n_index: int, n: int, rep: int,
                 cfg: ExperimentConfig) -> StudyRow:
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((cfg.seed, n_index, rep))))
+    rng = np.random.default_rng((cfg.seed, n_index, rep))
     x = pair.sample("f", n, rng)
     y = pair.sample("g", n, rng)
     sel = select_bandwidths(x, y, pair.p, cfg.selector, rng=rng)
@@ -240,7 +240,7 @@ class TailStudyResult:
 
 def _train_rate_rule(pair: DensityPair, n: int, rep_seed) -> TrainedClassifier:
     """Rule trained on n draws per population at h = (IQR / 1.349) * n^(-1/5)."""
-    rng = np.random.Generator(np.random.PCG64(rep_seed))
+    rng = np.random.default_rng(rep_seed)
     x = pair.sample("f", n, rng)
     y = pair.sample("g", n, rng)
     rate = float(n) ** -0.2
@@ -291,15 +291,16 @@ def run_tail_study(alpha: float = 2.0, beta: float = 2.5,
     _require_integers(reps=reps, threads=threads, minimum=1, **{"contrast_grid[2]": count})
     _require_integers(contrast_n=contrast_n, minimum=2, **_entries(n_list))
     _require_integers(seed=seed, minimum=0)
+    _checked_interval("contrast_grid", (lo, hi), finite=True)
     n_list = tuple(int(n) for n in n_list)
     pair = make_pair("pareto", alpha=alpha, beta=beta)
     if x0 is None:
         x0 = float(pair.f.ppf(0.99))
+    _require_finite(x0=x0)
 
     cells = [(i, n, rep) for i, n in enumerate(n_list) for rep in range(int(reps))]
     vals = _map_cells(
-        lambda c: (c[1], c[2], _tail_integral(
-            pair, c[1], np.random.SeedSequence((int(seed), c[0], c[2])), x0)),
+        lambda c: (c[1], c[2], _tail_integral(pair, c[1], (int(seed), c[0], c[2]), x0)),
         cells, threads)
     rows = []
     for n, rep, integral in sorted(vals, key=lambda t: (t[0], t[1])):
@@ -313,8 +314,7 @@ def run_tail_study(alpha: float = 2.0, beta: float = 2.5,
     grid = np.linspace(lo, hi, int(count))
     cons = _map_cells(
         lambda rep: (rep, _contrast_fraction(
-            contrast_pair, contrast_n,
-            np.random.SeedSequence((int(seed), len(n_list), rep)), grid)),
+            contrast_pair, contrast_n, (int(seed), len(n_list), rep), grid)),
         list(range(int(reps))), threads)
     contrast_rows = tuple({"rep": rep, "frac_from_f": frac} for rep, frac in cons)
     contrast_fraction = float(np.mean([r["frac_from_f"] for r in contrast_rows]))
@@ -361,7 +361,7 @@ class CvComparisonResult:
 
 def _cv_cell(pair: DensityPair, n: int, rep: int, seed: int,
              config: SelectorConfig) -> dict:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, rep))))
+    rng = np.random.default_rng((seed, rep))
     x = pair.sample("f", n, rng)
     y = pair.sample("g", n, rng)
     sel = select_bandwidths(x, y, pair.p, config, rng=rng)

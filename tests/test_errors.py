@@ -196,6 +196,12 @@ def _cv(**kw):
     return run_cv_comparison(**{"n": 20, "reps": 1, "seed": 0, "config": TINY, **kw})
 
 
+def _grid(v):
+    """run_tail_study with the contrast grid's edges v: a pair gives lo and
+    hi, any other value is passed as both."""
+    return _tail(contrast_grid=(*(v if isinstance(v, tuple) else (v, v)), 11))
+
+
 def _segments(v):
     """decision_segments over the interval v: a pair gives lo and hi, any
     other value is passed as both."""
@@ -207,6 +213,9 @@ POSITIVE, OPEN_UNIT, FINITE, SEED = "positive", "open unit", "finite", 0
 CHOICE = "choice"
 #: a sequence with one value per weight: its rows are "a" and its extra values
 SEQUENCE = "sequence"
+#: an object of one type (a kernel, a generator): its rows are "a" and its
+#: extra values
+TYPED = "typed"
 #: an interval (lo, hi): its rows are empty, reversed and NaN-edged
 #: intervals, one with a text edge, "a" and its extra values
 INTERVAL = "interval"
@@ -219,13 +228,18 @@ FLAG = None
 SITES = [
     # kde
     ("KdeEstimate", "h", POSITIVE, lambda v: KdeEstimate(X, v), ()),
+    ("KdeEstimate", "kernel", TYPED, lambda v: KdeEstimate(X, 0.5, v), (None, "triweight")),
     ("_kde_many", "bandwidths", POSITIVE, lambda v: _kde_many(X[None, :], [0.3, v], [0.0]), ()),
     ("kde_mean_var", "h", POSITIVE, lambda v: kde_mean_var(Normal(0, 1), TRIWEIGHT, v, 10, 0.0), ()),
     ("kde_mean_var", "count", 1, lambda v: kde_mean_var(Normal(0, 1), TRIWEIGHT, 0.5, v, 0.0), ()),
     ("kde_mean_var", "y", FINITE, lambda v: kde_mean_var(Normal(0, 1), TRIWEIGHT, 0.5, 10, v), ()),
+    ("kde_mean_var", "kernel", TYPED, lambda v: kde_mean_var(Normal(0, 1), v, 0.5, 10, 0.0),
+     (None,)),
     ("loo", "i", 0, lambda v: EST.loo(v), (1.5, 3)),
     ("smoothed_bootstrap", "size", 0,
      lambda v: smoothed_bootstrap(EST, v, np.random.default_rng(0)), ()),
+    ("smoothed_bootstrap", "rng", TYPED, lambda v: smoothed_bootstrap(EST, 3, v),
+     (None, 0, np.random.RandomState(0))),
     # kernels
     ("Kernel", "support_halfwidth", POSITIVE,
      lambda v: Kernel("k", EPANECHNIKOV.poly_coeffs, v), ()),
@@ -233,6 +247,8 @@ SITES = [
     ("roughness", "r", 0, lambda v: TRIWEIGHT.roughness(v), ()),
     ("sample", "size", 0, lambda v: TRIWEIGHT.sample(np.random.default_rng(0), v), ()),
     ("multivariate_norm_constant", "d", 1, lambda v: multivariate_norm_constant(TRIWEIGHT, v), ()),
+    ("multivariate_norm_constant", "kernel", TYPED, lambda v: multivariate_norm_constant(v, 2),
+     (None,)),
     ("get_kernel", "name", CHOICE, get_kernel, (None, 1.5)),
     # densities
     ("Normal", "mu", FINITE, lambda v: Normal(v, 1.0), ()),
@@ -267,6 +283,8 @@ SITES = [
     ("fit_classifier", "p", OPEN_UNIT, lambda v: fit_classifier(X, Y, 0.3, 0.3, p=v), ()),
     ("fit_classifier", "h1", POSITIVE, lambda v: fit_classifier(X, Y, v, 0.3), ()),
     ("fit_classifier", "h2", POSITIVE, lambda v: fit_classifier(X, Y, 0.3, v), ()),
+    ("fit_classifier", "kernel", TYPED, lambda v: fit_classifier(X, Y, 0.3, 0.3, kernel=v),
+     (None,)),
     ("classify_multi", "priors[0]", POSITIVE,
      lambda v: classify_multi([(EST, v), (EST, 0.5)], 0.0), (None, "0.5")),
     ("classify_multivariate", "p", OPEN_UNIT,
@@ -277,6 +295,8 @@ SITES = [
      lambda v: classify_multivariate(X2, Y2, 0.5, v, [0.0, 0.0]), ()),
     ("classify_multivariate", "x", FINITE,
      lambda v: classify_multivariate(X2, Y2, 0.5, 0.5, [v, 0.0]), (None, "0.5")),
+    ("classify_multivariate", "kernel", TYPED,
+     lambda v: classify_multivariate(X2, Y2, 0.5, 0.5, [0.0, 0.0], kernel=v), (None,)),
     ("decision_segments", "(lo, hi)", INTERVAL, _segments, (("a", 1.0), (None, 1.0))),
     # selector
     ("SelectorConfig", "boot_iters", 1, lambda v: SelectorConfig(boot_iters=v), ()),
@@ -285,6 +305,7 @@ SITES = [
     ("SelectorConfig", "pilot_deriv", 2, lambda v: SelectorConfig(pilot_deriv=v), ()),
     ("SelectorConfig", "fine_grid_factor", POSITIVE,
      lambda v: SelectorConfig(fine_grid_factor=v), ()),
+    ("SelectorConfig", "kernel", TYPED, lambda v: SelectorConfig(kernel=v), (None, "triweight")),
     ("normal_deriv_roughness", "k", 0, lambda v: normal_deriv_roughness(v), ()),
     ("error_surface", "p", OPEN_UNIT,
      lambda v: error_surface(X, Y, [0.5], [0.5], p=v, config=TINY), ()),
@@ -292,9 +313,15 @@ SITES = [
      lambda v: error_surface(X, Y, [0.5, v], [0.5], config=TINY), ()),
     ("error_surface", "grid_h2", POSITIVE,
      lambda v: error_surface(X, Y, [0.5], [v, 0.5], config=TINY), ()),
+    ("error_surface", "rng", TYPED,
+     lambda v: error_surface(X, Y, [0.5], [0.5], config=TINY, rng=v),
+     (0, np.random.RandomState(0))),
+    ("select_bandwidths", "rng", TYPED,
+     lambda v: select_bandwidths(X, Y, config=TINY, rng=v), ()),
     ("cv_err", "p", OPEN_UNIT, lambda v: cv_err(X, Y, 0.5, 0.5, p=v), ()),
     ("cv_err", "h1", POSITIVE, lambda v: cv_err(X, Y, v, 0.5), ()),
     ("cv_err", "h2", POSITIVE, lambda v: cv_err(X, Y, 0.5, v), ()),
+    ("cv_err", "kernel", TYPED, lambda v: cv_err(X, Y, 0.5, 0.5, kernel=v), (None,)),
     ("bootstrap_err", "h1", POSITIVE, lambda v: bootstrap_err(X, Y, v, 0.5, config=TINY), ()),
     ("bootstrap_err", "h2", POSITIVE, lambda v: bootstrap_err(X, Y, 0.5, v, config=TINY), ()),
     ("select_bandwidths", "seed", SEED, lambda v: select_bandwidths(X, Y, config=TINY, seed=v),
@@ -317,14 +344,21 @@ SITES = [
     ("empirical_risk", "interval", INTERVAL,
      lambda v: empirical_risk(CLASS1A, 20, 20, 0.5, 0.5, reps=1, seed=0, rule="body", interval=v),
      (("a", 1.0), (None, 1.0))),
+    ("empirical_risk-ahat", "interval", INTERVAL,
+     lambda v: empirical_risk(CLASS1A, 20, 20, 0.5, 0.5, reps=1, seed=0, interval=v),
+     ((0.0, 1.0),)),
     ("bayes_risk", "interval", INTERVAL, lambda v: bayes_risk(CLASS1A, v, cs=CS1A), (("a", 0.0),)),
     ("expansion_b1_b2", "H1", POSITIVE, lambda v: expansion_b1_b2(CLASS1A, CS1A, v, 1.0), ()),
     ("expansion_b1_b2", "H2", POSITIVE, lambda v: expansion_b1_b2(CLASS1A, CS1A, 1.0, v), ()),
     ("expansion_b1_b2", "r", POSITIVE,
      lambda v: expansion_b1_b2(CLASS1A, CS1A, 1.0, 1.0, r=v), ()),
+    ("expansion_b1_b2", "kernel", TYPED,
+     lambda v: expansion_b1_b2(CLASS1A, CS1A, 1.0, 1.0, kernel=v), (None,)),
     ("class1_objective", "r", POSITIVE,
      lambda v: class1_objective(CLASS1A, CS1A, r=v)(1.0, 1.0), ()),
     ("expansion_b3_b4", "r", POSITIVE, lambda v: expansion_b3_b4(CLASS2B, CS2B, r=v), ()),
+    ("expansion_b3_b4", "kernel", TYPED, lambda v: expansion_b3_b4(CLASS2B, CS2B, kernel=v),
+     (None,)),
     ("predicted_excess", "m", 1, lambda v: predicted_excess(CLASS1A, CS1A, v, 100, 0.3, 0.3), ()),
     ("predicted_excess", "n", 1, lambda v: predicted_excess(CLASS1A, CS1A, 100, v, 0.3, 0.3), ()),
     ("predicted_excess", "h1", POSITIVE,
@@ -338,6 +372,8 @@ SITES = [
      lambda v: optimal_bandwidths(CLASS2B, CS2B, n=100, r=v), ()),
     ("multi_t", "r", POSITIVE, lambda v: multi_t(MODELS, TABLE, [1.0, 1.0], [1.0, v]), ()),
     ("multi_t", "H", POSITIVE, lambda v: multi_t(MODELS, TABLE, [v, 1.0], [1.0, 1.0]), ()),
+    ("multi_t", "kernel", TYPED,
+     lambda v: multi_t(MODELS, TABLE, [1.0, 1.0], [1.0, 1.0], kernel=v), (None,)),
     ("multi_t", "priors[1]", POSITIVE,
      lambda v: multi_t([(CLASS1A.f, 0.5), (CLASS1A.g, v)], TABLE, [1.0, 1.0], [1.0, 1.0]),
      (None, "0.5")),
@@ -353,6 +389,9 @@ SITES = [
     ("run_tail_study", "contrast_n", 2, lambda v: _tail(contrast_n=v), ()),
     ("run_tail_study", "n_list[0]", 2, lambda v: _tail(n_list=(v,)), (-3,)),
     ("run_tail_study", "seed", SEED, lambda v: _tail(seed=v), ()),
+    ("run_tail_study", "x0", FINITE, lambda v: _tail(x0=v), ()),
+    ("run_tail_study", "contrast_grid", INTERVAL, _grid,
+     ((-INF, 6.0), (3.0, INF), (None, 6.0))),
     ("run_cv_comparison", "n", 2, lambda v: _cv(n=v), (-5,)),
     ("run_cv_comparison", "reps", 1, lambda v: _cv(reps=v), ()),
     ("run_cv_comparison", "threads", 1, lambda v: _cv(threads=v), ()),
@@ -367,7 +406,7 @@ SITES = [
 def _bad_values(kind) -> tuple:
     if kind is FLAG:
         return ()
-    if kind in (CHOICE, SEQUENCE):
+    if kind in (CHOICE, SEQUENCE, TYPED):
         values = ()
     elif kind == INTERVAL:
         values = ((1.0, 1.0), (1.0, 0.0), (INF, INF), (NAN, 1.0), (0.0, NAN), ("0", 1.0))

@@ -1,8 +1,10 @@
 """The package namespace: each module's `__all__` is the one list of its
-public names, and `kdeclass` re-exports exactly those names; the private
-constants the README names exist; the README's dependency floors are the
-declared ones; and the numpy-only paths load no scipy module."""
+public names, and `kdeclass` re-exports exactly those names; no module
+imports a name it does not use; the private constants the README names
+exist; the README's dependency floors are the declared ones; and the
+numpy-only paths load no scipy module."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -45,6 +47,23 @@ def test_package_exports_each_name_as_its_modules_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(kdeclass, name) is getattr(module, name), name
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports its modules' names to re-export them
+    unused = {}
+    for path in sorted((ROOT / "src" / "kdeclass").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert not unused, unused
 
 
 def test_every_private_constant_the_readme_names_exists():
