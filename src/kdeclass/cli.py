@@ -30,7 +30,9 @@ from .simulate import (
     run_tail_study,
 )
 
-_STUDY_PAIRS = ("class1a", "class1b", "class2a", "class2b")
+#: the --pair choices of each subcommand that has the flag
+_PAIRS = {"study": ("class1a", "class1b", "class2a", "class2b"),
+          "cvcheck": PAIR_IDS, "risk-surface": PAIR_IDS}
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
@@ -41,8 +43,8 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 
 #: config-file keys and the parser of each value
-_CONFIG_KEYS = {"reps": int, "n": int, "boot_iters": int, "grid": int, "threads": int,
-                "seed": int, "c2": float, "alpha": float, "beta": float,
+_CONFIG_KEYS = {"reps": int, "n": int, "boot_iters": int, "grid": int, "seed": int,
+                "c2": float, "alpha": float, "beta": float,
                 "n_list": _parse_n_list, "pair": str, "out": str}
 
 
@@ -73,10 +75,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common.add_argument("--out", default=None, help="output directory for CSV files")
     common.add_argument("--config", default=None,
                         help="key=value file preloading any of the flags")
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1,
-                         help="worker threads; results do not depend on the count, "
-                         "and 2 threads measured no faster than 1")
     selector = argparse.ArgumentParser(add_help=False)
     selector.add_argument("--boot-iters", type=int, default=100, dest="boot_iters",
                           help="bootstrap replicates per grid cell")
@@ -90,15 +88,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         description="Simulation studies for kernel-density plug-in classification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_study = sub.add_parser("study", parents=[common, threads, selector],
+    p_study = sub.add_parser("study", parents=[common, selector],
                              help="replicated bandwidth selection across sample sizes")
-    p_study.add_argument("--pair", required=True, choices=_STUDY_PAIRS)
+    p_study.add_argument("--pair", choices=_PAIRS["study"],
+                         help="required, as a flag or a --config key")
     p_study.add_argument("--n-list", type=_parse_n_list, default=DEFAULT_N_LIST,
                          dest="n_list", help="comma-separated sample sizes")
     p_study.add_argument("--reps", type=int, default=100)
     p_study.set_defaults(run=_cmd_study)
 
-    p_tail = sub.add_parser("tail", parents=[common, threads],
+    p_tail = sub.add_parser("tail", parents=[common],
                             help="heavy-tail misclassification growth")
     p_tail.add_argument("--alpha", type=float, default=2.0)
     p_tail.add_argument("--beta", type=float, default=2.5)
@@ -107,16 +106,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_tail.add_argument("--reps", type=int, default=200)
     p_tail.set_defaults(run=_cmd_tail)
 
-    p_cv = sub.add_parser("cvcheck", parents=[common, threads, selector],
+    p_cv = sub.add_parser("cvcheck", parents=[common, selector],
                           help="cross-validation vs bootstrap selector spread")
-    p_cv.add_argument("--pair", default="class1a", choices=PAIR_IDS)
+    p_cv.add_argument("--pair", default="class1a", choices=_PAIRS["cvcheck"])
     p_cv.add_argument("--n", type=int, default=100)
     p_cv.add_argument("--reps", type=int, default=50)
     p_cv.set_defaults(run=_cmd_cvcheck)
 
     p_rs = sub.add_parser("risk-surface", parents=[common, selector],
                           help="bootstrap error surface for one training draw")
-    p_rs.add_argument("--pair", required=True, choices=PAIR_IDS)
+    p_rs.add_argument("--pair", choices=_PAIRS["risk-surface"],
+                      help="required, as a flag or a --config key")
     p_rs.add_argument("--n", type=int, default=100)
     p_rs.set_defaults(run=_cmd_risk_surface)
 
@@ -132,7 +132,7 @@ def _selector_config(args) -> SelectorConfig:
 def _cmd_study(args) -> int:
     cfg = ExperimentConfig(pair_id=args.pair, n_list=args.n_list, reps=args.reps,
                            selector=_selector_config(args), seed=args.seed,
-                           out_dir=args.out, threads=args.threads)
+                           out_dir=args.out)
     res = run_study(cfg)
     for row in res.summary:
         print(f"pair={row['pair']} n={row['n']} "
@@ -145,8 +145,7 @@ def _cmd_study(args) -> int:
 
 def _cmd_tail(args) -> int:
     res = run_tail_study(alpha=args.alpha, beta=args.beta, n_list=args.n_list,
-                         reps=args.reps, seed=args.seed, out_dir=args.out,
-                         threads=args.threads)
+                         reps=args.reps, seed=args.seed, out_dir=args.out)
     for n, v in res.scaled_by_n:
         print(f"n={n} scaled_tail_excess={v:.6g}")
     print(f"contrast_n={res.contrast_n} frac_from_f={res.contrast_fraction:.4f}")
@@ -156,7 +155,7 @@ def _cmd_tail(args) -> int:
 def _cmd_cvcheck(args) -> int:
     res = run_cv_comparison(pair_id=args.pair, n=args.n, reps=args.reps,
                             seed=args.seed, config=_selector_config(args),
-                            out_dir=args.out, threads=args.threads)
+                            out_dir=args.out)
     print(f"pair={res.pair_id} n={res.n} reps={len(res.rows)} "
           f"iqr_log_h1_boot={res.iqr_log_h1_boot:.6f} "
           f"iqr_log_h1_cv={res.iqr_log_h1_cv:.6f} "
@@ -174,9 +173,7 @@ def _cmd_risk_surface(args) -> int:
     print(f"pair={args.pair} n={args.n} h1={sel.h1!r} h2={sel.h2!r} "
           f"h3={sel.h3!r} h4={sel.h4!r} err_min={sel.err_min!r}")
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / f"{args.pair}_risk_surface.csv", ["h1", "h2", "err_boot"],
+        _write_csv(Path(args.out) / f"{args.pair}_risk_surface.csv", ["h1", "h2", "err_boot"],
                    ({"h1": h1, "h2": h2, "err_boot": sel.err_surface[i, j]}
                     for i, h1 in enumerate(sel.grid_h1)
                     for j, h2 in enumerate(sel.grid_h2)))
@@ -197,6 +194,15 @@ def main(argv=None) -> int:
         for sub in subparsers.values():
             sub.set_defaults(**values)
     args = parser.parse_args(argv)
+    # argparse checks neither that a pair from the config file is there nor
+    # that it is one of the flag's choices
+    choices = _PAIRS.get(args.command)
+    if choices is not None and args.pair not in choices:
+        sub = subparsers[args.command]
+        if args.pair is None:
+            sub.error("the following arguments are required: --pair")
+        sub.error(f"argument --pair: invalid choice: {args.pair!r} "
+                  f"(choose from {', '.join(map(repr, choices))})")
     return args.run(args)
 
 

@@ -3,8 +3,8 @@ misclassification growth, and the cross-validation negative control.
 
 Every study is deterministic given its seed: each (sample size, replicate)
 cell draws from its own generator, np.random.default_rng((seed, n_index,
-rep)), so results are independent of evaluation order and of the number of
-worker threads, and reruns produce byte-identical CSV files.
+rep)), so results are independent of evaluation order (and of the worker
+threads of `run_study`), and reruns produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -44,16 +44,26 @@ DEFAULT_N_LIST = tuple(round(20 * 10 ** (k / 9)) for k in range(10))
 REFERENCE_SLOPES = (0.2, 1.0 / 9.0)
 
 
-def _entries(n_list) -> dict:
-    """The sample sizes keyed "n_list[i]", for _require_integers."""
-    return {f"n_list[{i}]": n for i, n in enumerate(n_list)}
+def _sizes(n_list, fewest: int) -> tuple[int, ...]:
+    """The sample sizes as ints: at least `fewest` of them, each at least 2,
+    strictly increasing so that rows come out in n order, one summary per n."""
+    _require_integers(minimum=2, **{f"n_list[{i}]": n for i, n in enumerate(n_list)})
+    sizes = tuple(int(n) for n in n_list)
+    if len(sizes) < fewest or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ParameterError(
+            f"n_list must hold at least {fewest} strictly increasing sizes, got {sizes}")
+    return sizes
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Configuration of one rate study.  Rows do not depend on `threads`, and
-    2 threads measured no faster than 1: each selection already evaluates
-    its two populations on two threads."""
+    """Configuration of one rate study; `n_list` needs two sizes to fit a rate.
+
+    Rows do not depend on `threads`, and 2 threads measured no faster than 1:
+    each selection already evaluates its two populations on two threads.
+    `threads` stays only because the benchmark's traced cvcheck run builds
+    `ExperimentConfig(threads=2)` for its per-layer metric
+    `cvcheck.simulate.thread_speedup`."""
 
     pair_id: str
     n_list: tuple[int, ...] = DEFAULT_N_LIST
@@ -65,16 +75,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _require_integers(reps=self.reps, threads=self.threads, minimum=1)
-        _require_integers(**_entries(self.n_list), minimum=2)
+        object.__setattr__(self, "n_list", _sizes(self.n_list, 2))
         _require_integers(seed=self.seed, minimum=0)
-        n_list = tuple(int(n) for n in self.n_list)
-        object.__setattr__(self, "n_list", n_list)
         for name in ("reps", "seed", "threads"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-            raise ParameterError(
-                "n_list must be strictly increasing with at least two sizes "
-                "(the study fits a rate over log n)")
 
 
 @dataclass(frozen=True)
@@ -137,14 +141,6 @@ def _study_cell(pair: DensityPair, pair_id: str, n_index: int, n: int, rep: int,
                     err_boot_min=sel.err_min, seed=cfg.seed)
 
 
-def _map_cells(fn, cells, threads: int):
-    """[fn(c) for c in cells], in cell order also when `threads` > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(c) for c in cells]
-
-
 def run_study(cfg: ExperimentConfig) -> StudyResult:
     """Replicated bandwidth selection across sample sizes, with equal sample
     sizes m = n and p = 1/2, followed by the log-log rate regression of the
@@ -152,9 +148,15 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     pair = make_pair(cfg.pair_id)
     cells = [(i, n, rep) for i, n in enumerate(cfg.n_list)
              for rep in range(cfg.reps)]
-    rows = tuple(_map_cells(
-        lambda c: _study_cell(pair, cfg.pair_id, c[0], c[1], c[2], cfg),
-        cells, cfg.threads))
+
+    def cell(c):
+        return _study_cell(pair, cfg.pair_id, *c, cfg)
+
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            rows = tuple(pool.map(cell, cells))
+    else:
+        rows = tuple(map(cell, cells))
 
     summary = []
     pts1, pts2 = [], []
@@ -181,7 +183,8 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """CSV file with a header line and one line per dict row; csv writes
-    each float as its shortest round-trip repr."""
+    each float as its shortest round-trip repr.  Creates the file's directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, header)
         w.writeheader()
@@ -190,7 +193,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _write_study(result: StudyResult, out_dir: str) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     pair = result.pair_id
     _write_csv(out / f"{pair}_replicates.csv",
                ["pair", "n", "rep", "h1", "h2", "err_boot_min", "seed"],
@@ -273,8 +275,7 @@ def run_tail_study(alpha: float = 2.0, beta: float = 2.5,
                    x0: float | None = None,
                    contrast_n: int = 500,
                    contrast_grid: tuple[float, float, int] = (3.0, 6.0, 301),
-                   out_dir: str | None = None,
-                   threads: int = 1) -> TailStudyResult:
+                   out_dir: str | None = None) -> TailStudyResult:
     """Tail misclassification for the heavy-tailed pair, scaled by n*h.
 
     For each replicate the rule is trained on equal samples with the simple
@@ -288,35 +289,32 @@ def run_tail_study(alpha: float = 2.0, beta: float = 2.5,
     assigned to the first (heavier-tailed, and there correct) population.
     """
     lo, hi, count = contrast_grid
-    _require_integers(reps=reps, threads=threads, minimum=1, **{"contrast_grid[2]": count})
-    _require_integers(contrast_n=contrast_n, minimum=2, **_entries(n_list))
+    _require_integers(reps=reps, minimum=1, **{"contrast_grid[2]": count})
+    _require_integers(contrast_n=contrast_n, minimum=2)
+    n_list = _sizes(n_list, 1)
     _require_integers(seed=seed, minimum=0)
     _checked_interval("contrast_grid", (lo, hi), finite=True)
-    n_list = tuple(int(n) for n in n_list)
     pair = make_pair("pareto", alpha=alpha, beta=beta)
     if x0 is None:
         x0 = float(pair.f.ppf(0.99))
     _require_finite(x0=x0)
 
-    cells = [(i, n, rep) for i, n in enumerate(n_list) for rep in range(int(reps))]
-    vals = _map_cells(
-        lambda c: (c[1], c[2], _tail_integral(pair, c[1], (int(seed), c[0], c[2]), x0)),
-        cells, threads)
     rows = []
-    for n, rep, integral in sorted(vals, key=lambda t: (t[0], t[1])):
-        rows.append({"n": n, "rep": rep, "tail_integral": integral,
-                     "scaled": integral * float(n) ** 0.8})
+    for i, n in enumerate(n_list):
+        for rep in range(int(reps)):
+            integral = _tail_integral(pair, n, (int(seed), i, rep), x0)
+            rows.append({"n": n, "rep": rep, "tail_integral": integral,
+                         "scaled": integral * float(n) ** 0.8})
     scaled_by_n = tuple(
         (n, float(np.mean([r["scaled"] for r in rows if r["n"] == n])))
         for n in n_list)
 
     contrast_pair = make_pair("contrast")
     grid = np.linspace(lo, hi, int(count))
-    cons = _map_cells(
-        lambda rep: (rep, _contrast_fraction(
-            contrast_pair, contrast_n, (int(seed), len(n_list), rep), grid)),
-        list(range(int(reps))), threads)
-    contrast_rows = tuple({"rep": rep, "frac_from_f": frac} for rep, frac in cons)
+    contrast_rows = tuple(
+        {"rep": rep, "frac_from_f": _contrast_fraction(
+            contrast_pair, contrast_n, (int(seed), len(n_list), rep), grid)}
+        for rep in range(int(reps)))
     contrast_fraction = float(np.mean([r["frac_from_f"] for r in contrast_rows]))
 
     result = TailStudyResult(
@@ -330,7 +328,6 @@ def run_tail_study(alpha: float = 2.0, beta: float = 2.5,
 
 def _write_tail(result: TailStudyResult, out_dir: str) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "tail_replicates.csv", ["n", "rep", "tail_integral", "scaled"],
                result.rows)
     _write_csv(out / "tail_summary.csv", ["n", "mean_scaled"],
@@ -373,19 +370,17 @@ def _cv_cell(pair: DensityPair, n: int, rep: int, seed: int,
 
 def run_cv_comparison(pair_id: str = "class1a", n: int = 100, reps: int = 50,
                       seed: int = 0, config: SelectorConfig | None = None,
-                      out_dir: str | None = None,
-                      threads: int = 1) -> CvComparisonResult:
+                      out_dir: str | None = None) -> CvComparisonResult:
     """Replicated head-to-head of the bootstrap selector against the
     leave-one-out argmin on the same grid and data; reports interquartile
     ranges of log selected h1 and their CV/bootstrap ratio."""
-    _require_integers(reps=reps, threads=threads, minimum=1)
+    _require_integers(reps=reps, minimum=1)
     _require_integers(n=n, minimum=2)
     _require_integers(seed=seed, minimum=0)
     if config is None:
         config = SelectorConfig()
     pair = make_pair(pair_id)
-    rows = tuple(_map_cells(lambda rep: _cv_cell(pair, n, rep, int(seed), config),
-                            list(range(int(reps))), threads))
+    rows = tuple(_cv_cell(pair, n, rep, int(seed), config) for rep in range(int(reps)))
 
     def iqr(vals):
         q75, q25 = np.percentile(vals, [75.0, 25.0])
@@ -397,8 +392,6 @@ def run_cv_comparison(pair_id: str = "class1a", n: int = 100, reps: int = 50,
         iqr_log_h1_cv=iqr(np.log([r["h1_cv"] for r in rows])),
     )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / f"{pair_id}_cv_comparison.csv",
+        _write_csv(Path(out_dir) / f"{pair_id}_cv_comparison.csv",
                    ["rep", "h1_boot", "h2_boot", "h1_cv", "h2_cv"], rows)
     return result

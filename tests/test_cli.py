@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, outputs, and the config file."""
 
+import re
+
 import numpy as np
 import pytest
 
 from kdeclass import ParameterError
-from kdeclass.cli import main
+from kdeclass.cli import _CONFIG_KEYS, _build_parser, main
 
 
 FAST = ["--boot-iters", "8", "--grid", "3"]
@@ -104,6 +106,58 @@ def test_explicit_flags_override_config(tmp_path):
     assert len(lines) == 1 + 4  # the flag's two replicates, not the file's one
 
 
+@pytest.mark.parametrize("command, made", [
+    ("study", "class2b_replicates.csv"), ("risk-surface", "class2b_risk_surface.csv")])
+def test_config_file_supplies_pair(tmp_path, command, made):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pair = class2b\nn_list = 20,26\nreps = 1\nn = 20\nboot-iters = 8\n"
+                   "grid = 3\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / made).exists()
+
+
+def test_pair_flag_overrides_config_pair(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pair = class2b\nn_list = 20,26\nreps = 1\nboot-iters = 8\ngrid = 3\n")
+    out = tmp_path / "out"
+    assert main(["study", "--pair", "class1a", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name.split("_")[0] for p in out.iterdir()) == ["class1a"] * 4
+
+
+@pytest.mark.parametrize("command, text, error", [
+    ("study", "reps = 1\n", "the following arguments are required: --pair"),
+    ("risk-surface", "n = 20\n", "the following arguments are required: --pair"),
+    ("study", "pair = pareto\n", "argument --pair: invalid choice: 'pareto'"),
+    ("cvcheck", "pair = class9\n", "argument --pair: invalid choice: 'class9'"),
+    ("risk-surface", "pair = class9\n", "argument --pair: invalid choice: 'class9'"),
+])
+def test_config_pair_missing_or_not_a_choice_exits(tmp_path, capsys, command, text, error):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(cfg)])
+    assert info.value.code == 2
+    assert f"kdeclass {command}: error: {error}" in capsys.readouterr().err
+
+
+def test_config_keys_are_the_long_flags():
+    """A flag added or removed without its config key, or a key without
+    its flag, fails here."""
+    _, subparsers = _build_parser()
+    dests = {action.dest for sub in subparsers.values() for action in sub._actions
+             if any(flag.startswith("--") and flag not in ("--config", "--help")
+                    for flag in action.option_strings)}
+    assert dests == set(_CONFIG_KEYS)
+
+
+def test_config_file_threads_key_is_unknown(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\n")
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(cfg))}:1: unknown key 'threads'"):
+        main(["tail", "--config", str(cfg)])
+
+
 def test_config_file_bad_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("reps 3\n")
@@ -123,8 +177,10 @@ def test_cli_rejects_bad_arguments():
 
 
 @pytest.mark.parametrize("command, absent, present", [
-    ("tail", ("--boot-iters", "--grid", "--c2"), ("--threads",)),
+    ("tail", ("--boot-iters", "--grid", "--c2", "--threads"), ("--alpha", "--beta")),
     ("risk-surface", ("--threads",), ("--boot-iters", "--grid", "--c2")),
+    ("study", ("--threads",), ("--boot-iters", "--grid", "--c2", "--n-list")),
+    ("cvcheck", ("--threads",), ("--boot-iters", "--grid", "--c2")),
 ])
 def test_subcommand_help_lists_only_the_flags_it_reads(capsys, command, absent, present):
     with pytest.raises(SystemExit):

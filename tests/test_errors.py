@@ -219,6 +219,9 @@ TYPED = "typed"
 #: an interval (lo, hi): its rows are empty, reversed and NaN-edged
 #: intervals, one with a text edge, "a" and its extra values
 INTERVAL = "interval"
+#: the count and order of a list of sample sizes, whose entries have rows of
+#: their own: its rows are its extra values alone
+ORDER = "order"
 #: an integer CLI flag: argparse rejects what is not an integer, so the
 #: flag's rows are its extra values alone
 FLAG = None
@@ -382,19 +385,21 @@ SITES = [
     ("ExperimentConfig", "threads", 1, lambda v: ExperimentConfig("class1a", threads=v), ()),
     ("ExperimentConfig", "n_list[1]", 2,
      lambda v: ExperimentConfig("class1a", n_list=(20, v)), ()),
+    ("ExperimentConfig", "n_list", ORDER, lambda v: ExperimentConfig("class1a", n_list=v),
+     ((20, 20), (26, 20), (20,), ())),
     ("ExperimentConfig", "seed", SEED, lambda v: ExperimentConfig("class1a", seed=v), ()),
     ("run_tail_study", "reps", 1, lambda v: _tail(reps=v), ()),
-    ("run_tail_study", "threads", 1, lambda v: _tail(threads=v), ()),
     ("run_tail_study", "contrast_grid[2]", 1, lambda v: _tail(contrast_grid=(3.0, 6.0, v)), ()),
     ("run_tail_study", "contrast_n", 2, lambda v: _tail(contrast_n=v), ()),
     ("run_tail_study", "n_list[0]", 2, lambda v: _tail(n_list=(v,)), (-3,)),
+    ("run_tail_study", "n_list", ORDER, lambda v: _tail(n_list=v),
+     ((100, 100), (400, 100), ())),
     ("run_tail_study", "seed", SEED, lambda v: _tail(seed=v), ()),
     ("run_tail_study", "x0", FINITE, lambda v: _tail(x0=v), ()),
     ("run_tail_study", "contrast_grid", INTERVAL, _grid,
      ((-INF, 6.0), (3.0, INF), (None, 6.0))),
     ("run_cv_comparison", "n", 2, lambda v: _cv(n=v), (-5,)),
     ("run_cv_comparison", "reps", 1, lambda v: _cv(reps=v), ()),
-    ("run_cv_comparison", "threads", 1, lambda v: _cv(threads=v), ()),
     ("run_cv_comparison", "seed", SEED, lambda v: _cv(seed=v), (1.5,)),
     # cli
     ("risk-surface", "seed", FLAG,
@@ -404,7 +409,7 @@ SITES = [
 
 
 def _bad_values(kind) -> tuple:
-    if kind is FLAG:
+    if kind is FLAG or kind == ORDER:
         return ()
     if kind in (CHOICE, SEQUENCE, TYPED):
         values = ()

@@ -259,9 +259,9 @@ def test_tail_study_contrast(tiny_tail):
         np.mean([r["frac_from_f"] for r in res.contrast_rows]), rel=1e-14)
 
 
-def test_tail_study_deterministic_and_threaded(tiny_tail):
+def test_tail_study_deterministic(tiny_tail):
     again = run_tail_study(n_list=(30, 60), reps=3, contrast_n=60,
-                           contrast_grid=(3.0, 6.0, 21), seed=0, threads=2)
+                           contrast_grid=(3.0, 6.0, 21), seed=0)
     assert again.rows == tiny_tail.rows
     assert again.contrast_rows == tiny_tail.contrast_rows
 
@@ -273,7 +273,7 @@ def test_tail_study_x0_override_and_validation():
     with pytest.raises(ParameterError):
         run_tail_study(reps=0)
     for bad in (dict(reps=1.5), dict(n_list=(30.5,)), dict(contrast_n=40.5),
-                dict(threads=1.5), dict(threads=0),
+                dict(n_list=(100, 100)), dict(n_list=(400, 100)), dict(n_list=()),
                 dict(contrast_grid=(3.0, 6.0, 0)), dict(contrast_grid=(3.0, 6.0, 2.5))):
         with pytest.raises(ParameterError):
             run_tail_study(**bad)
@@ -325,7 +325,7 @@ def test_cv_comparison_tiny(tmp_path):
 
     with pytest.raises(ParameterError):
         run_cv_comparison(reps=0)
-    for bad in (dict(n=30.7), dict(reps=1.5), dict(threads=1.5), dict(threads=0)):
+    for bad in (dict(n=30.7), dict(reps=1.5)):
         with pytest.raises(ParameterError):
             run_cv_comparison(**bad)
 
