@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateCrossingError, NumericError, ParameterError, ResolutionError,
-                     _checked_interval, _require_finite, _require_integers,
+                     _checked_interval, _require_finite, _require_generator, _require_integers,
                      _require_open_unit, _require_positive)
 
 __all__ = [
@@ -125,6 +125,7 @@ class Density:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _require_integers(n=n, minimum=0)
+        _require_generator(rng)
         return self._sample(int(n), rng)
 
     def _sample(self, n, rng):  # pragma: no cover - abstract

@@ -13,7 +13,7 @@ taking the arguments by name and naming the first that fails:
 * `_require_positive`: finite and > 0, scalars or every entry of an array:
   bandwidths, scales, weights, ratios and constants;
 * `_require_open_unit`: strictly inside (0, 1): priors;
-* `_require_finite`: any finite real: locations.
+* `_require_finite`: any finite real: locations and kernel coefficients.
 
 `_require_priors` checks a list of class priors with `_require_positive`,
 one `priors[i]` at a time, and then their sum.  `_checked_interval` checks

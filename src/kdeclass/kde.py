@@ -25,13 +25,9 @@ binary-search window, so it equals the array value bit for bit.
 The blocks allocate nothing larger than the kernel's output: each writes
 its indices and its u into one pair of flat scratch arrays, which hold at
 most one block and are reused from block to block and from call to call.
-Each thread keeps its own pair in a threading.local, so concurrent calls
-(the bootstrap surface's two threads) never share one, and a pair above
-_BLOCK_ELEMENTS elements (one block wider than the cap) is not kept, so
-the scratch that stays allocated is at most that size per thread.  A
-thread that lives for one call would drop its pair when it ends, so its
-caller passes a `scratch` dict of its own, which keeps the pair between
-calls.
+A call takes its pair off the free list `_SCRATCH` and puts it back, so
+concurrent calls never share one, and the list keeps at most one pair per
+call that ran at once, none above _BLOCK_ELEMENTS elements.
 
 Only `kde_mean_var` needs scipy (scipy.integrate.quad), and imports it on
 its first call; the estimator, the engine and the bootstrap use numpy alone.
@@ -40,7 +36,6 @@ its first call; the estimator, the engine and the bootstrap use numpy alone.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -61,9 +56,9 @@ __all__ = [
 #: 101.3 MiB), risk 72 / 72 / 63.  50k kept risk at its best; 100k would
 #: have bought study 10% with 3 MiB and 12% of risk's speed
 _BLOCK_ELEMENTS = 50_000
-#: this thread's scratch `pair` (index, u) of `_kde_many`, two flat arrays
-#: of one size; a pair above _BLOCK_ELEMENTS elements is not kept
-_SCRATCH = threading.local()
+#: free scratch pairs (index, u) of `_kde_many`, two flat arrays of one size
+#: each, none above _BLOCK_ELEMENTS elements; list.pop and append are atomic
+_SCRATCH: list[tuple[np.ndarray, np.ndarray]] = []
 
 
 def _checked_sample(data, name: str = "data") -> np.ndarray:
@@ -88,8 +83,7 @@ def _reach(hs: float, at):
     return hs * (1.0 + 1e-14) + 1e-15 * abs(at)
 
 
-def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT,
-              scratch: dict | None = None) -> np.ndarray:
+def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
     """Estimates of B samples at G bandwidths on T sorted points at once:
 
         out[b, g, t] = (1 / (n * hs[g])) * sum_i K((points[t] - samples[b, i]) / hs[g])
@@ -107,8 +101,8 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT,
     values there in array order, so every point adds its values in
     sorted-data order whatever the blocks.  Each bandwidth is then scaled
     once by 1 / (n * h).  out is laid out (G, B, T) and returned as its
-    (B, G, T) transpose view.  The scratch pair is `scratch["pair"]`,
-    this thread's own when `scratch` is None.
+    (B, G, T) transpose view.  The scratch pair comes off `_SCRATCH` and
+    goes back unless it is above _BLOCK_ELEMENTS elements.
     The result is within the rounding bound of the module docstring of
     `kernel((points[:, None] - np.sort(sample)) / h).sum(axis=-1) * (1 / (n * h))`,
     and exactly 0.0 where no datum reaches; NaN and infinite points give 0.
@@ -134,9 +128,10 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT,
     s = float(kernel.support_halfwidth)
     tiled = np.tile(points, B)
     offset = np.arange(0, B * T, T)[:, None]  # sample b's row starts at b*T
-    if scratch is None:
-        scratch = _SCRATCH.__dict__  # this thread's
-    index, u = scratch.get("pair", (np.empty(0, np.intp), np.empty(0)))
+    try:
+        index, u = pair = _SCRATCH.pop()
+    except IndexError:  # every kept pair is in use, or none is kept yet
+        index, u = pair = np.empty(0, np.intp), np.empty(0)
     for g, h in enumerate(hs):
         reach = _reach(h * s, data)
         lo = np.searchsorted(points, data - reach, side="left")
@@ -157,7 +152,7 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT,
         if index.size < need:
             index, u = np.empty(need, np.intp), np.empty(need)
             if need <= _BLOCK_ELEMENTS:
-                scratch["pair"] = index, u
+                pair = index, u
         into = out[g].reshape(-1)
         for r0 in range(0, x.size, step):
             first = start[r0:r0 + step, None]
@@ -169,6 +164,7 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT,
             blk /= h
             np.add.at(into, index[:m], kernel(blk).ravel())
         out[g] *= 1.0 / (n * h)
+    _SCRATCH.append(pair)
     return out.transpose(1, 0, 2)
 
 

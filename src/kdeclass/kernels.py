@@ -30,7 +30,8 @@ from math import gamma, pi
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import ParameterError, _require_integers, _require_positive
+from .errors import (ParameterError, _require_finite, _require_generator, _require_integers,
+                     _require_positive)
 
 __all__ = [
     "Kernel",
@@ -50,7 +51,7 @@ class Kernel:
     ----------
     name : str
         Identifier used in registries and reprs.
-    poly_coeffs : sequence of Fraction
+    poly_coeffs : nonempty sequence of finite numbers, kept as Fractions
         Coefficients of the interior polynomial in powers of u**2, i.e.
         K(u) = sum_k poly_coeffs[k] * u**(2k) on [-s, s].
     support_halfwidth : Fraction or int
@@ -59,7 +60,10 @@ class Kernel:
 
     def __init__(self, name, poly_coeffs, support_halfwidth=1):
         self.name = str(name)
+        _require_finite(**{f"poly_coeffs[{i}]": c for i, c in enumerate(poly_coeffs)})
         self.poly_coeffs = tuple(Fraction(c) for c in poly_coeffs)
+        if not self.poly_coeffs:
+            raise ParameterError("poly_coeffs must hold at least one coefficient")
         _require_positive(support_halfwidth=support_halfwidth)
         self.support_halfwidth = Fraction(support_halfwidth)
         # full-degree coefficient array (index = power of u); every zero is a
@@ -180,6 +184,7 @@ class Kernel:
         The envelope is the constant K(0) on [-s, s]; acceptance probability
         is 1 / (2 s K(0)).  Returns a scalar when size is None.
         """
+        _require_generator(rng)
         scalar = size is None
         if not scalar:
             _require_integers(size=size, minimum=0)

@@ -17,7 +17,6 @@ writes only its own array, so the surface does not depend on that.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import factorial, sqrt, pi
@@ -50,10 +49,6 @@ _SCALE_RULES = ("normal-sd", "iqr", "robust-min")
 #: cap on the (replicates, G1, G2, T) comparison that error_surface counts
 #: per chunk of replicates, in booleans, so memory does not grow with B
 _COUNT_ELEMENTS = 1 << 20
-#: per calling thread, the `_kde_many` scratch of error_surface's worker
-#: thread: the worker is new on every call, and a pair kept on it would be
-#: freed and allocated again each time
-_WORKER_SCRATCH = threading.local()
 
 
 @dataclass(frozen=True)
@@ -110,6 +105,13 @@ class SelectorConfig:
             raise ParameterError(f"scale_rule must be one of {_SCALE_RULES}")
         _require_positive(fine_grid_factor=self.fine_grid_factor)
         _require_kernel(self.kernel)
+
+
+def _selector_config(config, name: str = "config") -> SelectorConfig:
+    """config, SelectorConfig() if None; ParameterError naming `name` if not a SelectorConfig."""
+    if config is not None and not isinstance(config, SelectorConfig):
+        raise ParameterError(f"{name} must be a SelectorConfig, got {config!r}")
+    return SelectorConfig() if config is None else config
 
 
 @dataclass(frozen=True)
@@ -182,8 +184,7 @@ def pilot_bandwidth(data: np.ndarray, config: SelectorConfig | None = None) -> f
     C_{r+2} the normal roughness of the (r+2)-th density derivative.  For
     r = 4 the exponent is 1/13.
     """
-    if config is None:
-        config = SelectorConfig()
+    config = _selector_config(config)
     data = np.asarray(data, dtype=float)
     scale = sample_scale(data, config.scale_rule)
     return scale * _unit_pilot(data.size, config)
@@ -230,8 +231,7 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
     worker thread that has ended when this returns or raises; the values do
     not depend on that.
     """
-    if config is None:
-        config = SelectorConfig()
+    config = _selector_config(config)
     x_data, y_data, grid_h1, grid_h2 = _surface_args(x_data, y_data, grid_h1, grid_h2, p)
     if rng is None:
         rng = np.random.default_rng(0)
@@ -258,11 +258,9 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
         xs[b] = smoothed_bootstrap(ftilde, x_data.size, rng)
         ys[b] = smoothed_bootstrap(gtilde, y_data.size, rng)
     # the two calls spend most of their time in numpy code that releases
-    # the GIL, so the y call on a worker overlaps the x call here; the
-    # worker ends with this call, so its scratch is kept by this thread
+    # the GIL, so the y call on a worker overlaps the x call here
     with ThreadPoolExecutor(max_workers=1) as pool:
-        g_future = pool.submit(_kde_many, ys, grid_h2, grid, config.kernel,
-                               _WORKER_SCRATCH.__dict__)
+        g_future = pool.submit(_kde_many, ys, grid_h2, grid, config.kernel)
         pf = _kde_many(xs, grid_h1, grid, config.kernel)
         qg = g_future.result()
     # scaled in place, so a call allocates no output-sized array beyond the
@@ -309,8 +307,7 @@ def select_bandwidths(x_data: np.ndarray, y_data: np.ndarray, p: float = 0.5,
     False (see SelectorConfig), with n the second sample's size.  Ties go
     to the smaller h1, then the smaller h2.
     """
-    if config is None:
-        config = SelectorConfig()
+    config = _selector_config(config)
     if seed is not None:
         _require_integers(seed=seed, minimum=0)
     if rng is None:

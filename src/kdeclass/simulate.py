@@ -21,7 +21,8 @@ from .classifier import (FROM_G, TrainedClassifier, _ahat_from_f,
 from .densities import DensityPair, make_pair
 from .errors import (DegenerateRegressionError, ParameterError, _checked_interval,
                      _require_finite, _require_integers)
-from .selector import SelectorConfig, _cv_surface, _first_argmin, sample_scale, select_bandwidths
+from .selector import (SelectorConfig, _cv_surface, _first_argmin, _selector_config, sample_scale,
+                       select_bandwidths)
 
 __all__ = [
     "DEFAULT_N_LIST",
@@ -75,6 +76,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _require_integers(reps=self.reps, threads=self.threads, minimum=1)
+        object.__setattr__(self, "selector", _selector_config(self.selector, "selector"))
         object.__setattr__(self, "n_list", _sizes(self.n_list, 2))
         _require_integers(seed=self.seed, minimum=0)
         for name in ("reps", "seed", "threads"):
@@ -377,8 +379,7 @@ def run_cv_comparison(pair_id: str = "class1a", n: int = 100, reps: int = 50,
     _require_integers(reps=reps, minimum=1)
     _require_integers(n=n, minimum=2)
     _require_integers(seed=seed, minimum=0)
-    if config is None:
-        config = SelectorConfig()
+    config = _selector_config(config)
     pair = make_pair(pair_id)
     rows = tuple(_cv_cell(pair, n, rep, int(seed), config) for rep in range(int(reps)))
 

@@ -52,6 +52,7 @@ from kdeclass import (
     multivariate_norm_constant,
     normal_deriv_roughness,
     optimal_bandwidths,
+    pilot_bandwidth,
     predicted_excess,
     run_cv_comparison,
     run_tail_study,
@@ -186,6 +187,8 @@ EST = KdeEstimate([0.0, 1.0, 2.0], 0.5)
 CLF = fit_classifier(X, Y, 0.5, 0.5)
 CUSTOM = CustomDensity(Normal(0, 1).pdf, sampler=lambda n, rng: rng.normal(size=n))
 TAIL = dict(n_list=(30,), reps=1, contrast_n=40, contrast_grid=(3.0, 6.0, 11), seed=0)
+#: what is not a SelectorConfig: a kernel, its fields as a dict
+BAD_CONFIGS = (TRIWEIGHT, {"boot_iters": 4})
 
 
 def _tail(**kw):
@@ -219,8 +222,8 @@ TYPED = "typed"
 #: an interval (lo, hi): its rows are empty, reversed and NaN-edged
 #: intervals, one with a text edge, "a" and its extra values
 INTERVAL = "interval"
-#: the count and order of a list of sample sizes, whose entries have rows of
-#: their own: its rows are its extra values alone
+#: the count and order of a list whose entries have rows of their own
+#: (sample sizes, kernel coefficients): its rows are its extra values alone
 ORDER = "order"
 #: an integer CLI flag: argparse rejects what is not an integer, so the
 #: flag's rows are its extra values alone
@@ -246,9 +249,13 @@ SITES = [
     # kernels
     ("Kernel", "support_halfwidth", POSITIVE,
      lambda v: Kernel("k", EPANECHNIKOV.poly_coeffs, v), ()),
+    ("Kernel", "poly_coeffs[0]", FINITE, lambda v: Kernel("k", [v]), (None, 1j)),
+    ("Kernel", "poly_coeffs[1]", FINITE, lambda v: Kernel("k", [Fraction(3, 4), v]), (None,)),
+    ("Kernel", "poly_coeffs", ORDER, lambda v: Kernel("k", v), ([], ())),
     ("moment_exact", "j", 0, lambda v: TRIWEIGHT.moment_exact(v), ()),
     ("roughness", "r", 0, lambda v: TRIWEIGHT.roughness(v), ()),
     ("sample", "size", 0, lambda v: TRIWEIGHT.sample(np.random.default_rng(0), v), ()),
+    ("Kernel.sample", "rng", TYPED, lambda v: TRIWEIGHT.sample(v, 3), (None, 0)),
     ("multivariate_norm_constant", "d", 1, lambda v: multivariate_norm_constant(TRIWEIGHT, v), ()),
     ("multivariate_norm_constant", "kernel", TYPED, lambda v: multivariate_norm_constant(v, 2),
      (None,)),
@@ -274,7 +281,9 @@ SITES = [
     ("DensityPair", "p", OPEN_UNIT, lambda v: DensityPair(Normal(0, 1), Normal(1, 1), v), ()),
     ("DensityPair.sample", "n", 0, lambda v: CLASS1A.sample("f", v, np.random.default_rng(0)),
      ("3",)),
+    ("DensityPair.sample", "rng", TYPED, lambda v: CLASS1A.sample("f", 5, v), (None,)),
     ("Normal.sample", "n", 0, lambda v: Normal(0, 1).sample(v, np.random.default_rng(0)), ("3",)),
+    ("Normal.sample", "rng", TYPED, lambda v: Normal(0, 1).sample(5, v), (None, 0)),
     ("CustomDensity.sample", "n", 0,
      lambda v: CUSTOM.sample(v, np.random.default_rng(0)), ("3",)),
     ("make_pair-pareto", "alpha", FINITE, lambda v: make_pair("pareto", alpha=v, beta=2.5), ()),
@@ -310,6 +319,11 @@ SITES = [
      lambda v: SelectorConfig(fine_grid_factor=v), ()),
     ("SelectorConfig", "kernel", TYPED, lambda v: SelectorConfig(kernel=v), (None, "triweight")),
     ("normal_deriv_roughness", "k", 0, lambda v: normal_deriv_roughness(v), ()),
+    ("pilot_bandwidth", "config", TYPED, lambda v: pilot_bandwidth(X, v), BAD_CONFIGS),
+    ("error_surface", "config", TYPED,
+     lambda v: error_surface(X, Y, [0.5], [0.5], config=v), BAD_CONFIGS),
+    ("select_bandwidths", "config", TYPED, lambda v: select_bandwidths(X, Y, config=v),
+     BAD_CONFIGS),
     ("error_surface", "p", OPEN_UNIT,
      lambda v: error_surface(X, Y, [0.5], [0.5], p=v, config=TINY), ()),
     ("error_surface", "grid_h1", POSITIVE,
@@ -388,6 +402,8 @@ SITES = [
     ("ExperimentConfig", "n_list", ORDER, lambda v: ExperimentConfig("class1a", n_list=v),
      ((20, 20), (26, 20), (20,), ())),
     ("ExperimentConfig", "seed", SEED, lambda v: ExperimentConfig("class1a", seed=v), ()),
+    ("ExperimentConfig", "selector", TYPED,
+     lambda v: ExperimentConfig("class1a", selector=v), BAD_CONFIGS),
     ("run_tail_study", "reps", 1, lambda v: _tail(reps=v), ()),
     ("run_tail_study", "contrast_grid[2]", 1, lambda v: _tail(contrast_grid=(3.0, 6.0, v)), ()),
     ("run_tail_study", "contrast_n", 2, lambda v: _tail(contrast_n=v), ()),
@@ -401,6 +417,7 @@ SITES = [
     ("run_cv_comparison", "n", 2, lambda v: _cv(n=v), (-5,)),
     ("run_cv_comparison", "reps", 1, lambda v: _cv(reps=v), ()),
     ("run_cv_comparison", "seed", SEED, lambda v: _cv(seed=v), (1.5,)),
+    ("run_cv_comparison", "config", TYPED, lambda v: _cv(config=v), BAD_CONFIGS),
     # cli
     ("risk-surface", "seed", FLAG,
      lambda v: main(["risk-surface", "--pair", "class1a", "--n", "20", "--seed", str(v),
@@ -436,6 +453,11 @@ def test_bad_argument_raises_parameter_error_naming_it(name, value, call):
     with pytest.raises(ParameterError) as info:
         call(value)
     assert str(info.value).startswith(name + " "), str(info.value)
+
+
+def test_a_config_of_none_is_the_default():
+    assert ExperimentConfig("class1a", selector=None).selector == SelectorConfig()
+    assert pilot_bandwidth(X, None) == pilot_bandwidth(X, SelectorConfig())
 
 
 def test_whole_floats_act_as_integers():

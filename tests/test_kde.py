@@ -353,9 +353,11 @@ def test_kde_many_same_bytes_at_every_block_size(cap, monkeypatch):
     assert [_kde_many(*call).tobytes() for call in calls] == whole
 
 
-def test_kde_many_threads_hold_their_own_scratch(monkeypatch):
+def test_kde_many_concurrent_calls_take_their_own_scratch(monkeypatch):
     # four threads on two cores, switching every microsecond, each repeat
-    # their own calls; a shared scratch set would mix their values
+    # their own calls; a shared scratch pair would mix their values, and the
+    # free list keeps at most one pair per call that ran at once
+    monkeypatch.setattr(kde_module, "_SCRATCH", [])
     monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", 500)
     calls = [engine_calls(seed, 5) for seed in (1, 2, 1, 2)]
     want = [[_kde_many(*call).tobytes() for call in own] for own in calls]
@@ -379,6 +381,7 @@ def test_kde_many_threads_hold_their_own_scratch(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(done) == len(threads)
+    assert len(kde_module._SCRATCH) <= len(threads)
 
 
 class FailingKernel(Kernel):
@@ -396,31 +399,35 @@ class FailingKernel(Kernel):
 
 
 def test_kde_many_correct_after_a_call_that_raises(monkeypatch):
-    # a call that stops mid-way leaves this thread's scratch pair partly
-    # written, and the next call still gives the same bytes
-    monkeypatch.setattr(kde_module, "_SCRATCH", threading.local())
+    # a call that stops mid-way has written part of the pair it took, and
+    # the next call still gives the same bytes; one call at a time keeps at
+    # most one pair
+    monkeypatch.setattr(kde_module, "_SCRATCH", [])
     monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", 500)
     samples, hs, points, _ = engine_calls(4, 1)[0]
     want = _kde_many(samples, hs, points).tobytes()
     for k in (1, 2, 5):
         with pytest.raises(RuntimeError, match="kernel failed"):
             _kde_many(samples[:, ::-1], hs[::-1], points, FailingKernel(k))
-        assert hasattr(kde_module._SCRATCH, "pair")
         assert _kde_many(samples, hs, points).tobytes() == want
+        assert len(kde_module._SCRATCH) <= 1
 
 
 def test_kde_many_keeps_no_scratch_above_the_bound(monkeypatch):
     # every datum reaches all T points, so the call's one block holds T
-    # elements; that pair is not kept, and a small call after it still works
-    monkeypatch.setattr(kde_module, "_SCRATCH", threading.local())
+    # elements; that pair is not kept, the call gives back the pair it took,
+    # and a small call after it still works
+    monkeypatch.setattr(kde_module, "_SCRATCH", [])
     keep = kde_module._BLOCK_ELEMENTS
     small = (np.array([[0.0, 0.5]]), [0.3], np.linspace(-1.0, 1.0, 50))
     _kde_many(*small)
+    taken = kde_module._SCRATCH[-1]
     points = np.linspace(-1.0, 1.0, 3 * keep)
     got = _kde_many(np.array([[-0.5, 0.0, 0.25]]), [2.0], points)
     assert_matches_dense(got[0, 0], np.array([-0.5, 0.0, 0.25]), 2.0, TRIWEIGHT, points)
-    index, u = kde_module._SCRATCH.pair
-    assert index.size <= keep and u.size == index.size
+    assert len(kde_module._SCRATCH) == 1 and kde_module._SCRATCH[0] is taken
+    for index, u in kde_module._SCRATCH:
+        assert index.size <= keep and u.size == index.size
     assert_matches_dense(_kde_many(*small)[0, 0], small[0][0], 0.3, TRIWEIGHT, small[2])
 
 

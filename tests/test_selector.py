@@ -345,18 +345,23 @@ def test_error_surface_joins_its_worker(monkeypatch):
 
 
 def test_error_surface_keeps_its_workers_scratch(monkeypatch):
-    # each call's worker thread is new, and the next call's worker reuses
-    # the scratch pair the last one allocated, with the same values
-    monkeypatch.setattr(selector, "_WORKER_SCRATCH", threading.local())
+    # each call's worker thread is new; like the calling thread it takes a
+    # pair off the engine's free list and gives it back.  The list starts
+    # with two pairs that fit either population's call, whichever thread
+    # takes which, so each call leaves the same pair objects in the list
+    # (it allocated nothing new), and the second gives the same bytes
+    size = kde_module._BLOCK_ELEMENTS
+    pairs = [(np.empty(size, np.intp), np.empty(size)) for _ in range(2)]
+    monkeypatch.setattr(kde_module, "_SCRATCH", list(pairs))
     rng = np.random.default_rng(8)
     x = rng.normal(0.0, 1.0, 30)
     y = rng.normal(1.0, 1.0, 25)
     cfg = _tight_config(boot_iters=5, grid_per_dim=3)
     grid = np.array([0.3, 0.6, 1.0])
     want = error_surface(x, y, grid, grid, 0.5, cfg).tobytes()
-    pair = selector._WORKER_SCRATCH.pair
+    assert sorted(map(id, kde_module._SCRATCH)) == sorted(map(id, pairs))
     assert error_surface(x, y, grid, grid, 0.5, cfg).tobytes() == want
-    assert selector._WORKER_SCRATCH.pair is pair
+    assert sorted(map(id, kde_module._SCRATCH)) == sorted(map(id, pairs))
 
 
 def test_error_surface_counts_in_chunks(monkeypatch):
