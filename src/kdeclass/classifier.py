@@ -114,7 +114,7 @@ def _tail_search(clf: TrainedClassifier, x, side: str):
     the first population wins, and whether by a tie."""
     sign = 1 if side == "right" else -1
     z = np.fmax(sign * np.asarray(x, dtype=float), -np.inf)  # NaN: no endpoint
-    ends = [np.r_[-np.inf, (sign * e.data + e.reach)[::sign]] for e in (clf.fhat, clf.ghat)]
+    ends = [np.r_[-np.inf, (sign * e.data + e.h)[::sign]] for e in (clf.fhat, clf.ghat)]
     best_f, best_g = (e[np.searchsorted(e, z, side="right") - 1] for e in ends)
     if np.any(np.maximum(best_f, best_g) == -np.inf):
         raise EmptyTailError(f"no kernel support endpoint at or {('above', 'below')[sign > 0]} x")
@@ -124,7 +124,7 @@ def _tail_search(clf: TrainedClassifier, x, side: str):
 def classify_tail(clf: TrainedClassifier, x: float, side: str) -> Label:
     """Tail rule on one side: attribute x to the sample whose kernel support
     ends nearest to it, ties to the first population.  On side "right" that
-    is the largest X_i + h1*s or Y_j + h2*s at or below x; side "left" is
+    is the largest X_i + h1 or Y_j + h2 at or below x; side "left" is
     side "right" on the negated line (exact).  Each sample's nearest endpoint
     is one np.searchsorted in its sorted endpoints.  Requires both estimates
     to vanish at x; raises EmptyTailError when neither sample has one.
@@ -214,8 +214,8 @@ def _interior_point(a: float, b: float) -> float:
 def _support_islands(clf: TrainedClassifier) -> tuple[np.ndarray, np.ndarray]:
     """Merged union of both samples' kernel supports (touching ones merge),
     as the increasing arrays of its islands' starts and ends."""
-    starts = np.concatenate([clf.fhat.data - clf.fhat.reach, clf.ghat.data - clf.ghat.reach])
-    ends = np.concatenate([clf.fhat.data + clf.fhat.reach, clf.ghat.data + clf.ghat.reach])
+    starts = np.concatenate([clf.fhat.data - clf.fhat.h, clf.ghat.data - clf.ghat.h])
+    ends = np.concatenate([clf.fhat.data + clf.fhat.h, clf.ghat.data + clf.ghat.h])
     order = np.argsort(starts)
     starts, furthest = starts[order], np.maximum.accumulate(ends[order])
     # an island closes where the next support starts beyond every end so far
@@ -250,8 +250,8 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
     increasing order whose union is exactly [lo, hi].
 
     Inside the support islands the sign of deltahat is sampled at the cell
-    midpoints of a uniform scan (pitch min(total span/2048, min bandwidth
-    support/4), at least 64 cells per island); the midpoints of all islands
+    midpoints of a uniform scan (pitch min(total span/2048, smaller
+    bandwidth/4), at least 64 cells per island); the midpoints of all islands
     are evaluated once, in one call per estimate, and each sign flip is
     bisected to width 1e-10.  Midpoints, not grid points, since both
     estimates are exactly zero at island edges and where supports touch: a
@@ -264,7 +264,7 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
         raise ParameterError("rule must be 'ahat' or 'body'")
     _checked_interval("(lo, hi)", (lo, hi))  # the segments keep lo's and hi's types
     starts, ends = _support_islands(clf)
-    spacing = min((ends[-1] - starts[0]) / _BASE_GRID, min(clf.fhat.reach, clf.ghat.reach) / 4.0)
+    spacing = min((ends[-1] - starts[0]) / _BASE_GRID, min(clf.fhat.h, clf.ghat.h) / 4.0)
     # the islands meeting (lo, hi), clipped to it: edges run lo, a1, b1, a2,
     # b2, ..., hi, so even pieces are gaps and odd pieces islands
     edges = [lo]

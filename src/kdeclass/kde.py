@@ -4,7 +4,7 @@ The estimator is the standard
 
     fhat(x) = (1 / (count * h)) * sum_i K((x - X_i) / h)
 
-with a compactly supported kernel, so only data inside [x - h*s, x + h*s]
+with a kernel supported on [-1, 1], so only data inside [x - h, x + h]
 contribute.  Array evaluation goes through one scatter engine,
 `_kde_many`, shared by the classifier, cross-validation, risk and the
 bootstrap selector: each datum adds its kernel values to the contiguous run
@@ -17,7 +17,7 @@ each point adds its values in sorted-data order and the results do not
 depend on the block size or on how the samples are split.  They
 differ from the dense (point x datum) sum by rounding only: per point at
 most eps * (n * sum_i |K(u_i)| + 4 * d * S * m) / (n * h), with d, S as in
-`kernels` and m the number of data with |u_i| <= s; where no datum reaches
+`kernels` and m the number of data with |u_i| <= 1; where no datum reaches
 a point the estimate is exactly 0.0.  A scalar call adds the same values in
 the same order, with a running sum rather than np.sum's pairwise one, over a
 binary-search window, so it equals the array value bit for bit.
@@ -77,10 +77,10 @@ def _checked_sample(data, name: str = "data") -> np.ndarray:
     return data
 
 
-def _reach(hs: float, at):
-    """hs = h*s widened past the rounding of u and of window edges near `at`,
-    so no pair with |u| <= s is left out; extra pairs add exact zeros."""
-    return hs * (1.0 + 1e-14) + 1e-15 * abs(at)
+def _reach(h: float, at):
+    """h widened past the rounding of u and of window edges near `at`, so no
+    pair with |u| <= 1 is left out; extra pairs add exact zeros."""
+    return h * (1.0 + 1e-14) + 1e-15 * abs(at)
 
 
 def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
@@ -125,7 +125,6 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
     if B == 0 or T == 0:
         return out.transpose(1, 0, 2)
     data = np.sort(samples, axis=1)
-    s = float(kernel.support_halfwidth)
     tiled = np.tile(points, B)
     offset = np.arange(0, B * T, T)[:, None]  # sample b's row starts at b*T
     try:
@@ -133,7 +132,7 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
     except IndexError:  # every kept pair is in use, or none is kept yet
         index, u = pair = np.empty(0, np.intp), np.empty(0)
     for g, h in enumerate(hs):
-        reach = _reach(h * s, data)
+        reach = _reach(h, data)
         lo = np.searchsorted(points, data - reach, side="left")
         runs = np.searchsorted(points, data + reach, side="right") - lo
         # the live columns: those whose run is nonempty in some sample
@@ -143,7 +142,7 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
         cols = slice(live[0], live[-1] + 1)
         width = int(runs.max())
         # shifting a run left to fit the row only adds points below
-        # X - h*s, whose kernel values are exact zeros
+        # X - h, whose kernel values are exact zeros
         start = (np.minimum(lo[:, cols], T - width) + offset).ravel()
         x = data[:, cols].ravel()
         window = np.arange(width)
@@ -197,10 +196,8 @@ class KdeEstimate:
         self.h = float(h)
         self.kernel = kernel
         self.count = int(arr.size)
-        #: half-width h*s of each datum's kernel support
-        self.reach = self.h * float(kernel.support_halfwidth)
         #: closed interval outside which the estimate is identically zero
-        self.support = (float(self.data[0] - self.reach), float(self.data[-1] + self.reach))
+        self.support = (float(self.data[0] - self.h), float(self.data[-1] + self.h))
 
     # ------------------------------------------------------------------
     def __call__(self, x):
@@ -218,7 +215,7 @@ class KdeEstimate:
     def _eval_scalar(self, x: float) -> float:
         if not math.isfinite(x):  # no datum reaches +-inf or NaN
             return 0.0
-        reach = _reach(self.reach, x)
+        reach = _reach(self.h, x)
         lo, hi = self.data.searchsorted([x - reach, x + reach])
         if hi <= lo:
             return 0.0
@@ -250,7 +247,7 @@ def kde_mean_var(density, kernel: Kernel, h: float, count: int, y: float):
     E fhat(y)   = int K(t) f(y - h t) dt
     Var fhat(y) = (1/count) * [ (1/h) int K(t)^2 f(y - h t) dt - (E fhat(y))^2 ]
 
-    both integrals over the kernel support [-s, s] by adaptive quadrature
+    both integrals over the kernel support [-1, 1] by adaptive quadrature
     with absolute tolerance 1e-10.
     """
     _require_kernel(kernel)
@@ -258,10 +255,9 @@ def kde_mean_var(density, kernel: Kernel, h: float, count: int, y: float):
     _require_integers(count=count, minimum=1)
     _require_finite(y=y)
     from scipy.integrate import quad
-    s = float(kernel.support_halfwidth)
 
     def _quad(fn):
-        val, err = quad(fn, -s, s, epsabs=1e-10, epsrel=1e-10, limit=200)
+        val, err = quad(fn, -1.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
         if err > 1e-7:
             raise NumericError(f"quadrature error estimate {err:.2g} too large")
         return val

@@ -3,23 +3,24 @@
 Conventions
 -----------
 * A kernel K is even, nonnegative, integrates to one, and vanishes outside
-  [-s, s] where s is the support halfwidth (s = 1 for all built-ins).
+  [-1, 1]: the bandwidth is the only scale (see Kernel for rescaling one
+  with a wider support).
 * Inside the support K(u) is a polynomial in u**2; coefficients are kept as
   exact rationals (Fractions in an object array) so moments, roughness
   values and c_d are computed in closed form by numpy.polynomial's
   polyder, polymul, polyint and polyval, which stay exact on Fractions; a
   kernel keeps the moments and roughness values it has computed.
   Quadrature never enters the library path (tests use it as an independent
-  oracle).  K(u) itself is evaluated by Horner's rule in t = s**2 - u**2,
+  oracle).  K(u) itself is evaluated by Horner's rule in t = 1 - u**2,
   with coefficients expanded exactly from those in u**2 (Kernel.__call__).
   For the built-ins that is c * t**p, p = 1, 2, 3, so every value is >= 0,
-  K(+-s) is exactly +0.0 and K(0) exactly K's constant coefficient.  Each
+  K(+-1) is exactly +0.0 and K(0) exactly K's constant coefficient.  Each
   value lies within 2 * d * S * eps of the exact K at the same u,
-  d = len(poly_coeffs), S = sum_k |a_k| s**(2k) (0.36 * S * eps at most,
+  d = len(poly_coeffs), S = sum_k |a_k| (0.36 * S * eps at most,
   measured for the built-ins), so within 4 * d * S * eps of np.polyval's
   value, which the tests check.
 * Derivatives are classical derivatives of the interior polynomial on the
-  open support; roughness(r) integrates their square over [-s, s].
+  open support; roughness(r) integrates their square over [-1, 1].
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from math import gamma, pi
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import (ParameterError, _require_finite, _require_generator, _require_integers,
-                     _require_positive)
+from .errors import ParameterError, _require_finite, _require_generator, _require_integers
 
 __all__ = [
     "Kernel",
@@ -45,7 +45,7 @@ __all__ = [
 
 
 class Kernel:
-    """A compactly supported even polynomial kernel.
+    """A compactly supported even polynomial kernel on [-1, 1].
 
     Parameters
     ----------
@@ -53,19 +53,27 @@ class Kernel:
         Identifier used in registries and reprs.
     poly_coeffs : nonempty sequence of finite numbers, kept as Fractions
         Coefficients of the interior polynomial in powers of u**2, i.e.
-        K(u) = sum_k poly_coeffs[k] * u**(2k) on [-s, s].
-    support_halfwidth : Fraction or int
-        Half-length s of the support interval.
+        K(u) = sum_k poly_coeffs[k] * u**(2k) on [-1, 1].
+
+    A kernel sum_k a_k * u**(2k) on [-s, s] at bandwidth h gives exactly the
+    estimate of Kernel(name, [a_k * s**(2k+1)]) at bandwidth s*h, its
+    rescaling s * K(s * v) onto [-1, 1].
     """
 
-    def __init__(self, name, poly_coeffs, support_halfwidth=1):
+    #: half-length of the support interval, the same for every kernel
+    support_halfwidth = 1
+
+    def __init__(self, name, poly_coeffs):
         self.name = str(name)
-        _require_finite(**{f"poly_coeffs[{i}]": c for i, c in enumerate(poly_coeffs)})
-        self.poly_coeffs = tuple(Fraction(c) for c in poly_coeffs)
+        try:
+            coeffs = list(poly_coeffs)
+        except TypeError:  # not iterable
+            raise ParameterError(
+                f"poly_coeffs must be a sequence of numbers, got {poly_coeffs!r}") from None
+        _require_finite(**{f"poly_coeffs[{i}]": c for i, c in enumerate(coeffs)})
+        self.poly_coeffs = tuple(Fraction(c) for c in coeffs)
         if not self.poly_coeffs:
             raise ParameterError("poly_coeffs must hold at least one coefficient")
-        _require_positive(support_halfwidth=support_halfwidth)
-        self.support_halfwidth = Fraction(support_halfwidth)
         # full-degree coefficient array (index = power of u); every zero is a
         # Fraction, since polyint would divide an int 0 into a float 0.0
         full = np.full(2 * len(self.poly_coeffs) - 1, Fraction(0), dtype=object)
@@ -75,19 +83,17 @@ class Kernel:
         #: bandwidth formulas ask for the same few on every evaluation
         self._exact = {}
         self._float_coeffs = full[::-1].astype(float)  # np.polyval order
-        # K(u) = sum_k a_k (s2 - t)**k = sum_j b_j t**j with t = s2 - u**2,
-        # expanded exactly (Horner in t) about the float s2 that __call__
-        # subtracts from
-        self._s2 = float(self.support_halfwidth) ** 2
+        # K(u) = sum_k a_k (1 - t)**k = sum_j b_j t**j with t = 1 - u**2,
+        # expanded exactly (Horner in t)
         b = self.poly_coeffs[-1:]
         for c in self.poly_coeffs[-2::-1]:
-            b = P.polyadd(P.polymul(b, [Fraction(self._s2), -1]), [c])
+            b = P.polyadd(P.polymul(b, [Fraction(1), -1]), [c])
         self._t_coeffs = np.asarray(b)[::-1].astype(float)  # Horner order
         self._float_anti = P.polyint(full)[::-1].astype(float)
         self.at_zero = float(self.poly_coeffs[0])
-        # K at s itself is never zeroed, so this is the Horner sequence at t = 0
+        # K at 1 itself is never zeroed, so this is the Horner sequence at t = 0
         self._zero_at_edge = False
-        edge = Kernel.__call__(self, self.support_halfwidth)
+        edge = Kernel.__call__(self, 1.0)
         self._zero_at_edge = edge == 0.0 and not np.signbit(edge)
         if self.moment(0) != 1:
             raise ParameterError(
@@ -100,10 +106,10 @@ class Kernel:
     def __call__(self, u):
         """Evaluate K(u); zero outside the support.  Accepts scalars or arrays.
 
-        Horner's rule in t = s**2 - a**2 with a = |u| clipped to s by np.fmin
-        (which sends NaN to s), skipping additions of zero coefficients;
-        points failing |u| <= s are then zeroed.  The clip comes before the
-        square, so infinite and huge u overflow nothing, and a**2 <= s**2
+        Horner's rule in t = 1 - a**2 with a = |u| clipped to 1 by np.fmin
+        (which sends NaN to 1), skipping additions of zero coefficients;
+        points failing |u| <= 1 are then zeroed.  The clip comes before the
+        square, so infinite and huge u overflow nothing, and a**2 <= 1
         gives t >= 0: the built-ins' c * t**p is never negative.  When the
         value at t = 0 is exactly +0.0 (all built-ins) the clipped points
         already hold that zero and the zeroing is skipped.  Inside the
@@ -111,12 +117,11 @@ class Kernel:
         (see the module Conventions).
         """
         u = np.asarray(u, dtype=float)
-        s = float(self.support_halfwidth)
         t = np.abs(u, out=np.empty(u.shape))
-        outside = None if self._zero_at_edge else ~(t <= s)
-        np.fmin(t, s, out=t)
+        outside = None if self._zero_at_edge else ~(t <= 1.0)
+        np.fmin(t, 1.0, out=t)
         t *= t
-        np.subtract(self._s2, t, out=t)
+        np.subtract(1.0, t, out=t)
         coeffs = self._t_coeffs
         if coeffs.size == 1:
             out = np.full(u.shape, coeffs[0])
@@ -134,11 +139,10 @@ class Kernel:
         return out
 
     def cdf(self, x):
-        """Integral of K from -s to x, clipped to [0, 1]."""
+        """Integral of K from -1 to x, clipped to [0, 1]."""
         x = np.asarray(x, dtype=float)
-        s = float(self.support_halfwidth)
-        xc = np.clip(x, -s, s)
-        val = np.polyval(self._float_anti, xc) - np.polyval(self._float_anti, -s)
+        xc = np.clip(x, -1.0, 1.0)
+        val = np.polyval(self._float_anti, xc) - np.polyval(self._float_anti, -1.0)
         val = np.clip(val, 0.0, 1.0)
         if val.ndim == 0:
             return float(val)
@@ -156,13 +160,12 @@ class Kernel:
         _require_integers(j=j, minimum=0)
         key = ("moment", int(j))
         if key not in self._exact:
-            s = self.support_halfwidth
             moment = np.concatenate(([Fraction(0)] * key[1], self._full))
-            self._exact[key] = P.polyval(s, P.polyint(moment, lbnd=-s))
+            self._exact[key] = P.polyval(1, P.polyint(moment, lbnd=-1))
         return self._exact[key]
 
     def roughness(self, r: int = 0) -> float:
-        """int (K^(r)(u))**2 du over [-s, s], exact.
+        """int (K^(r)(u))**2 du over [-1, 1], exact.
 
         r = 0 gives the usual roughness int K**2; higher r uses the classical
         r-th derivative of the interior polynomial.
@@ -171,8 +174,7 @@ class Kernel:
         key = ("roughness", int(r))
         if key not in self._exact:
             dr = P.polyder(self._full, key[1])
-            s = self.support_halfwidth
-            self._exact[key] = float(P.polyval(s, P.polyint(P.polymul(dr, dr), lbnd=-s)))
+            self._exact[key] = float(P.polyval(1, P.polyint(P.polymul(dr, dr), lbnd=-1)))
         return self._exact[key]
 
     # ------------------------------------------------------------------
@@ -181,22 +183,21 @@ class Kernel:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw from the density K by rejection against a uniform envelope.
 
-        The envelope is the constant K(0) on [-s, s]; acceptance probability
-        is 1 / (2 s K(0)).  Returns a scalar when size is None.
+        The envelope is the constant K(0) on [-1, 1]; acceptance probability
+        is 1 / (2 K(0)).  Returns a scalar when size is None.
         """
         _require_generator(rng)
         scalar = size is None
         if not scalar:
             _require_integers(size=size, minimum=0)
         n = 1 if scalar else int(size)
-        s = float(self.support_halfwidth)
         out = np.empty(n)
         filled = 0
         while filled < n:
             todo = n - filled
-            # expected acceptance rate 1/(2 s K0); oversample modestly
-            block = max(32, int(todo * 2 * s * self.at_zero * 1.2) + 16)
-            u = rng.uniform(-s, s, size=block)
+            # expected acceptance rate 1/(2 K0); oversample modestly
+            block = max(32, int(todo * 2 * self.at_zero * 1.2) + 16)
+            u = rng.uniform(-1.0, 1.0, size=block)
             v = rng.uniform(0.0, self.at_zero, size=block)
             acc = u[v <= self(u)]
             take = min(todo, acc.size)
@@ -237,13 +238,12 @@ def _require_kernel(kernel) -> None:
 def multivariate_norm_constant(kernel: Kernel, d: int) -> float:
     """Normalizing constant c_d making c_d * K(||u||) a density on R^d.
 
-    c_d = 1 / (S_{d-1} * int_0^s K(rho) rho^(d-1) drho) with S_{d-1} the
+    c_d = 1 / (S_{d-1} * int_0^1 K(rho) rho^(d-1) drho) with S_{d-1} the
     surface area of the unit (d-1)-sphere.  d = 1 recovers 1 exactly.
     """
     _require_kernel(kernel)
     _require_integers(d=d, minimum=1)
     d = int(d)
-    radial = P.polyval(kernel.support_halfwidth,
-                       P.polyint(np.concatenate(([Fraction(0)] * (d - 1), kernel._full))))
+    radial = P.polyval(1, P.polyint(np.concatenate(([Fraction(0)] * (d - 1), kernel._full))))
     surface = 2 * pi ** (d / 2) / gamma(d / 2)
     return 1.0 / (surface * float(radial))

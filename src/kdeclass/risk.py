@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import FROM_G, _interior_point, decision_segments, fit_classifier
+from .classifier import FROM_F, FROM_G, _interior_point, decision_segments, fit_classifier
 from .densities import CrossingSet, DensityPair, crossings
 from .errors import (
     NumericError,
@@ -125,6 +125,18 @@ def _segment_mass(density, a: float, b: float) -> float:
     return val
 
 
+def _labelled_risk(pair: DensityPair, segs) -> float:
+    """p * F-mass of the (a, b, population) segments labelled "g" plus
+    q * G-mass of those labelled "f", added in segment order."""
+    total = 0.0
+    for a, b, lab in segs:
+        if lab == FROM_G:
+            total += pair.p * _segment_mass(pair.f, a, b)
+        else:
+            total += (1.0 - pair.p) * _segment_mass(pair.g, a, b)
+    return total
+
+
 def _default_crossings(pair: DensityPair) -> CrossingSet:
     """crossings(pair) at its defaults, found on the first call and kept on
     the (frozen) pair."""
@@ -148,13 +160,9 @@ def bayes_risk(pair: DensityPair, interval: tuple[float, float] | None = None,
         cs = _default_crossings(pair)
     cuts = [y.y for y in cs.points if lo < y.y < hi]
     edges = [lo, *cuts, hi]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if pair.delta(_interior_point(a, b)) > 0.0:
-            total += (1.0 - pair.p) * _segment_mass(pair.g, a, b)
-        else:
-            total += pair.p * _segment_mass(pair.f, a, b)
-    return total
+    return _labelled_risk(pair, [
+        (a, b, FROM_F if pair.delta(_interior_point(a, b)) > 0.0 else FROM_G)
+        for a, b in zip(edges[:-1], edges[1:])])
 
 
 def empirical_risk(pair: DensityPair, m: int, n: int, h1: float, h2: float,
@@ -195,14 +203,7 @@ def empirical_risk(pair: DensityPair, m: int, n: int, h1: float, h2: float,
         x = pair.sample("f", m, rng)
         y = pair.sample("g", n, rng)
         clf = fit_classifier(x, y, h1, h2, pair.p, kernel)
-        segs = decision_segments(clf, lo, hi, rule)
-        err = 0.0
-        for a, b, lab in segs:
-            if lab == FROM_G:
-                err += pair.p * _segment_mass(pair.f, a, b)
-            else:
-                err += (1.0 - pair.p) * _segment_mass(pair.g, a, b)
-        vals[rep] = err
+        vals[rep] = _labelled_risk(pair, decision_segments(clf, lo, hi, rule))
 
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0

@@ -86,7 +86,6 @@ class SelectorConfig:
     c2: float = 0.45
     pilot_deriv: int = 4
     quad_points: int = 201
-    scale_rule: str = "robust-min"
     kernel: Kernel = field(default=TRIWEIGHT)
     fine_grid: bool = True
     fine_grid_factor: float = 1.0
@@ -101,8 +100,6 @@ class SelectorConfig:
             raise ParameterError("c2 must lie in (1/5, 1) so the grid covers n^(-1/5)")
         if self.pilot_deriv % 2:
             raise ParameterError("pilot_deriv must be an even integer >= 2")
-        if self.scale_rule not in _SCALE_RULES:
-            raise ParameterError(f"scale_rule must be one of {_SCALE_RULES}")
         _require_positive(fine_grid_factor=self.fine_grid_factor)
         _require_kernel(self.kernel)
 
@@ -149,7 +146,7 @@ def sample_scale(data: np.ndarray, rule: str = "robust-min") -> float:
     if data.size < 2:
         raise DegenerateSampleError("need at least two observations for a scale")
     if rule not in _SCALE_RULES:
-        raise ParameterError(f"scale_rule must be one of {_SCALE_RULES}")
+        raise ParameterError(f"rule must be one of {_SCALE_RULES}, got {rule!r}")
     sd = float(np.std(data, ddof=1))
     q75, q25 = np.percentile(data, [75.0, 25.0])
     iqr = float(q75 - q25) / _NORMAL_IQR
@@ -182,11 +179,11 @@ def pilot_bandwidth(data: np.ndarray, config: SelectorConfig | None = None) -> f
 
     where R(K^(r)) is the roughness of the r-th kernel derivative and
     C_{r+2} the normal roughness of the (r+2)-th density derivative.  For
-    r = 4 the exponent is 1/13.
+    r = 4 the exponent is 1/13.  The scale is sample_scale's "robust-min".
     """
     config = _selector_config(config)
     data = np.asarray(data, dtype=float)
-    scale = sample_scale(data, config.scale_rule)
+    scale = sample_scale(data, "robust-min")
     return scale * _unit_pilot(data.size, config)
 
 
@@ -239,8 +236,7 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
 
     h3 = pilot_bandwidth(x_data, config)
     h4 = pilot_bandwidth(y_data, config)
-    s = config.kernel.support_halfwidth
-    pad = max(h3, h4) * s
+    pad = max(h3, h4)
     lo_t = min(x_data.min(), y_data.min()) - pad
     hi_t = max(x_data.max(), y_data.max()) + pad
     grid = np.linspace(lo_t, hi_t, config.quad_points)

@@ -13,10 +13,10 @@ from kdeclass import KdeEstimate, classify_ahat
 
 def polyval_kernel(kernel, u):
     """Reference kernel values: np.polyval of the full-degree coefficients
-    at u, with points failing |u| <= s (NaN included) evaluated at 0 and
+    at u, with points failing |u| <= 1 (NaN included) evaluated at 0 and
     then set to 0."""
     u = np.asarray(u, dtype=float)
-    inside = np.abs(u) <= float(kernel.support_halfwidth)
+    inside = np.abs(u) <= 1.0
     return np.where(inside, np.polyval(kernel._float_coeffs, np.where(inside, u, 0.0)), 0.0)
 
 
@@ -37,20 +37,18 @@ def kde_rounding_bound(data, h, kernel, points):
         eps * (n * sum_i |K(u_i)| + 4 * d * S * m) / (n * h)
 
     with u_i = (x - X_i) / h as naive_kde forms it, K the reference kernel,
-    d = len(kernel.poly_coeffs), S = sum_k |a_k| s**(2k) and m the number
-    of data with |u_i| <= s.  The first term covers adding n values in any
-    order (the library's sequential sum and numpy's pairwise sum); the
-    second, per datum in the support, the library's Horner rule in
-    s**2 - u**2 against np.polyval in u, each within 2 * d * S * eps of the
-    exact K.  Where no datum has |u_i| <= s the bound is 0: both are exactly
-    0.0 there.  With data [0.0] and h = 1 it bounds a single kernel value
-    at u = points."""
+    d = len(kernel.poly_coeffs), S = sum_k |a_k| and m the number of data
+    with |u_i| <= 1.  The first term covers adding n values in any order
+    (the library's sequential sum and numpy's pairwise sum); the second, per
+    datum in the support, the library's Horner rule in 1 - u**2 against
+    np.polyval in u, each within 2 * d * S * eps of the exact K.  Where no
+    datum has |u_i| <= 1 the bound is 0: both are exactly 0.0 there.  With
+    data [0.0] and h = 1 it bounds a single kernel value at u = points."""
     data = np.sort(np.asarray(data, dtype=float).ravel())
     x = np.atleast_1d(np.asarray(points, dtype=float))
     u = (x[..., None] - data) / h
-    s = kernel.support_halfwidth
-    spread = float(sum(abs(a) * s ** (2 * k) for k, a in enumerate(kernel.poly_coeffs)))
-    reached = np.count_nonzero(np.abs(u) <= float(s), axis=-1)
+    spread = float(sum(abs(a) for a in kernel.poly_coeffs))
+    reached = np.count_nonzero(np.abs(u) <= 1.0, axis=-1)
     values = np.abs(polyval_kernel(kernel, u)).sum(axis=-1)
     n = data.size
     return (np.finfo(float).eps
@@ -109,8 +107,7 @@ def scan_segments_oracle(clf, lo, hi, rule="ahat"):
     support intervals, then per island one evaluation of each estimate at
     the scan-cell midpoints, a bisection of each sign flip, and a cursor
     walk that labels the gaps; adjacent equal labels merge at the end."""
-    half_f = clf.fhat.h * float(clf.fhat.kernel.support_halfwidth)
-    half_g = clf.ghat.h * float(clf.ghat.kernel.support_halfwidth)
+    half_f, half_g = clf.fhat.h, clf.ghat.h
     starts = np.concatenate([clf.fhat.data - half_f, clf.ghat.data - half_g])
     ends = np.concatenate([clf.fhat.data + half_f, clf.ghat.data + half_g])
     order = np.argsort(starts)

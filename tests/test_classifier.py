@@ -277,9 +277,9 @@ UNIFORM = Kernel("uniform", [Fraction(1, 2)])
 
 
 def _edge_points(clf, rng, extra):
-    """Every support edge X_i -+ h*s of both samples, the floats either side,
+    """Every support edge X_i -+ h of both samples, the floats either side,
     the pooled median and `extra` random points around the data."""
-    edges = np.concatenate([np.r_[e.data - e.reach, e.data + e.reach]
+    edges = np.concatenate([np.r_[e.data - e.h, e.data + e.h]
                             for e in (clf.fhat, clf.ghat)])
     return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
                            [clf.pooled_median],
@@ -589,7 +589,7 @@ def test_decision_segments_many_gaps_take_classify_ahat_labels(p):
     clf = fit_classifier(rng.uniform(-60.0, 60.0, 40), rng.uniform(-50.0, 70.0, 40),
                          0.1, 0.15, p=p)
     islands = []
-    for a, b in sorted((x - e.reach, x + e.reach) for e in (clf.fhat, clf.ghat) for x in e.data):
+    for a, b in sorted((x - e.h, x + e.h) for e in (clf.fhat, clf.ghat) for x in e.data):
         if islands and a <= islands[-1][1]:
             islands[-1][1] = max(islands[-1][1], b)
         else:

@@ -4,7 +4,7 @@ pointwise moments vs Monte Carlo, and smoothed-bootstrap distributional
 correctness.
 
 The engine adds each point's kernel values in sorted-data order with
-np.add.at and evaluates the kernel in s**2 - u**2, so it is held to the
+np.add.at and evaluates the kernel in 1 - u**2, so it is held to the
 dense oracle within the per-point rounding bound helpers.kde_rounding_bound,
 which is 0 (so the match is exact) where no datum reaches a point.  A
 scalar call adds the same values in the same order, so it is held to the
@@ -35,11 +35,12 @@ from kdeclass import (
 from kdeclass import kde as kde_module
 from kdeclass.kde import _kde_many
 
-# the uniform kernels jump at their support edges, where the built-ins
-# vanish, so a pair left out at |u| = s shows up in the sum
-KERNELS = (TRIWEIGHT, BIWEIGHT, EPANECHNIKOV,
-           Kernel("uniform", [Fraction(1, 2)]),
-           Kernel("uniform-wide", [Fraction(1, 6)], support_halfwidth=3))
+# the uniform and stepped kernels jump at their support edges, where the
+# built-ins vanish, so a pair left out at |u| = 1 shows up in the sum; the
+# stepped kernel 5/8 - 3/8 u**2 also rounds in Horner's rule where it jumps
+UNIFORM = Kernel("uniform", [Fraction(1, 2)])
+STEPPED = Kernel("stepped", [Fraction(5, 8), Fraction(-3, 8)])
+KERNELS = (TRIWEIGHT, BIWEIGHT, EPANECHNIKOV, UNIFORM, STEPPED)
 
 
 def assert_matches_dense(got, data, h, kernel, points):
@@ -50,10 +51,10 @@ def assert_matches_dense(got, data, h, kernel, points):
     assert np.all(np.abs(got - want) <= kde_rounding_bound(data, h, kernel, points))
 
 
-def edge_points(data, h, s, rng, extra):
-    """Sorted points holding every kernel support edge X +- h*s, the floats
+def edge_points(data, h, rng, extra):
+    """Sorted points holding every kernel support edge X +- h, the floats
     either side of each, and `extra` uniform points over the span."""
-    edges = np.concatenate([data - h * s, data + h * s])
+    edges = np.concatenate([data - h, data + h])
     pts = np.concatenate([edges, np.nextafter(edges, -np.inf),
                           np.nextafter(edges, np.inf),
                           rng.uniform(data.min() - 2 * h, data.max() + 2 * h, extra)])
@@ -68,8 +69,7 @@ def test_kde_many_matches_dense_sum(kernel, B, G):
     samples = rng.normal(size=(B, n))
     samples[:, 5:9] = samples[:, :4]            # duplicated data
     hs = np.geomspace(0.05, 2.0, G)
-    s = float(kernel.support_halfwidth)
-    points = edge_points(samples.ravel(), hs[0], s, rng, 300)
+    points = edge_points(samples.ravel(), hs[0], rng, 300)
     got = _kde_many(samples, hs, points, kernel)
     assert got.shape == (B, G, points.size)
     for b in range(B):
@@ -77,6 +77,28 @@ def test_kde_many_matches_dense_sum(kernel, B, G):
             assert_matches_dense(got[b, g], samples[b], h, kernel, points)
     # the points just outside the outermost edges see nothing
     assert np.all(got[:, 0, 0] == 0.0) and np.all(got[:, 0, -1] == 0.0)
+
+
+@pytest.mark.parametrize("s, wide, kernel", [
+    (3.0, [Fraction(1, 6)], UNIFORM),
+    (2.0, [Fraction(3, 8), Fraction(-3, 32)], EPANECHNIKOV),
+    (0.5, [Fraction(5, 4), Fraction(-3)], STEPPED)], ids=["uniform", "epanechnikov", "stepped"])
+def test_wider_kernel_is_its_rescaling_at_a_wider_bandwidth(s, wide, kernel):
+    # the kernel sum_k a_k u**(2k) on [-s, s] at h, summed by hand over every
+    # pair, is Kernel(name, [a_k s**(2k+1)]) on [-1, 1] at s*h; the two form
+    # u differently, so they agree within the rounding bound rather than bit
+    # for bit
+    assert kernel.poly_coeffs == tuple(a * Fraction(s) ** (2 * k + 1) for k, a in enumerate(wide))
+    rng = np.random.default_rng(6)
+    data = rng.normal(size=200)
+    points = np.sort(rng.uniform(-4.0, 4.0, 500))
+    h = 0.2
+    u = (points[:, None] - data) / h
+    values = np.where(np.abs(u) <= s, np.polyval([float(a) for a in wide[::-1]], u**2), 0.0)
+    want = values.sum(axis=1) / (data.size * h)
+    got = KdeEstimate(data, s * h, kernel)(points)
+    assert np.all(np.abs(got - want) <= kde_rounding_bound(data, s * h, kernel, points))
+    assert np.any(got > 0.0) and np.any(got == 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 128, 129, 200, 300])
@@ -104,14 +126,13 @@ def test_kde_many_follows_numpy_pairwise_blocks(n, cap, monkeypatch):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), B=st.integers(1, 4),
        G=st.integers(1, 3), kernel=st.sampled_from(KERNELS))
 def test_kde_many_within_rounding_bound_at_every_edge(seed, n, B, G, kernel):
-    # points at every support edge X +- h*s of every sample and bandwidth,
+    # points at every support edge X +- h of every sample and bandwidth,
     # and the floats either side of each: there the kernel vanishes (the
-    # built-ins) or jumps (the uniform kernels)
+    # built-ins) or jumps (the uniform and stepped kernels)
     rng = np.random.default_rng(seed)
     samples = rng.normal(size=(B, n)) * rng.uniform(0.1, 10.0)
     hs = rng.uniform(0.01, 2.0, G)
-    s = float(kernel.support_halfwidth)
-    edges = np.concatenate([samples.ravel() + sign * h * s for h in hs for sign in (-1, 1)])
+    edges = np.concatenate([samples.ravel() + sign * h for h in hs for sign in (-1, 1)])
     points = np.sort(np.concatenate([edges, np.nextafter(edges, -np.inf),
                                      np.nextafter(edges, np.inf)]))
     got = _kde_many(samples, hs, points, kernel)
@@ -168,9 +189,8 @@ def test_kde_many_points_one_datum_reaches(kernel, k):
     # whole 128-blocks of them, lie outside the live span
     rng = np.random.default_rng(k)
     data = np.sort(rng.normal(size=2000))
-    s = float(kernel.support_halfwidth)
-    h = 1e-4 / s
-    points = np.sort(data[k] + h * s * rng.uniform(-1.0, 1.0, 64))
+    h = 1e-4
+    points = np.sort(data[k] + h * rng.uniform(-1.0, 1.0, 64))
     got = _kde_many(data[None, :], [h, 10 * h], points, kernel)
     for g, hg in enumerate([h, 10 * h]):
         assert_matches_dense(got[0, g], data, hg, kernel, points)
@@ -181,8 +201,7 @@ def test_kde_many_points_one_datum_reaches(kernel, k):
 def test_kde_many_points_outside_the_data(kernel):
     rng = np.random.default_rng(2)
     samples = rng.normal(size=(2, 300))
-    s = float(kernel.support_halfwidth)
-    lo, hi = samples.min() - 0.25 * s, samples.max() + 0.25 * s   # reach <= 0.2*s
+    lo, hi = samples.min() - 0.25, samples.max() + 0.25   # reach <= 0.2
     for points in (np.sort(lo - rng.uniform(0, 1, 40)), np.sort(hi + rng.uniform(0, 1, 40)),
                    np.r_[lo - 1.0, lo, hi, hi + 1.0]):
         got = _kde_many(samples, [0.1, 0.2], points, kernel)
@@ -202,7 +221,7 @@ def test_kde_many_live_span_mid_lane_to_block_tail(kernel, cap, n, c0, c1, monke
     if cap is not None:
         monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", cap)
     rng = np.random.default_rng(n + c0)
-    h = 3.4 / float(kernel.support_halfwidth)
+    h = 3.4
     data = spaced_samples(n, [0.0], rng)[0]
     points = points_reached_by(data, c0, c1, 3.4, rng, 100)
     got = _kde_many(data[None, :], [h], points, kernel)
@@ -218,7 +237,7 @@ def test_kde_many_disjoint_live_spans(kernel, cap, monkeypatch):
     if cap is not None:
         monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", cap)
     rng = np.random.default_rng(3)
-    h = 3.4 / float(kernel.support_halfwidth)
+    h = 3.4
     samples = spaced_samples(200, [0.0, -40.0, -80.0], rng)
     points = points_reached_by(samples[0], 10, 30, 3.4, rng, 100)
     got = _kde_many(samples, [h], points, kernel)
@@ -267,8 +286,7 @@ def test_array_call_matches_dense_sum(kernel):
     data = np.repeat(rng.normal(size=40), 3)    # every datum three times
     h = 0.3
     est = KdeEstimate(data, h, kernel)
-    s = float(kernel.support_halfwidth)
-    pts = edge_points(est.data, h, s, rng, 200)
+    pts = edge_points(est.data, h, rng, 200)
     pts = np.concatenate([pts, pts[::7]])       # duplicated points
     rng.shuffle(pts)                            # in no order
     grid = pts[: 20 * 30].reshape(20, 30)       # and 2-D
@@ -345,8 +363,10 @@ def test_kde_many_same_bytes_at_every_block_size(cap, monkeypatch):
     # caps 7 and 500 split samples over blocks, each adding into the sums
     # the sample's earlier blocks left in the output; the calls come in
     # random sizes, so a kept set is reused by smaller calls and replaced
-    # for larger ones
+    # for larger ones; a fresh free list keeps the one-block calls' pairs,
+    # above the real bound, out of the list later tests share
     calls = engine_calls(3, 40)
+    monkeypatch.setattr(kde_module, "_SCRATCH", [])
     monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", 10**9)  # one block each
     whole = [_kde_many(*call).tobytes() for call in calls]
     monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", cap)
@@ -442,14 +462,14 @@ def same_bits(a, b) -> bool:
        decimals=st.sampled_from([None, 0, 1]))
 def test_scalar_call_equals_array_call_bit_for_bit(seed, n, kernel, h, decimals):
     """est(x) is est(np.array([x]))[0] to the bit at every support edge
-    X_i +- h*s, the floats either side of it and random points; rounded
+    X_i +- h, the floats either side of it and random points; rounded
     data put many edges on top of one another."""
     rng = np.random.default_rng(seed)
     data = rng.normal(size=n) * rng.uniform(0.1, 50.0)
     if decimals is not None:
         data = np.round(data, decimals)
     est = KdeEstimate(data, h, kernel)
-    points = edge_points(est.data, h, float(kernel.support_halfwidth), rng, 40)
+    points = edge_points(est.data, h, rng, 40)
     # the engine's value at a point does not depend on the other points
     array = est(points)
     for x, want in zip(points, array):

@@ -35,8 +35,7 @@ KNOWN_ROUGHNESS0 = {"triweight": Fraction(350, 429), "biweight": Fraction(5, 7),
 
 
 def _quad_moment(kernel, j):
-    s = float(kernel.support_halfwidth)
-    val, _ = quad(lambda u: u**j * kernel(u), -s, s, epsabs=1e-13, limit=200)
+    val, _ = quad(lambda u: u**j * kernel(u), -1.0, 1.0, epsabs=1e-13, limit=200)
     return val
 
 
@@ -84,13 +83,12 @@ def test_roughness_matches_reconstructed_polynomial(kernel, r):
     square, and integrate it exactly.  This avoids finite-difference bias at
     the support edge, where lower-degree kernels have derivative kinks.
     """
-    s = float(kernel.support_halfwidth)
-    nodes = s * np.cos(np.pi * (np.arange(41) + 0.5) / 41)
+    nodes = np.cos(np.pi * (np.arange(41) + 0.5) / 41)
     poly = np.polynomial.Polynomial.fit(nodes, kernel(nodes), deg=8,
-                                        domain=[-s, s], window=[-s, s])
+                                        domain=[-1, 1], window=[-1, 1])
     deriv = poly.deriv(r) if r else poly
     squared = deriv * deriv
-    want = squared.integ()(s) - squared.integ()(-s)
+    want = squared.integ()(1.0) - squared.integ()(-1.0)
     assert kernel.roughness(r) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
@@ -101,35 +99,34 @@ def test_evaluation_even_nonnegative_compact(kernel):
     vals = kernel(u)
     assert np.all(vals >= 0.0)
     assert vals == pytest.approx(kernel(-u), abs=1e-15)
-    s = float(kernel.support_halfwidth)
-    assert np.all(vals[np.abs(u) > s] == 0.0)
+    assert np.all(vals[np.abs(u) > 1.0] == 0.0)
     # scalar evaluation agrees with the vector path
     assert kernel(0.25) == pytest.approx(kernel(np.array([0.25]))[0], abs=1e-15)
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS + (
     Kernel("uniform", [Fraction(1, 2)]),
-    Kernel("uniform-wide", [Fraction(1, 6)], support_halfwidth=3),
+    # jumps to 1/4 at the edges, where Horner's rule rounds
+    Kernel("stepped", [Fraction(5, 8), Fraction(-3, 8)]),
     # K(0) = 0 with K < 0 near 0: the Horner value at u = 0 is -0 until the
     # last coefficient, 0.0, is added
     Kernel("signed-quartic", [0, Fraction(-3, 2), 5])), ids=lambda k: k.name)
 def test_evaluation_matches_polyval_bit_for_bit(kernel):
-    # Horner in s**2 - u**2 is held to np.polyval in u within the rounding
+    # Horner in 1 - u**2 is held to np.polyval in u within the rounding
     # bound at one datum, which is 0 outside the support: exact +0.0 there
-    s = float(kernel.support_halfwidth)
     rng = np.random.default_rng(3)
-    special = [0.0, -0.0, s, -s, np.nextafter(s, 0.0), np.nextafter(s, np.inf),
-               np.nextafter(-s, 0.0), np.nextafter(-s, -np.inf), np.inf, -np.inf,
+    special = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, np.inf),
+               np.nextafter(-1.0, 0.0), np.nextafter(-1.0, -np.inf), np.inf, -np.inf,
                np.nan, 1e300, -1e300, 5e-324, -5e-324]
-    u = np.concatenate([rng.uniform(-1.5 * s, 1.5 * s, 1000), special])
+    u = np.concatenate([rng.uniform(-1.5, 1.5, 1000), special])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for arg in (u, u.reshape(-1, 5), np.empty(0), np.empty((3, 0))):
             got, want = kernel(arg), polyval_kernel(kernel, arg)
             assert got.shape == arg.shape
             assert np.all(np.abs(got - want) <= kde_rounding_bound(0.0, 1.0, kernel, arg))
-            assert not np.any(np.signbit(got[~(np.abs(arg) <= s)]))
-        for value in [0.3 * s, -0.7 * s] + special:
+            assert not np.any(np.signbit(got[~(np.abs(arg) <= 1.0)]))
+        for value in [0.3, -0.7] + special:
             got = kernel(value)
             assert type(got) is float
             assert (abs(got - float(polyval_kernel(kernel, value)))
@@ -139,40 +136,37 @@ def test_evaluation_matches_polyval_bit_for_bit(kernel):
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
 def test_builtins_nonnegative_and_exact_at_edges_and_zero(kernel):
-    # a million u packed just inside -s and s, where np.polyval's triweight
+    # a million u packed just inside -1 and 1, where np.polyval's triweight
     # rounds below zero; the edges and the centre are exact
-    s = float(kernel.support_halfwidth)
-    inside = s * (1.0 - np.random.default_rng(4).uniform(0.0, 1e-6, 500_000))
+    inside = 1.0 - np.random.default_rng(4).uniform(0.0, 1e-6, 500_000)
     assert np.all(kernel(np.concatenate([inside, -inside])) >= 0.0)
-    edges = kernel(np.array([s, -s]))
+    edges = kernel(np.array([1.0, -1.0]))
     assert np.array_equal(edges, [0.0, 0.0]) and not np.any(np.signbit(edges))
     assert kernel(0.0) == kernel.at_zero == float(kernel.poly_coeffs[0])
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
 def test_cdf_against_quadrature(kernel):
-    s = float(kernel.support_halfwidth)
-    assert kernel.cdf(-s) == pytest.approx(0.0, abs=1e-15)
-    assert kernel.cdf(s) == pytest.approx(1.0, abs=1e-12)
-    assert kernel.cdf(-s - 5.0) == pytest.approx(0.0, abs=1e-15)
-    assert kernel.cdf(s + 5.0) == pytest.approx(1.0, abs=1e-12)
+    assert kernel.cdf(-1.0) == pytest.approx(0.0, abs=1e-15)
+    assert kernel.cdf(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert kernel.cdf(-6.0) == pytest.approx(0.0, abs=1e-15)
+    assert kernel.cdf(6.0) == pytest.approx(1.0, abs=1e-12)
     for x in (-0.7, -0.2, 0.0, 0.4, 0.9):
-        ref, _ = quad(kernel, -s, x, epsabs=1e-13)
+        ref, _ = quad(kernel, -1.0, x, epsabs=1e-13)
         assert kernel.cdf(x) == pytest.approx(ref, abs=1e-10)
 
 
 @pytest.mark.parametrize("kernel", [TRIWEIGHT, BIWEIGHT, EPANECHNIKOV], ids=lambda k: k.name)
 def test_cdf_stays_in_unit_interval(kernel):
-    # the antiderivative's rounding falls below 0 near -s and above 1 near s
-    s = float(kernel.support_halfwidth)
+    # the antiderivative's rounding falls below 0 near -1 and above 1 near 1
     rng = np.random.default_rng(8)
-    x = np.concatenate([[-s, s], np.nextafter([-s, -s, s, s], [-np.inf, np.inf] * 2),
-                        rng.uniform(-s, -0.999 * s, 100_000),
-                        rng.uniform(0.999 * s, s, 100_000)])
+    x = np.concatenate([[-1.0, 1.0], np.nextafter([-1.0, -1.0, 1.0, 1.0], [-np.inf, np.inf] * 2),
+                        rng.uniform(-1.0, -0.999, 100_000),
+                        rng.uniform(0.999, 1.0, 100_000)])
     values = kernel.cdf(x)
     assert np.all((values >= 0.0) & (values <= 1.0))
-    assert kernel.cdf(-s) == 0.0
-    assert 0.0 <= kernel.cdf(np.nextafter(s, 0.0)) <= kernel.cdf(s) <= 1.0
+    assert kernel.cdf(-1.0) == 0.0
+    assert 0.0 <= kernel.cdf(np.nextafter(1.0, 0.0)) <= kernel.cdf(1.0) <= 1.0
 
 
 def test_sampling_matches_moments():
@@ -207,8 +201,6 @@ def test_kernel_validation():
     with pytest.raises(ParameterError):
         Kernel("half", [Fraction(1, 4)])  # integrates to 1/2, not 1
     with pytest.raises(ParameterError):
-        Kernel("flat", [Fraction(1, 2)], support_halfwidth=0)
-    with pytest.raises(ParameterError):
         TRIWEIGHT.moment(-2)
     with pytest.raises(ParameterError):
         TRIWEIGHT.moment_exact(-2)
@@ -225,9 +217,7 @@ def test_multivariate_norm_constant_oracle():
     assert multivariate_norm_constant(TRIWEIGHT, 1) == pytest.approx(1.0, abs=1e-14)
     for kernel in ALL_KERNELS:
         for d in (2, 3):
-            s = float(kernel.support_halfwidth)
-            radial, _ = quad(lambda r: kernel(r) * r ** (d - 1), 0.0, s,
-                             epsabs=1e-13)
+            radial, _ = quad(lambda r: kernel(r) * r ** (d - 1), 0.0, 1.0, epsabs=1e-13)
             surface = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
             cd = multivariate_norm_constant(kernel, d)
             assert cd * surface * radial == pytest.approx(1.0, abs=1e-10)

@@ -145,7 +145,7 @@ def test_pilot_bandwidth_is_scale_times_unit():
     rng = np.random.default_rng(8)
     data = rng.normal(0.0, 1.0, 64)
     config = SelectorConfig()
-    want = sample_scale(data, config.scale_rule) * _unit_pilot(64, config)
+    want = sample_scale(data, "robust-min") * _unit_pilot(64, config)
     assert pilot_bandwidth(data, config) == pytest.approx(want, rel=1e-14)
 
 
@@ -170,7 +170,6 @@ def test_selector_config_validation():
         dict(pilot_deriv=3),          # odd
         dict(pilot_deriv=0),
         dict(quad_points=1),
-        dict(scale_rule="mad"),
         dict(fine_grid_factor=0.0),
         dict(fine_grid_factor=-2.0),
         dict(fine_grid_factor=np.inf),
@@ -263,7 +262,7 @@ def dense_error_surface(x, y, grid_h1, grid_h2, p, config, rng, fit=naive_kde):
     kernel = config.kernel
     h3 = pilot_bandwidth(x, config)
     h4 = pilot_bandwidth(y, config)
-    pad = max(h3, h4) * kernel.support_halfwidth
+    pad = max(h3, h4)
     grid = np.linspace(min(x.min(), y.min()) - pad, max(x.max(), y.max()) + pad,
                        config.quad_points)
     ftilde = KdeEstimate(x, h3, kernel)
@@ -574,10 +573,10 @@ def test_cv_err_one_point_sample_has_no_leave_one_out():
             _cv_surface(x, y, [0.3, 0.5], [0.5], 0.5)
 
 
-# the uniform kernels jump at their support edges, where the built-ins vanish
-CV_KERNELS = (TRIWEIGHT, BIWEIGHT, EPANECHNIKOV,
-              Kernel("uniform", [Fraction(1, 2)]),
-              Kernel("uniform-wide", [Fraction(1, 6)], support_halfwidth=3))
+# the uniform and stepped kernels jump at their support edges, where the
+# built-ins vanish
+CV_KERNELS = (TRIWEIGHT, BIWEIGHT, EPANECHNIKOV, Kernel("uniform", [Fraction(1, 2)]),
+              Kernel("stepped", [Fraction(5, 8), Fraction(-3, 8)]))
 
 
 @pytest.mark.parametrize("seed", range(4))
