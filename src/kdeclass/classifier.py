@@ -251,14 +251,16 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
 
     Inside the support islands the sign of deltahat is sampled at the cell
     midpoints of a uniform scan (pitch min(total span/2048, smaller
-    bandwidth/4), at least 64 cells per island); the midpoints of all islands
-    are evaluated once, in one call per estimate, and each sign flip is
-    bisected to width 1e-10.  Midpoints, not grid points, since both
-    estimates are exactly zero at island edges and where supports touch: a
-    vacuous tie.  In the gaps the rule is piecewise constant, so one interior
-    point labels the whole gap, all gaps by one call per estimate.  A region
-    narrower than the scan pitch can fall between two midpoints and is then
-    missed, with no warning.
+    bandwidth/4), at least 64 and at most 999,999 cells per island); the
+    midpoints of all islands are evaluated once, in one call per estimate,
+    and each sign flip is bisected to width 1e-10.  Midpoints, not grid
+    points, since both estimates are exactly zero at island edges and where
+    supports touch: a vacuous tie.  In the gaps the rule is piecewise
+    constant, so one interior point labels the whole gap, all gaps by one
+    call per estimate.  A region narrower than the scan pitch can fall
+    between two midpoints and is then missed, with no warning; an island
+    wider than about 250,000 times the smaller bandwidth hits the cell cap
+    and is scanned at the coarser pitch width/999,999, also with no warning.
     """
     if rule not in ("ahat", "body"):
         raise ParameterError("rule must be 'ahat' or 'body'")

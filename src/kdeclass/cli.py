@@ -165,6 +165,7 @@ def _cmd_cvcheck(args) -> int:
 
 def _cmd_risk_surface(args) -> int:
     _require_integers(seed=args.seed, minimum=0)
+    _require_integers(n=args.n, minimum=2)  # a scale needs two observations
     pair = make_pair(args.pair)
     rng = np.random.default_rng(args.seed)
     x = pair.sample("f", args.n, rng)
@@ -203,7 +204,10 @@ def main(argv=None) -> int:
             sub.error("the following arguments are required: --pair")
         sub.error(f"argument --pair: invalid choice: {args.pair!r} "
                   f"(choose from {', '.join(map(repr, choices))})")
-    return args.run(args)
+    try:
+        return args.run(args)
+    except ParameterError as exc:  # a flag value the library refuses
+        subparsers[args.command].error(str(exc))
 
 
 if __name__ == "__main__":

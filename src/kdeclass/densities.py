@@ -483,9 +483,6 @@ class CrossingSet:
     def nu(self) -> int:
         return len(self.points)
 
-    def __iter__(self):
-        return iter(self.points)
-
 
 _DELTA_TOL = 1e-12
 _WIDTH_TOL = 1e-13

@@ -50,11 +50,12 @@ __all__ = [
 ]
 
 #: cap on the (rows x window) block one engine step evaluates, in doubles.
-#: perfbench ops/s, medians of 3 runs at 25k / 50k / 100k on a 2-vCPU VM,
-#: measured on the np.bincount engine that preceded np.add.at and not
-#: re-measured since: study 9.1 / 10.5 / 11.5 (peak RSS 96.2 / 98.4 /
-#: 101.3 MiB), risk 72 / 72 / 63.  50k kept risk at its best; 100k would
-#: have bought study 10% with 3 MiB and 12% of risk's speed
+#: perfbench ops/s at 25k / 50k / 100k, alternating runs on a 2-vCPU VM:
+#: study 9.7 / 11.5 / 11.3 (medians of 3; peak RSS 50.9 / 52.3 / 55.9 MiB),
+#: risk 82 / 70 / 80 (medians of 6, runs spread 45-103: no ranking).  Small
+#: blocks slow the two-thread error_surface engine pairs (19-34% at 25k,
+#: 1.8x at 12.5k) and may speed single-thread risk ops (3-13% at 25k in an
+#: earlier timing); 100k buys nothing for 3.6 MiB
 _BLOCK_ELEMENTS = 50_000
 #: free scratch pairs (index, u) of `_kde_many`, two flat arrays of one size
 #: each, none above _BLOCK_ELEMENTS elements; list.pop and append are atomic
@@ -223,13 +224,6 @@ class KdeEstimate:
         return float(self.kernel(u).cumsum()[-1] * (1.0 / (self.count * self.h)))
 
     # ------------------------------------------------------------------
-    def loo(self, i: int) -> float:
-        """Leave-one-out value fhat_{-i}(X_i), equal to loo_all()[i] bit for bit."""
-        _require_integers(i=i, minimum=0)
-        if i >= self.count:
-            raise ParameterError(f"i must be below the count {self.count}, got {i!r}")
-        return _loo(self(float(self.data[int(i)])), self.count, self.h, self.kernel)
-
     def loo_all(self) -> np.ndarray:
         """Leave-one-out values at every data point, in sorted-data order."""
         return _loo(self(self.data), self.count, self.h, self.kernel)

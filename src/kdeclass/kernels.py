@@ -82,7 +82,6 @@ class Kernel:
         #: exact functionals already computed, by (name, order): the
         #: bandwidth formulas ask for the same few on every evaluation
         self._exact = {}
-        self._float_coeffs = full[::-1].astype(float)  # np.polyval order
         # K(u) = sum_k a_k (1 - t)**k = sum_j b_j t**j with t = 1 - u**2,
         # expanded exactly (Horner in t)
         b = self.poly_coeffs[-1:]

@@ -44,7 +44,7 @@ __all__ = [
 #: consistent for the normal standard deviation.
 _NORMAL_IQR = 1.349
 
-_SCALE_RULES = ("normal-sd", "iqr", "robust-min")
+_SCALE_RULES = ("iqr", "robust-min")
 
 #: cap on the (replicates, G1, G2, T) comparison that error_surface counts
 #: per chunk of replicates, in booleans, so memory does not grow with B
@@ -134,11 +134,11 @@ def normal_deriv_roughness(k: int) -> float:
 
 
 def sample_scale(data: np.ndarray, rule: str = "robust-min") -> float:
-    """Scale estimate used by the pilot rule.
+    """Scale estimate of a sample.
 
-    * "normal-sd": sample standard deviation (ddof 1);
-    * "iqr": interquartile range divided by the normal IQR 1.349;
-    * "robust-min": the smaller of the two.
+    * "iqr" (the tail study's): interquartile range / normal IQR 1.349;
+    * "robust-min" (the pilot's): the smaller of that and the sample
+      standard deviation (ddof 1), the latter alone where the IQR is 0.
 
     Empty or non-finite data raise ParameterError, not DegenerateSampleError.
     """
@@ -150,9 +150,7 @@ def sample_scale(data: np.ndarray, rule: str = "robust-min") -> float:
     sd = float(np.std(data, ddof=1))
     q75, q25 = np.percentile(data, [75.0, 25.0])
     iqr = float(q75 - q25) / _NORMAL_IQR
-    if rule == "normal-sd":
-        scale = sd
-    elif rule == "iqr":
+    if rule == "iqr":
         scale = iqr
     else:
         scale = min(sd, iqr) if iqr > 0.0 else sd

@@ -13,11 +13,13 @@ from kdeclass import KdeEstimate, classify_ahat
 
 def polyval_kernel(kernel, u):
     """Reference kernel values: np.polyval of the full-degree coefficients
-    at u, with points failing |u| <= 1 (NaN included) evaluated at 0 and
-    then set to 0."""
+    (a_k at power 2k of u, zeros between) at u, with points failing
+    |u| <= 1 (NaN included) evaluated at 0 and then set to 0."""
+    full = np.zeros(2 * len(kernel.poly_coeffs) - 1)
+    full[::2] = [float(a) for a in kernel.poly_coeffs]
     u = np.asarray(u, dtype=float)
     inside = np.abs(u) <= 1.0
-    return np.where(inside, np.polyval(kernel._float_coeffs, np.where(inside, u, 0.0)), 0.0)
+    return np.where(inside, np.polyval(full[::-1], np.where(inside, u, 0.0)), 0.0)
 
 
 def naive_kde(data, h, kernel, x):

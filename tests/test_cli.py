@@ -141,6 +141,28 @@ def test_config_pair_missing_or_not_a_choice_exits(tmp_path, capsys, command, te
     assert f"kdeclass {command}: error: {error}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["study", "--pair", "class1a", "--grid", "1"], "grid_per_dim must be at least 2"),
+    (["study", "--pair", "class1a", "--reps", "0"], "reps must be at least 1"),
+    (["study", "--pair", "class1a", "--c2", "0.1"], "c2 must lie in (1/5, 1)"),
+    (["study", "--pair", "class1a", "--n-list", "50,20"],
+     "n_list must hold at least 2 strictly increasing sizes"),
+    (["cvcheck", "--n", "1"], "n must be at least 2"),
+    (["tail", "--reps", "0"], "reps must be at least 1"),
+    (["risk-surface", "--pair", "class1a", "--seed", "-1"], "seed must be at least 0"),
+    (["risk-surface", "--pair", "class1a", "--n", "1"], "n must be at least 2"),
+    (["risk-surface", "--pair", "class1a", "--n", "0"], "n must be at least 2"),
+], ids=["study-grid", "study-reps", "study-c2", "study-n-list", "cvcheck-n", "tail-reps",
+        "risk-surface-seed", "risk-surface-n", "risk-surface-n-0"])
+def test_flag_value_the_library_refuses_exits_with_usage(capsys, argv, error):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: kdeclass {argv[0]} ")
+    assert f"kdeclass {argv[0]}: error: {error}" in err
+
+
 def test_config_keys_are_the_long_flags():
     """A flag added or removed without its config key, or a key without
     its flag, fails here."""

@@ -59,7 +59,6 @@ from kdeclass import (
     select_bandwidths,
     smoothed_bootstrap,
 )
-from kdeclass.cli import main
 from kdeclass.errors import (_require_finite, _require_integers, _require_open_unit,
                              _require_positive)
 from kdeclass.kde import _kde_many
@@ -181,7 +180,7 @@ X, Y = _rng.normal(0.0, 1.0, 20), _rng.normal(1.0, 1.0, 20)
 X2, Y2 = X.reshape(10, 2), Y.reshape(10, 2)
 TINY = SelectorConfig(boot_iters=4, grid_per_dim=3, quad_points=51)
 MODELS = [(CLASS1A.f, 0.5), (CLASS1A.g, 0.5)]
-TABLE = {(0, 1): [pt.y for pt in CS1A]}
+TABLE = {(0, 1): [pt.y for pt in CS1A.points]}
 EST = KdeEstimate([0.0, 1.0, 2.0], 0.5)
 CLF = fit_classifier(X, Y, 0.5, 0.5)
 CUSTOM = CustomDensity(Normal(0, 1).pdf, sampler=lambda n, rng: rng.normal(size=n))
@@ -225,9 +224,6 @@ INTERVAL = "interval"
 #: (sample sizes, kernel coefficients), or a value that is no list: its rows
 #: are its extra values alone
 ORDER = "order"
-#: an integer CLI flag: argparse rejects what is not an integer, so the
-#: flag's rows are its extra values alone
-FLAG = None
 
 # (site, argument name, kind, call with the bad value, extra bad values);
 # a kind that is a number is the minimum of a whole-number argument
@@ -241,7 +237,6 @@ SITES = [
     ("kde_mean_var", "y", FINITE, lambda v: kde_mean_var(Normal(0, 1), TRIWEIGHT, 0.5, 10, v), ()),
     ("kde_mean_var", "kernel", TYPED, lambda v: kde_mean_var(Normal(0, 1), v, 0.5, 10, 0.0),
      (None,)),
-    ("loo", "i", 0, lambda v: EST.loo(v), (1.5, 3)),
     ("smoothed_bootstrap", "size", 0,
      lambda v: smoothed_bootstrap(EST, v, np.random.default_rng(0)), ()),
     ("smoothed_bootstrap", "rng", TYPED, lambda v: smoothed_bootstrap(EST, 3, v),
@@ -316,7 +311,7 @@ SITES = [
     ("SelectorConfig", "fine_grid_factor", POSITIVE,
      lambda v: SelectorConfig(fine_grid_factor=v), ()),
     ("SelectorConfig", "kernel", TYPED, lambda v: SelectorConfig(kernel=v), (None, "triweight")),
-    ("sample_scale", "rule", CHOICE, lambda v: sample_scale(X, v), (None,)),
+    ("sample_scale", "rule", CHOICE, lambda v: sample_scale(X, v), (None, "normal-sd")),
     ("normal_deriv_roughness", "k", 0, lambda v: normal_deriv_roughness(v), ()),
     ("pilot_bandwidth", "config", TYPED, lambda v: pilot_bandwidth(X, v), BAD_CONFIGS),
     ("error_surface", "config", TYPED,
@@ -417,15 +412,11 @@ SITES = [
     ("run_cv_comparison", "reps", 1, lambda v: _cv(reps=v), ()),
     ("run_cv_comparison", "seed", SEED, lambda v: _cv(seed=v), (1.5,)),
     ("run_cv_comparison", "config", TYPED, lambda v: _cv(config=v), BAD_CONFIGS),
-    # cli
-    ("risk-surface", "seed", FLAG,
-     lambda v: main(["risk-surface", "--pair", "class1a", "--n", "20", "--seed", str(v),
-                     "--boot-iters", "4", "--grid", "3"]), (-1,)),
 ]
 
 
 def _bad_values(kind) -> tuple:
-    if kind is FLAG or kind == ORDER:
+    if kind == ORDER:
         return ()
     if kind in (CHOICE, SEQUENCE, TYPED):
         values = ()
@@ -468,7 +459,6 @@ def test_a_config_of_none_is_the_default():
 
 def test_whole_floats_act_as_integers():
     assert optimal_bandwidths(CLASS1A, CS1A, n=100.0) == optimal_bandwidths(CLASS1A, CS1A, n=100)
-    assert EST.loo(1.0) == EST.loo(1)
     cfg = ExperimentConfig("class1a", reps=2.0, seed=3.0, threads=1.0)
     assert (cfg.reps, cfg.seed, cfg.threads) == (2, 3, 1)
     assert all(type(v) is int for v in (cfg.reps, cfg.seed, cfg.threads))

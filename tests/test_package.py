@@ -90,7 +90,7 @@ def test_readme_dependency_floors_match_pyproject():
 def _theory_values(pair, cs):
     """Values from the four scipy-backed functions, as JSON numbers."""
     plan = optimal_bandwidths(pair, cs, n=100)
-    return [[pt.y for pt in cs], bayes_risk(pair, cs=cs),
+    return [[pt.y for pt in cs.points], bayes_risk(pair, cs=cs),
             list(kde_mean_var(Normal(0.0, 1.0), TRIWEIGHT, 0.5, 10, 0.3)), [plan.h1, plan.h2]]
 
 

