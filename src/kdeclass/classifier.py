@@ -25,10 +25,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .densities import DensityPair
 from .errors import (EmptyTailError, ParameterError, _checked_interval, _require_open_unit,
                      _require_positive, _require_priors)
-from .kde import KdeEstimate, _checked_sample
+from .kde import KdeEstimate, _checked_sample, _exact_slack, _kde_many, _reach
 from .kernels import TRIWEIGHT, Kernel, multivariate_norm_constant
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "Label",
     "TrainedClassifier",
     "fit_classifier",
-    "classify_a0",
     "classify_a1",
     "classify_tail",
     "classify_ahat",
@@ -94,11 +92,6 @@ def _body_label(d: float) -> Label:
     if d < 0.0:
         return Label(FROM_G, "body")
     return Label(FROM_F, "body", tie_break=True)
-
-
-def classify_a0(pair: DensityPair, x: float) -> Label:
-    """Optimal rule from the true densities; ties go to the first population."""
-    return _body_label(float(pair.delta(x)))
 
 
 def classify_a1(clf: TrainedClassifier, x: float) -> Label | None:
@@ -239,6 +232,71 @@ def _refine_flip(clf: TrainedClassifier, a: float, b: float, lab_a: int) -> floa
     return 0.5 * (a + b)
 
 
+def _scan_labels(clf: TrainedClassifier, scans, spacing: float) -> np.ndarray:
+    """np.where(clf.deltahat(mids) >= 0, 0, 1) at the midpoints of all
+    scans, exactly; see decision_segments for how signs are certified."""
+    mids = np.concatenate([np.empty(0), *scans])
+    c = min(int(min(clf.fhat.h, clf.ghat.h) / (8.0 * spacing)), 32)
+    if c < 4 or not (clf.fhat.kernel._slope.smooth and clf.ghat.kernel._slope.smooth):
+        return np.where(clf.deltahat(mids) >= 0.0, 0, 1)
+    # each midpoint's nearest coarse point: every c-th of its island, or the last
+    first = np.cumsum([0] + [m.size for m in scans[:-1]])
+    near = [f + np.minimum(np.rint(np.arange(m.size) / c).astype(int) * c, m.size - 1)
+            for f, m in zip(first, scans)]
+    near = np.concatenate([np.empty(0, np.intp), *near])
+    coarse = np.unique(near)
+    xk = mids[coarse]
+    dk = clf.deltahat(xk)
+    sk = clf.p * _slope_at(clf.fhat, xk) - (1.0 - clf.p) * _slope_at(clf.ghat, xk)
+    at = np.searchsorted(coarse, near)
+    labs, unsure = _certify(clf, mids, xk[at], dk[at], sk[at])
+    labs[unsure] = np.where(clf.deltahat(mids[unsure]) >= 0.0, 0, 1)
+    return labs
+
+
+def _slope_at(est: KdeEstimate, x: np.ndarray) -> np.ndarray:
+    """est' at the sorted points x: the engine's sum of K'((x - X_i) / h)."""
+    return _kde_many(est.data[None, :], [est.h], x, est.kernel._slope)[0, 0] / est.h
+
+
+def _certify(clf: TrainedClassifier, x, xk, dk, sk):
+    """Labels of the points x by the Taylor step dk + sk * (x - xk) from
+    the computed deltahat dk and slope sk at xk (exact where x == xk), and
+    the indices where the step does not certify the sign of the computed
+    deltahat(x).  Their difference is at most twice the rounding of a
+    value, plus that of the slope times |x - xk|, plus (1/2) max|deltahat''|
+    (x - xk)**2 on [x, xk], plus 4 eps (|dk| + |sk (x - xk)|) for the
+    step's own roundings; the bound is widened by 1e-12 for its own."""
+    gap = x - xk
+    step = dk + sk * gap
+    bound = 4.0 * np.finfo(float).eps * (np.abs(dk) + np.abs(sk * gap))
+    lo, hi = np.minimum(x, xk), np.maximum(x, xk)
+    for est, weight in ((clf.fhat, clf.p), (clf.ghat, 1.0 - clf.p)):
+        value, slope, curve = _allowances(est, weight, lo, hi)
+        bound += 2.0 * value + slope * np.abs(gap) + 0.5 * curve * gap * gap
+    unsure = np.flatnonzero((np.abs(step) <= bound * (1.0 + 1e-12)) & (gap != 0.0))
+    return np.where(step >= 0.0, 0, 1), unsure
+
+
+def _allowances(est: KdeEstimate, weight: float, lo, hi):
+    """Per interval [lo, hi], times weight: bounds on the rounding of est's
+    computed value and slope anywhere in it (`kde._exact_slack`, three more
+    roundings each for deltahat's products and difference, one more for the
+    slope's division by h), and on |est''| there, from the m data whose
+    support meets it: est' is Lipschitz with constant m max|K''| / (n h**3)."""
+    k, eps = est.kernel, np.finfo(float).eps
+    reach = _reach(est.h, np.maximum(np.abs(lo), np.abs(hi)) + est.h)
+    m = est.data.searchsorted(hi + reach, "right") - est.data.searchsorted(lo - reach)
+    curve = float(k._max_abs_deriv(2))
+    spread = float(sum(abs(a) for a in k.poly_coeffs))
+    value_err = 2 * len(k.poly_coeffs) * spread * eps + 2.001 * eps * k._slope.top
+    slope_err = k._slope.err + 2.001 * eps * curve
+    w = weight / (est.count * est.h)
+    return (w * _exact_slack(m, spread, value_err, 7),
+            w / est.h * _exact_slack(m, k._slope.top, slope_err, 8),
+            w / est.h**2 * curve * m)
+
+
 def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
                       rule: str = "ahat") -> list[tuple[float, float, str]]:
     """Partition [lo, hi] into maximal intervals of constant classification.
@@ -251,9 +309,19 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
 
     Inside the support islands the sign of deltahat is sampled at the cell
     midpoints of a uniform scan (pitch min(total span/2048, smaller
-    bandwidth/4), at least 64 and at most 999,999 cells per island); the
-    midpoints of all islands are evaluated once, in one call per estimate,
-    and each sign flip is bisected to width 1e-10.  Midpoints, not grid
+    bandwidth/4), at least 64 and at most 999,999 cells per island), and
+    each sign flip is bisected to width 1e-10.  The labels are exactly those
+    of evaluating deltahat at every midpoint.  Where K and K' both vanish at
+    +-1 (triweight, biweight) and the pitch is at most 1/32 of the smaller
+    bandwidth, most are certified instead: deltahat and its slope are
+    evaluated at every c-th midpoint of each island and at its last,
+    c = min(smaller bandwidth / (8 * pitch), 32), and a Taylor step from the
+    nearest of these gives each other midpoint's sign wherever the step
+    clears its error bound (max|K''| times the data nearby, plus the
+    engine's rounding of values and slopes).  The midpoints left in doubt,
+    or all of them, are evaluated in one call per estimate; an engine value
+    at a point does not depend on the other points, so these are the full
+    scan's values bit for bit.  Midpoints, not grid
     points, since both estimates are exactly zero at island edges and where
     supports touch: a vacuous tie.  In the gaps the rule is piecewise
     constant, so one interior point labels the whole gap, all gaps by one
@@ -280,10 +348,8 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
         npts = min(max(int(np.ceil((b - a) / spacing)) + 1, 65), 1_000_000)
         xs = np.linspace(a, b, npts)
         scans.append(0.5 * (xs[:-1] + xs[1:]) if a < b else xs[:0])
-    mids = np.concatenate([np.empty(0), *scans])
-    dv = clf.deltahat(mids)
     # labels 0 = f, 1 = g, split back into islands
-    labs = np.split(np.where(dv >= 0.0, 0, 1), np.cumsum([m.size for m in scans[:-1]]))
+    labs = np.split(_scan_labels(clf, scans, spacing), np.cumsum([m.size for m in scans[:-1]]))
 
     # one interior point labels each gap; deltahat == 0 there, a tie that
     # "body" gives to the first population

@@ -191,7 +191,11 @@ def main(argv=None) -> int:
     if known.config is not None:
         # subcommands parse into their own namespace, so the file's values
         # must become defaults on every subparser; explicit flags still win
-        values = _load_config(known.config)
+        try:
+            values = _load_config(known.config)
+        except (ParameterError, OSError, UnicodeDecodeError) as exc:  # a bad or missing file
+            # the subcommand comes first: the top-level parser has no flags
+            subparsers.get(argv[0], parser).error(f"argument --config: {exc}")
         for sub in subparsers.values():
             sub.set_defaults(**values)
     args = parser.parse_args(argv)

@@ -18,7 +18,11 @@ depend on the block size or on how the samples are split.  They
 differ from the dense (point x datum) sum by rounding only: per point at
 most eps * (n * sum_i |K(u_i)| + 4 * d * S * m) / (n * h), with d, S as in
 `kernels` and m the number of data with |u_i| <= 1; where no datum reaches
-a point the estimate is exactly 0.0.  A scalar call adds the same values in
+a point the estimate is exactly 0.0.  From the exact estimate (exact u,
+exact K) a value differs by at most `_exact_slack(m, S, e)` / (n * h),
+with e = 2 * d * S * eps + 2.001 * eps * max|K'| the error of one term:
+the kernel's rounding plus that of u, whose two roundings move it by at
+most 2.0001 * eps * |u|.  A scalar call adds the same values in
 the same order, with a running sum rather than np.sum's pairwise one, over a
 binary-search window, so it equals the array value bit for bit.
 
@@ -52,10 +56,11 @@ __all__ = [
 #: cap on the (rows x window) block one engine step evaluates, in doubles.
 #: perfbench ops/s at 25k / 50k / 100k, alternating runs on a 2-vCPU VM:
 #: study 9.7 / 11.5 / 11.3 (medians of 3; peak RSS 50.9 / 52.3 / 55.9 MiB),
-#: risk 82 / 70 / 80 (medians of 6, runs spread 45-103: no ranking).  Small
+#: risk, with decision_segments' certified scan, 173 / 171 / 151 (medians
+#: of 4, runs spread 130-180; peak RSS 83.0 / 84.3 / 86.1 MiB).  Small
 #: blocks slow the two-thread error_surface engine pairs (19-34% at 25k,
-#: 1.8x at 12.5k) and may speed single-thread risk ops (3-13% at 25k in an
-#: earlier timing); 100k buys nothing for 3.6 MiB
+#: 1.8x at 12.5k) and no longer speed the single-thread risk ops; 100k
+#: buys nothing for 3.6 MiB
 _BLOCK_ELEMENTS = 50_000
 #: free scratch pairs (index, u) of `_kde_many`, two flat arrays of one size
 #: each, none above _BLOCK_ELEMENTS elements; list.pop and append are atomic
@@ -82,6 +87,16 @@ def _reach(h: float, at):
     """h widened past the rounding of u and of window edges near `at`, so no
     pair with |u| <= 1 is left out; extra pairs add exact zeros."""
     return h * (1.0 + 1e-14) + 1e-15 * abs(at)
+
+
+def _exact_slack(m, top: float, err: float, roundings: int = 4):
+    """m * (err + (top + err) * (m + roundings) * 1.001 * eps): times
+    1 / (n * h), a bound on |engine value - exact value| at a point that m
+    data reach, for a summed callable of size at most `top` whose computed
+    terms are each within `err` of the exact ones.  m - 1 additions in
+    sorted-data order and the scaling's three roundings make the default 4
+    (m below 10**12); pass more for roundings after the engine."""
+    return m * (err + (top + err) * (m + roundings) * (1.001 * np.finfo(float).eps))
 
 
 def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:

@@ -26,7 +26,7 @@ Conventions
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gamma, pi
+from math import comb, gamma, pi
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -42,6 +42,31 @@ __all__ = [
     "get_kernel",
     "multivariate_norm_constant",
 ]
+
+
+def _horner_in_t(u, coeffs, zero_at_edge: bool) -> np.ndarray:
+    """The polynomial with float coefficients `coeffs` (highest power first)
+    at t = 1 - a**2, a = |u| clipped to 1, by Horner's rule skipping
+    additions of zero coefficients; points failing |u| <= 1 are zeroed
+    unless zero_at_edge says the value at t = 0 is already +-0."""
+    u = np.asarray(u, dtype=float)
+    t = np.abs(u, out=np.empty(u.shape))
+    outside = None if zero_at_edge else ~(t <= 1.0)
+    np.fmin(t, 1.0, out=t)
+    t *= t
+    np.subtract(1.0, t, out=t)
+    if coeffs.size == 1:
+        out = np.full(u.shape, coeffs[0])
+    else:
+        out = np.multiply(t, coeffs[0], out=np.empty(u.shape))
+    for k, c in enumerate(coeffs[1:], 2):
+        if k > 2:
+            out *= t
+        if c:
+            out += c
+    if outside is not None:
+        np.copyto(out, 0.0, where=outside)
+    return out
 
 
 class Kernel:
@@ -88,11 +113,11 @@ class Kernel:
         for c in self.poly_coeffs[-2::-1]:
             b = P.polyadd(P.polymul(b, [Fraction(1), -1]), [c])
         self._t_coeffs = np.asarray(b)[::-1].astype(float)  # Horner order
+        self._slope = _Slope(np.asarray(b))
         self._float_anti = P.polyint(full)[::-1].astype(float)
         self.at_zero = float(self.poly_coeffs[0])
         # K at 1 itself is never zeroed, so this is the Horner sequence at t = 0
-        self._zero_at_edge = False
-        edge = Kernel.__call__(self, 1.0)
+        edge = _horner_in_t(1.0, self._t_coeffs, True)
         self._zero_at_edge = edge == 0.0 and not np.signbit(edge)
         if self.moment(0) != 1:
             raise ParameterError(
@@ -115,24 +140,7 @@ class Kernel:
         support the value is within 2 * d * S * eps of the exact K at u
         (see the module Conventions).
         """
-        u = np.asarray(u, dtype=float)
-        t = np.abs(u, out=np.empty(u.shape))
-        outside = None if self._zero_at_edge else ~(t <= 1.0)
-        np.fmin(t, 1.0, out=t)
-        t *= t
-        np.subtract(1.0, t, out=t)
-        coeffs = self._t_coeffs
-        if coeffs.size == 1:
-            out = np.full(u.shape, coeffs[0])
-        else:
-            out = np.multiply(t, coeffs[0], out=np.empty(u.shape))
-        for k, c in enumerate(coeffs[1:], 2):
-            if k > 2:
-                out *= t
-            if c:
-                out += c
-        if outside is not None:
-            np.copyto(out, 0.0, where=outside)
+        out = _horner_in_t(u, self._t_coeffs, self._zero_at_edge)
         if out.ndim == 0:
             return float(out)
         return out
@@ -176,6 +184,21 @@ class Kernel:
             self._exact[key] = float(P.polyval(1, P.polyint(P.polymul(dr, dr), lbnd=-1)))
         return self._exact[key]
 
+    def _max_abs_deriv(self, r: int) -> Fraction:
+        """max |K^(r)| over [-1, 1] for even r, exact where the maximum is at
+        u = 0 or +-1 (every built-in): the largest |coefficient| of K^(r) in
+        the degree-64 Bernstein basis of v = u**2 on [0, 1].  The basis is
+        nonnegative and sums to 1, so that bounds |K^(r)|, and its end
+        coefficients are the values at u = 0 and +-1."""
+        key = ("max_abs_deriv", int(r))
+        if key not in self._exact:
+            q = P.polyder(self._full, r)[::2]  # K^(r) in powers of v
+            deg = max(64, q.size - 1)
+            self._exact[key] = max(
+                abs(sum(comb(j, k) * q[k] / comb(deg, k) for k in range(min(j + 1, q.size))))
+                for j in range(deg + 1))
+        return self._exact[key]
+
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
@@ -206,6 +229,32 @@ class Kernel:
 
     def __repr__(self) -> str:
         return f"Kernel({self.name!r})"
+
+
+class _Slope:
+    """K' on the whole line, a callable the KDE engine sums in place of K:
+    -2u * H(t) with H = dK/dt, t = 1 - u**2, by the Horner rule of
+    Kernel.__call__ at u clipped to [-1, 1].  `smooth` says, exactly from
+    the Fractions, whether K and K' both vanish at +-1; then K' is
+    continuous on the line, Lipschitz with constant max|K''|, and the
+    clipped points outside the support give exact zeros.  |K'| <= top =
+    2B and each value lies within err = (6r + 3) * B * eps of the exact
+    K'(u), r = deg H, B = sum_j |H_j|: t's two roundings move H by at most
+    r * B * 1.0001 eps, Horner's 2r roundings by 2r * B * 1.0001 eps, and
+    the product with -2u adds one more."""
+
+    def __init__(self, t_coeffs):
+        h = P.polyder(t_coeffs)  # ascending, as t_coeffs (K's, in t)
+        self.smooth = t_coeffs[0] == 0 and h[0] == 0
+        self._coeffs = h[::-1].astype(float)
+        spread = float(sum(abs(c) for c in h))
+        self.top = 2.0 * spread
+        self.err = (6 * (h.size - 1) + 3) * spread * np.finfo(float).eps
+
+    def __call__(self, u):
+        out = _horner_in_t(u, self._coeffs, self.smooth)
+        out *= np.clip(u, -1.0, 1.0) * -2.0
+        return out
 
 
 # ----------------------------------------------------------------------

@@ -13,23 +13,27 @@ import pytest
 from helpers import scan_segments_oracle, tail_oracle
 
 from kdeclass import (
+    BIWEIGHT,
+    EPANECHNIKOV,
     EmptyTailError,
     KdeEstimate,
     Kernel,
     Label,
     ParameterError,
     TRIWEIGHT,
-    classify_a0,
     classify_a1,
     classify_ahat,
     classify_multi,
     classify_multivariate,
     classify_tail,
+    crossings,
     decision_segments,
     fit_classifier,
     make_pair,
+    optimal_bandwidths,
 )
-from kdeclass.classifier import FROM_F, FROM_G, _ahat_from_f
+from kdeclass import classifier
+from kdeclass.classifier import FROM_F, FROM_G, _ahat_from_f, _body_label
 from kdeclass.densities import DensityPair, Normal
 
 
@@ -67,21 +71,22 @@ def test_deltahat_matches_components():
 
 
 # ----------------------------------------------------------------------
-# classify_a0 (rule from the true densities)
+# the optimal rule: the body label of the true delta
 # ----------------------------------------------------------------------
-def test_classify_a0_matches_delta_sign():
+def test_optimal_rule_is_the_body_label_of_delta():
     pair = make_pair("class1a")
     for x in np.linspace(-5.0, 4.0, 37):
-        lab = classify_a0(pair, float(x))
         d = pair.delta(float(x))
+        lab = _body_label(d)
         assert lab.population == (FROM_F if d > 0 else FROM_G if d < 0 else FROM_F)
         assert lab.route == "body"
 
 
-def test_classify_a0_tie_goes_to_first_population():
+def test_optimal_rule_tie_goes_to_first_population():
     same = Normal(0.0, 1.0)
     pair = DensityPair(f=same, g=same, p=0.5, name="same")
-    lab = classify_a0(pair, 0.3)
+    assert pair.delta(0.3) == 0.0
+    lab = _body_label(pair.delta(0.3))
     assert lab.population == FROM_F
     assert lab.tie_break
 
@@ -605,6 +610,103 @@ def test_decision_segments_many_gaps_take_classify_ahat_labels(p):
             x = 0.5 * (a + b) if np.isfinite(a + b) else (a + 1.0 if np.isfinite(a) else b - 1.0)
             (label,) = [lab for sa, sb, lab in segs if sa <= x <= sb]
             assert label == classify_ahat(clf, x).population
+
+
+# ----------------------------------------------------------------------
+# the certified scan: labels exactly those of the full midpoint scan
+# ----------------------------------------------------------------------
+@pytest.fixture
+def scan_records(monkeypatch):
+    """Record each scan of decision_segments: its labels, the full scan's
+    labels np.where(deltahat(mids) >= 0, 0, 1), and how many midpoints
+    the Taylor bound left to deltahat (None where the full scan ran)."""
+    records = []
+    scan, certify = classifier._scan_labels, classifier._certify
+
+    def spy_scan(clf, islands, spacing):
+        records.append({"unsure": None})
+        labs = scan(clf, islands, spacing)
+        mids = np.concatenate([np.empty(0), *islands])
+        records[-1].update(labs=labs, mids=mids,
+                           want=np.where(clf.deltahat(mids) >= 0.0, 0, 1))
+        return labs
+
+    def spy_certify(*args):
+        labs, unsure = certify(*args)
+        records[-1]["unsure"] = unsure.size
+        return labs, unsure
+
+    monkeypatch.setattr(classifier, "_scan_labels", spy_scan)
+    monkeypatch.setattr(classifier, "_certify", spy_certify)
+    return records
+
+
+def _assert_exact(records):
+    for rec in records:
+        assert rec["labs"].tobytes() == rec["want"].tobytes()
+
+
+@pytest.mark.parametrize("kernel", [TRIWEIGHT, BIWEIGHT], ids=lambda k: k.name)
+@pytest.mark.parametrize("seed", range(6))
+def test_certified_scan_labels_equal_full_scan(scan_records, kernel, seed):
+    rng = np.random.default_rng(seed)
+    pair = make_pair(["class1a", "class1b", "class2a"][seed % 3])
+    for n in (30, 300, 1500):
+        x, y = pair.sample("f", n, rng), pair.sample("g", n, rng)
+        h1, h2 = np.exp(rng.uniform(np.log(0.03), np.log(1.5), 2))
+        clf = fit_classifier(x, y, h1, h2, rng.uniform(0.2, 0.8), kernel)
+        decision_segments(clf, -np.inf, np.inf)
+        decision_segments(clf, *np.sort(rng.normal(0.0, 2.0, 2)), rule="body")
+    _assert_exact(scan_records)
+    assert any(rec["unsure"] is not None for rec in scan_records)
+
+
+def test_certified_scan_takes_the_fast_path_on_class1a(scan_records):
+    # the benchmark's class1a replicate at n = 2000: coarse points and the
+    # Taylor bound decide almost every midpoint
+    pair = make_pair("class1a")
+    plan = optimal_bandwidths(pair, crossings(pair), n=2000)
+    rng = np.random.default_rng(0)
+    clf = fit_classifier(pair.sample("f", 2000, rng), pair.sample("g", 2000, rng),
+                         plan.h1, plan.h2, pair.p)
+    decision_segments(clf, -np.inf, np.inf)
+    _assert_exact(scan_records)
+    (rec,) = scan_records
+    assert 0 < rec["unsure"] < rec["mids"].size / 10
+
+
+def _touches_zero(clf, mids):
+    near = mids[np.abs(mids) < 1.5]
+    return abs(clf.deltahat(0.0)) < 1e-15 and np.all(clf.deltahat(near) <= 1e-15)
+
+
+@pytest.mark.parametrize("clf, lo, hi, check", [
+    # touches 0 without crossing: p / h1 = q / (2 h2) makes deltahat's
+    # maximum on [-1.5, 1.5], at 0, zero up to rounding
+    (fit_classifier([0.0], [0.0, 5.0], 1.0, 1.5, p=0.25), -np.inf, np.inf, _touches_zero),
+    # the root 0.15 within 1e-12 of a scan midpoint: 89 cells centred on it
+    (fit_classifier([0.0], [0.3], 1.0, 1.0), 0.15 - 44.4 * 2.3 / 2048, 0.15 + 44.4 * 2.3 / 2048,
+     lambda clf, mids: np.min(np.abs(mids - 0.15)) < 1e-12),
+    # identical samples with p = 1/2: deltahat is exactly 0 everywhere
+    (fit_classifier(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9), 0.7, 0.7),
+     -np.inf, np.inf, lambda clf, mids: not np.any(clf.deltahat(mids))),
+], ids=["touching-zero", "root-at-midpoint", "identical-samples"])
+def test_certified_scan_falls_back_where_the_sign_is_in_doubt(scan_records, clf, lo, hi, check):
+    for rule in ("ahat", "body"):
+        decision_segments(clf, lo, hi, rule)
+    _assert_exact(scan_records)
+    assert all(rec["unsure"] > 0 for rec in scan_records)
+    assert check(clf, scan_records[0]["mids"])
+
+
+def test_certified_scan_needs_a_smooth_kernel_edge(scan_records):
+    # Epanechnikov's K' jumps at +-1, so no Taylor bound holds: full scan
+    rng = np.random.default_rng(5)
+    clf = fit_classifier(rng.normal(0.0, 1.0, 500), rng.normal(1.0, 1.0, 500), 0.2, 0.2,
+                         kernel=EPANECHNIKOV)
+    decision_segments(clf, -np.inf, np.inf)
+    _assert_exact(scan_records)
+    assert scan_records[0]["unsure"] is None
 
 
 def test_decision_segments_validation():

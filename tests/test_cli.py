@@ -1,11 +1,8 @@
 """Command-line interface: subcommands, outputs, and the config file."""
 
-import re
-
 import numpy as np
 import pytest
 
-from kdeclass import ParameterError
 from kdeclass.cli import _CONFIG_KEYS, _build_parser, main
 
 
@@ -173,18 +170,25 @@ def test_config_keys_are_the_long_flags():
     assert dests == set(_CONFIG_KEYS)
 
 
-def test_config_file_threads_key_is_unknown(tmp_path):
+@pytest.mark.parametrize("command, text, error", [
+    ("tail", "threads = 2\n", "{cfg}:1: unknown key 'threads'"),
+    ("tail", "reps 3\n", "{cfg}:1: expected key=value, got 'reps 3'"),
+    ("study", "reps 3\n", "{cfg}:1: expected key=value, got 'reps 3'"),
+    ("cvcheck", None, "[Errno 2] No such file or directory: '{cfg}'"),
+    ("risk-surface", b"\xff\xfe\x00", "'utf-8' codec can't decode byte 0xff"),
+], ids=["threads-key", "tail-bad-line", "study-bad-line", "missing-file", "not-text"])
+def test_bad_config_file_exits_with_usage(tmp_path, capsys, command, text, error):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("threads = 2\n")
-    with pytest.raises(ParameterError, match=f"^{re.escape(str(cfg))}:1: unknown key 'threads'"):
-        main(["tail", "--config", str(cfg)])
-
-
-def test_config_file_bad_line(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("reps 3\n")
-    with pytest.raises(ParameterError):
-        main(["study", "--pair", "class1a", "--config", str(cfg)])
+    if isinstance(text, str):
+        cfg.write_text(text)
+    elif text is not None:
+        cfg.write_bytes(text)
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(cfg)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: kdeclass {command} ")
+    assert f"kdeclass {command}: error: argument --config: {error.format(cfg=cfg)}" in err
 
 
 def test_cli_rejects_bad_arguments():
@@ -213,10 +217,12 @@ def test_subcommand_help_lists_only_the_flags_it_reads(capsys, command, absent, 
 
 
 @pytest.mark.parametrize("line, key", [("reps = abc", "reps"), ("n_list = 20,x", "n_list")])
-def test_config_file_bad_value_names_file_line_and_key(tmp_path, line, key):
+def test_config_file_bad_value_names_file_line_and_key(tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("# comment\nseed = 1\n" + line + "\n")
-    with pytest.raises(ParameterError) as info:
+    with pytest.raises(SystemExit) as info:
         main(["study", "--pair", "class1a", "--config", str(cfg)])
-    message = str(info.value)
-    assert message.startswith(f"{cfg}:3: ") and repr(key) in message
+    assert info.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message.startswith(f"kdeclass study: error: argument --config: {cfg}:3: ")
+    assert repr(key) in message

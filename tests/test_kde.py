@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -633,3 +634,78 @@ def test_smoothed_bootstrap_determinism_and_edges():
     assert smoothed_bootstrap(est, 0, np.random.default_rng(0)).size == 0
     with pytest.raises(ParameterError):
         smoothed_bootstrap(est, -1, np.random.default_rng(0))
+
+
+# ----------------------------------------------------------------------
+# what decision_segments' certified scan relies on
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kernel", [TRIWEIGHT, BIWEIGHT, UNIFORM], ids=lambda k: k.name)
+def test_kde_many_value_at_a_point_does_not_depend_on_the_others(kernel):
+    # each point adds its own values in sorted-data order, whatever points
+    # share the call, so any subset of the points gives the same bytes
+    rng = np.random.default_rng(11)
+    data = rng.normal(0.0, 1.0, (1, 300))
+    points = edge_points(data[0], 0.3, rng, 500)
+    for phi in (kernel, kernel._slope):
+        whole = _kde_many(data, [0.3], points, phi)[0, 0]
+        for keep in (rng.random(points.size) < 0.05, rng.random(points.size) < 0.5,
+                     np.arange(points.size) % 7 == 3, np.arange(points.size) == 400):
+            got = _kde_many(data, [0.3], points[keep], phi)[0, 0]
+            assert got.tobytes() == whole[keep].tobytes()
+
+
+def _exact_sum(coeffs, data, h, x):
+    """(1 / (n * h)) * sum_i phi((x - X_i) / h) in exact rationals, phi the
+    polynomial `coeffs` (ascending Fractions) on [-1, 1] and 0 outside,
+    and the number of data with |u| <= 1."""
+    us = [(Fraction(x) - Fraction(v)) / Fraction(h) for v in data]
+    inside = [u for u in us if abs(u) <= 1]
+    return sum(P.polyval(u, coeffs) for u in inside) / (len(data) * Fraction(h)), len(inside)
+
+
+@pytest.mark.parametrize("kernel", [TRIWEIGHT, BIWEIGHT], ids=lambda k: k.name)
+@pytest.mark.parametrize("slope", [False, True], ids=["value", "slope"])
+def test_kde_many_within_its_exact_slack(kernel, slope):
+    # the engine against the exact sum (exact u, exact K or K'), within
+    # _exact_slack with the per-term errors the kde docstring states
+    eps = np.finfo(float).eps
+    if slope:
+        phi, coeffs, top = kernel._slope, P.polyder(kernel._full), kernel._slope.top
+        err = kernel._slope.err + 2.001 * eps * float(kernel._max_abs_deriv(2))
+    else:
+        phi, coeffs = kernel, kernel._full
+        top = float(sum(abs(a) for a in kernel.poly_coeffs))
+        err = 2 * len(kernel.poly_coeffs) * top * eps + 2.001 * eps * kernel._slope.top
+    rng = np.random.default_rng(12)
+    data = np.sort(rng.normal(0.0, 1.0, 40) * 1e3 + 5e3)
+    h = 700.0
+    points = edge_points(data, h, rng, 60)
+    got = _kde_many(data[None, :], [h], points, phi)[0, 0]
+    for x, value in zip(points, got):
+        exact, m = _exact_sum(coeffs, data, h, x)
+        assert abs(Fraction(value) - exact) <= Fraction(kde_module._exact_slack(m, top, err)
+                                                        / (data.size * h))
+
+
+@pytest.mark.parametrize("kernel, curvature, edge_slope", [
+    (TRIWEIGHT, Fraction(105, 16), 0),  # |K''| peaks at u = 0: 6 * 35/32
+    (BIWEIGHT, Fraction(15, 2), 0),  # at u = +-1: 8 * 15/16
+    (EPANECHNIKOV, Fraction(3, 2), Fraction(-3, 2)),  # K'' = -3/2 throughout
+], ids=lambda v: getattr(v, "name", None))
+def test_kernel_curvature_and_edge_slope(kernel, curvature, edge_slope):
+    u = np.linspace(-1.0, 1.0, 200_001)
+    sampled = np.abs(np.polyval(P.polyder(kernel._full, 2)[::-1].astype(float), u)).max()
+    assert kernel._max_abs_deriv(2) == curvature
+    assert sampled <= float(curvature) <= sampled * (1 + 1e-12)
+    # K'(+-1) from the slope callable, and from K's own values just inside
+    assert kernel._slope.smooth == (edge_slope == 0)
+    assert np.array_equal(kernel._slope(np.array([1.0, -1.0])), [edge_slope, -edge_slope])
+    step = 1e-6
+    inside = (kernel(1.0) - kernel(1.0 - step)) / step
+    assert inside == pytest.approx(float(edge_slope), abs=1e-4)
+    # every slope value within its stated error of the exact K'
+    u = np.r_[np.random.default_rng(13).uniform(-1.2, 1.2, 2000), 0.0, 1.0, -1.0,
+              np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), 1.5, -7.0]
+    exact = [P.polyval(Fraction(v), P.polyder(kernel._full)) if abs(v) <= 1 else 0 for v in u]
+    got = kernel._slope(u)
+    assert all(abs(Fraction(g) - e) <= Fraction(kernel._slope.err) for g, e in zip(got, exact))
