@@ -236,7 +236,8 @@ def _scan_labels(clf: TrainedClassifier, scans, spacing: float) -> np.ndarray:
     """np.where(clf.deltahat(mids) >= 0, 0, 1) at the midpoints of all
     scans, exactly; see decision_segments for how signs are certified."""
     mids = np.concatenate([np.empty(0), *scans])
-    c = min(int(min(clf.fhat.h, clf.ghat.h) / (8.0 * spacing)), 32)
+    # the pitch is 0 only when every island has zero width, and so no midpoints
+    c = min(int(min(clf.fhat.h, clf.ghat.h) / (8.0 * spacing)), 32) if mids.size else 0
     if c < 4 or not (clf.fhat.kernel._slope.smooth and clf.ghat.kernel._slope.smooth):
         return np.where(clf.deltahat(mids) >= 0.0, 0, 1)
     # each midpoint's nearest coarse point: every c-th of its island, or the last
@@ -345,9 +346,12 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
     pieces = list(zip(edges, edges[1:]))
     scans = []  # each island's scan-cell midpoints
     for a, b in pieces[1::2]:
+        if not a < b:  # an island of zero width has no midpoints
+            scans.append(np.empty(0))
+            continue
         npts = min(max(int(np.ceil((b - a) / spacing)) + 1, 65), 1_000_000)
         xs = np.linspace(a, b, npts)
-        scans.append(0.5 * (xs[:-1] + xs[1:]) if a < b else xs[:0])
+        scans.append(0.5 * (xs[:-1] + xs[1:]))
     # labels 0 = f, 1 = g, split back into islands
     labs = np.split(_scan_labels(clf, scans, spacing), np.cumsum([m.size for m in scans[:-1]]))
 

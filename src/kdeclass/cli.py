@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .densities import PAIR_IDS, make_pair
-from .errors import ParameterError, _require_integers
+from .errors import KdeClassError, ParameterError, _require_integers
 from .selector import SelectorConfig, select_bandwidths
 from .simulate import (
     DEFAULT_N_LIST,
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
                   f"(choose from {', '.join(map(repr, choices))})")
     try:
         return args.run(args)
-    except ParameterError as exc:  # a flag value the library refuses
+    except KdeClassError as exc:  # a flag value the library refuses or cannot run
         subparsers[args.command].error(str(exc))
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "CrossingSet",
     "crossings",
     "regime_detect",
-    "density_deriv",
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -82,7 +81,8 @@ class Density:
     check the derivative order (an integer in [0, 4]), the quantile level
     (strictly inside (0, 1)) and the sample size (a whole number >= 0), pass
     x on as a float array, and return a float for scalar input and an array
-    of x's shape otherwise.  A subclass supplies only the formulas:
+    of x's shape otherwise; `ppf` raises NumericError for a quantile that
+    is not a finite float.  A subclass supplies only the formulas:
     `_deriv(order, x)` and `_cdf(x)` on a float array x, `_ppf(q)` where a
     closed form exists (the default inverts the cdf numerically), and
     `_sample(n, rng)` with n an int.
@@ -108,7 +108,13 @@ class Density:
 
     def ppf(self, q):
         _require_open_unit(q=q)
-        return float(self._ppf(float(q)))
+        try:
+            x = float(self._ppf(float(q)))
+        except OverflowError:  # a closed form in Python floats past the float range
+            x = np.inf
+        if not np.isfinite(x):
+            raise NumericError(f"the {q!r} quantile is not a finite float, got {x!r}")
+        return x
 
     def _deriv(self, order, x):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -393,11 +399,6 @@ class DensityPair:
 
 def _finite_or(v: float, fallback: float) -> float:
     return float(v) if np.isfinite(v) else fallback
-
-
-def density_deriv(pair: DensityPair, which: str, order: int, x):
-    """Derivative of order `order` of one of the pair's densities at x."""
-    return pair.density(which).deriv(order, x)
 
 
 _MIX_WEIGHTS = (0.2, 0.2, 0.6)

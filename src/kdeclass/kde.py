@@ -212,8 +212,6 @@ class KdeEstimate:
         self.h = float(h)
         self.kernel = kernel
         self.count = int(arr.size)
-        #: closed interval outside which the estimate is identically zero
-        self.support = (float(self.data[0] - self.h), float(self.data[-1] + self.h))
 
     # ------------------------------------------------------------------
     def __call__(self, x):

@@ -39,7 +39,6 @@ __all__ = [
     "BIWEIGHT",
     "EPANECHNIKOV",
     "KERNELS",
-    "get_kernel",
     "multivariate_norm_constant",
 ]
 
@@ -114,7 +113,6 @@ class Kernel:
             b = P.polyadd(P.polymul(b, [Fraction(1), -1]), [c])
         self._t_coeffs = np.asarray(b)[::-1].astype(float)  # Horner order
         self._slope = _Slope(np.asarray(b))
-        self._float_anti = P.polyint(full)[::-1].astype(float)
         self.at_zero = float(self.poly_coeffs[0])
         # K at 1 itself is never zeroed, so this is the Horner sequence at t = 0
         edge = _horner_in_t(1.0, self._t_coeffs, True)
@@ -144,16 +142,6 @@ class Kernel:
         if out.ndim == 0:
             return float(out)
         return out
-
-    def cdf(self, x):
-        """Integral of K from -1 to x, clipped to [0, 1]."""
-        x = np.asarray(x, dtype=float)
-        xc = np.clip(x, -1.0, 1.0)
-        val = np.polyval(self._float_anti, xc) - np.polyval(self._float_anti, -1.0)
-        val = np.clip(val, 0.0, 1.0)
-        if val.ndim == 0:
-            return float(val)
-        return val
 
     # ------------------------------------------------------------------
     # exact functionals
@@ -202,17 +190,15 @@ class Kernel:
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
-    def sample(self, rng: np.random.Generator, size: int | None = None):
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw from the density K by rejection against a uniform envelope.
 
         The envelope is the constant K(0) on [-1, 1]; acceptance probability
-        is 1 / (2 K(0)).  Returns a scalar when size is None.
+        is 1 / (2 K(0)).
         """
         _require_generator(rng)
-        scalar = size is None
-        if not scalar:
-            _require_integers(size=size, minimum=0)
-        n = 1 if scalar else int(size)
+        _require_integers(size=size, minimum=0)
+        n = int(size)
         out = np.empty(n)
         filled = 0
         while filled < n:
@@ -225,7 +211,7 @@ class Kernel:
             take = min(todo, acc.size)
             out[filled : filled + take] = acc[:take]
             filled += take
-        return float(out[0]) if scalar else out
+        return out
 
     def __repr__(self) -> str:
         return f"Kernel({self.name!r})"
@@ -266,14 +252,6 @@ BIWEIGHT = Kernel("biweight", [_F(15, 16), _F(-15, 8), _F(15, 16)])
 EPANECHNIKOV = Kernel("epanechnikov", [_F(3, 4), _F(-3, 4)])
 
 KERNELS = {k.name: k for k in (TRIWEIGHT, BIWEIGHT, EPANECHNIKOV)}
-
-
-def get_kernel(name: str) -> Kernel:
-    """Look up a built-in kernel by name (case-insensitive)."""
-    try:
-        return KERNELS[name.lower()]
-    except (KeyError, AttributeError):  # not a kernel's name, or not text
-        raise ParameterError(f"name must be one of {sorted(KERNELS)}, got {name!r}") from None
 
 
 def _require_kernel(kernel) -> None:

@@ -35,7 +35,6 @@ __all__ = [
     "sample_scale",
     "pilot_bandwidth",
     "error_surface",
-    "bootstrap_err",
     "select_bandwidths",
     "cv_err",
 ]
@@ -273,21 +272,6 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
     frac_lt = count / B
     integrand = p * fg * frac_lt + (1.0 - p) * gg * (1.0 - frac_lt)
     return np.trapezoid(integrand, grid, axis=-1)
-
-
-def bootstrap_err(x_data: np.ndarray, y_data: np.ndarray, h1: float, h2: float,
-                  p: float = 0.5, config: SelectorConfig | None = None,
-                  rng: np.random.Generator | None = None,
-                  seed: int | None = 0) -> float:
-    """Smoothed-bootstrap estimate of the error of the rule trained at
-    (h1, h2): single-cell version of error_surface.
-    """
-    _require_positive(h1=h1, h2=h2)
-    if seed is not None:
-        _require_integers(seed=seed, minimum=0)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return float(error_surface(x_data, y_data, [h1], [h2], p, config, rng)[0, 0])
 
 
 def select_bandwidths(x_data: np.ndarray, y_data: np.ndarray, p: float = 0.5,

@@ -6,7 +6,10 @@ grid scan plus bisection on the fitted estimates, never by endpoint
 arithmetic on the raw data.
 """
 
+from fractions import Fraction
+
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from kdeclass import KdeEstimate, classify_ahat
 
@@ -20,6 +23,18 @@ def polyval_kernel(kernel, u):
     u = np.asarray(u, dtype=float)
     inside = np.abs(u) <= 1.0
     return np.where(inside, np.polyval(full[::-1], np.where(inside, u, 0.0)), 0.0)
+
+
+def kernel_cdf(kernel, x):
+    """Reference kernel cdf, the integral of K from -1 to x: numpy.polynomial's
+    antiderivative of the exact full-degree coefficients, zero at -1,
+    evaluated exactly at x clipped to [-1, 1] and rounded once, so every
+    value lies in [0, 1].  A float for scalar x, else an array of x's shape."""
+    full = np.full(2 * len(kernel.poly_coeffs) - 1, Fraction(0), dtype=object)
+    full[::2] = kernel.poly_coeffs
+    anti = P.polyint(full, lbnd=-1)
+    values = [float(P.polyval(Fraction(min(max(float(t), -1.0), 1.0)), anti)) for t in np.ravel(x)]
+    return values[0] if np.ndim(x) == 0 else np.reshape(values, np.shape(x))
 
 
 def naive_kde(data, h, kernel, x):
@@ -92,8 +107,8 @@ def tail_oracle(clf, x, side):
     side.  Returns 'f', 'g', or None when neither sample has any positive
     density on that side.
     """
-    span_lo = min(clf.fhat.support[0], clf.ghat.support[0]) - 1.0
-    span_hi = max(clf.fhat.support[1], clf.ghat.support[1]) + 1.0
+    span_lo = min(clf.fhat.data[0] - clf.fhat.h, clf.ghat.data[0] - clf.ghat.h) - 1.0
+    span_hi = max(clf.fhat.data[-1] + clf.fhat.h, clf.ghat.data[-1] + clf.ghat.h) + 1.0
     ef = nearest_positive_point(clf.fhat, x, side, span_lo, span_hi)
     eg = nearest_positive_point(clf.ghat, x, side, span_lo, span_hi)
     if not np.isfinite(ef) and not np.isfinite(eg):

@@ -25,19 +25,18 @@ from scipy.optimize import minimize_scalar
 
 from helpers import tail_oracle
 from kdeclass import (
+    KERNELS,
     EmptyTailError,
     ExperimentConfig,
     KdeEstimate,
     classify_tail,
     class1_objective,
     crossings,
-    density_deriv,
     empirical_risk,
     expansion_b1_b2,
     expansion_b3_b4,
     expansion_excess,
     fit_classifier,
-    get_kernel,
     make_pair,
     multi_t,
     optimal_bandwidths,
@@ -117,8 +116,8 @@ def test_criterion_02_curvatures(capsys):
     for pair_id, near, want_f2, want_g2 in cases:
         pair = make_pair(pair_id)
         y = _crossing_near(pair_id, near)
-        f2 = density_deriv(pair, "f", 2, y)
-        g2 = density_deriv(pair, "g", 2, y)
+        f2 = pair.f.deriv(2, y)
+        g2 = pair.g.deriv(2, y)
         ef, eg = abs(f2 - want_f2), abs(g2 - want_g2)
         worst = max(worst, ef, eg)
         rows.append((pair_id, f2, g2, ef, eg))
@@ -293,7 +292,7 @@ def test_criterion_10_oracle_equivalences(capsys):
     # (a) kernel moments against direct quadrature
     moment_gap = 0.0
     for name in ("triweight", "biweight", "epanechnikov"):
-        kern = get_kernel(name)
+        kern = KERNELS[name]
         for j in (0, 2, 4):
             val, _ = quad(lambda x, j=j: x**j * kern(x), -1.0, 1.0)
             moment_gap = max(moment_gap, abs(kern.moment(j) - val))
@@ -302,7 +301,7 @@ def test_criterion_10_oracle_equivalences(capsys):
     rng = np.random.default_rng(10)
     kde_gap = 0.0
     for name in ("triweight", "biweight"):
-        kern = get_kernel(name)
+        kern = KERNELS[name]
         data = rng.normal(size=400)
         h = 0.3
         est = KdeEstimate(data, h, kern)

@@ -559,7 +559,7 @@ def test_decision_segments_match_island_scan_oracle(pair_id, n):
         pooled = np.sort(np.r_[x, y])
         k = int(np.argmax(np.diff(pooled))) if n > 1 else 0
         inner = 0.5 * (pooled[k] + pooled[k + 1]) if n > 1 else first + 5.0
-        beyond = max(clf.fhat.support[1], clf.ghat.support[1]) + 1.0
+        beyond = float(max(clf.fhat.data[-1] + h1, clf.ghat.data[-1] + h2)) + 1.0
         ranges = [(-np.inf, np.inf), (-np.inf, first), (first, np.inf),
                   (first - 0.01, first + 0.01), (inner, np.inf), (-np.inf, inner),
                   (beyond, beyond + 2.0), (-3, 3)]
@@ -583,6 +583,18 @@ def test_decision_segments_edge_islands_match_oracle(x, y, ranges):
         for rule in ("ahat", "body"):
             want = scan_segments_oracle(clf, lo, hi, rule)
             assert repr(decision_segments(clf, lo, hi, rule)) == repr(want)
+
+
+def test_decision_segments_zero_pitch():
+    # both supports round to the point 1e17, so the one island has zero
+    # width and no midpoints, the scan pitch is 0 and the line is all gaps
+    clf = fit_classifier([1e17], [1e17], 1.0, 1.0)
+    segs = decision_segments(clf, -np.inf, np.inf)
+    _assert_partition(segs, -np.inf, np.inf)
+    for t in (-1e18, 0.0, 9e16, 1.1e17, 1e18):  # in the gaps either side
+        lab = next(lab for a, b, lab in segs if a <= t <= b)
+        assert classify_ahat(clf, t).population == lab
+    assert decision_segments(clf, -np.inf, np.inf, rule="body") == [(-np.inf, np.inf, FROM_F)]
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5])

@@ -149,8 +149,11 @@ def test_config_pair_missing_or_not_a_choice_exits(tmp_path, capsys, command, te
     (["risk-surface", "--pair", "class1a", "--seed", "-1"], "seed must be at least 0"),
     (["risk-surface", "--pair", "class1a", "--n", "1"], "n must be at least 2"),
     (["risk-surface", "--pair", "class1a", "--n", "0"], "n must be at least 2"),
+    # not a ParameterError: the tail study's 0.99 quantile overflows a float
+    (["tail", "--alpha", "1.001", "--beta", "1.5", "--n-list", "5", "--reps", "1"],
+     "the 0.99 quantile is not a finite float"),
 ], ids=["study-grid", "study-reps", "study-c2", "study-n-list", "cvcheck-n", "tail-reps",
-        "risk-surface-seed", "risk-surface-n", "risk-surface-n-0"])
+        "risk-surface-seed", "risk-surface-n", "risk-surface-n-0", "tail-alpha-near-1"])
 def test_flag_value_the_library_refuses_exits_with_usage(capsys, argv, error):
     with pytest.raises(SystemExit) as info:
         main(argv)

@@ -27,7 +27,6 @@ from kdeclass import (
     Pareto,
     ResolutionError,
     crossings,
-    density_deriv,
     make_pair,
     regime_detect,
 )
@@ -150,6 +149,16 @@ def test_pareto_analytics():
     assert abs(np.mean(draws > 2.0) - 0.5) < 5 * 0.5 / np.sqrt(5000)
 
 
+def test_ppf_past_the_float_range_raises_numeric_error():
+    # Pareto's closed form is 0.01 ** -1000 in Python floats, which overflows
+    with pytest.raises(NumericError, match="quantile is not a finite float"):
+        Pareto(1.001).ppf(0.99)
+    assert Pareto(1.5).ppf(0.99) == pytest.approx(1e4, rel=1e-12)
+    for value in (np.inf, np.nan):
+        with pytest.raises(NumericError):
+            CustomDensity(lambda x: np.zeros_like(x), ppf=lambda q, v=value: v).ppf(0.5)
+
+
 def test_custom_density_adapter():
     d = CustomDensity(lambda x: np.exp(-np.abs(x)) / 2.0,
                       cdf=lambda x: np.where(x < 0, 0.5 * np.exp(x),
@@ -257,10 +266,10 @@ def test_pair_delta_and_pooled():
         DensityPair(pair.f, pair.g, 1.0)
 
 
-def test_density_deriv_dispatch():
+def test_pair_density_dispatch():
     pair = make_pair("class2a")
-    assert density_deriv(pair, "f", 2, 0.5) == pytest.approx(CLASS2A_CURV, abs=1e-12)
-    assert density_deriv(pair, "g", 0, 1.0) == pytest.approx(pair.g.pdf(1.0))
+    assert pair.density("f") is pair.f and pair.density("g") is pair.g
+    assert pair.density("f").deriv(2, 0.5) == pytest.approx(CLASS2A_CURV, abs=1e-12)
 
 
 # ----------------------------------------------------------------------

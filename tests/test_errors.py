@@ -32,10 +32,10 @@ from kdeclass import (
     Pareto,
     SelectorConfig,
     bayes_risk,
-    bootstrap_err,
     class1_objective,
     classify_multi,
     classify_multivariate,
+    classify_tail,
     crossings,
     cv_err,
     decision_segments,
@@ -44,7 +44,6 @@ from kdeclass import (
     expansion_b1_b2,
     expansion_b3_b4,
     fit_classifier,
-    get_kernel,
     kde_mean_var,
     make_pair,
     multi_t,
@@ -247,12 +246,11 @@ SITES = [
     ("Kernel", "poly_coeffs", ORDER, lambda v: Kernel("k", v), ([], (), None, 5)),
     ("moment_exact", "j", 0, lambda v: TRIWEIGHT.moment_exact(v), ()),
     ("roughness", "r", 0, lambda v: TRIWEIGHT.roughness(v), ()),
-    ("sample", "size", 0, lambda v: TRIWEIGHT.sample(np.random.default_rng(0), v), ()),
+    ("sample", "size", 0, lambda v: TRIWEIGHT.sample(np.random.default_rng(0), v), (None,)),
     ("Kernel.sample", "rng", TYPED, lambda v: TRIWEIGHT.sample(v, 3), (None, 0)),
     ("multivariate_norm_constant", "d", 1, lambda v: multivariate_norm_constant(TRIWEIGHT, v), ()),
     ("multivariate_norm_constant", "kernel", TYPED, lambda v: multivariate_norm_constant(v, 2),
      (None,)),
-    ("get_kernel", "name", CHOICE, get_kernel, (None, 1.5)),
     # densities
     ("Normal", "mu", FINITE, lambda v: Normal(v, 1.0), ()),
     ("Normal", "sigma", POSITIVE, lambda v: Normal(0.0, v), ()),
@@ -279,6 +277,9 @@ SITES = [
     ("Normal.sample", "rng", TYPED, lambda v: Normal(0, 1).sample(5, v), (None, 0)),
     ("CustomDensity.sample", "n", 0,
      lambda v: CUSTOM.sample(v, np.random.default_rng(0)), ("3",)),
+    ("Density.ppf", "q", OPEN_UNIT, lambda v: Normal(0, 1).ppf(v), ()),
+    ("DensityPair.pooled_ppf", "q", OPEN_UNIT, lambda v: CLASS1A.pooled_ppf(v), ()),
+    ("DensityPair.density", "which", CHOICE, CLASS1A.density, (None, "F")),
     ("make_pair-pareto", "alpha", FINITE, lambda v: make_pair("pareto", alpha=v, beta=2.5), ()),
     ("make_pair-pareto", "beta", FINITE, lambda v: make_pair("pareto", alpha=2.0, beta=v), ()),
     ("crossings", "grid_points", 8, lambda v: crossings(CLASS1A, grid_points=v), ()),
@@ -303,6 +304,9 @@ SITES = [
     ("classify_multivariate", "kernel", TYPED,
      lambda v: classify_multivariate(X2, Y2, 0.5, 0.5, [0.0, 0.0], kernel=v), (None,)),
     ("decision_segments", "(lo, hi)", INTERVAL, _segments, (("a", 1.0), (None, 1.0))),
+    ("decision_segments", "rule", CHOICE, lambda v: decision_segments(CLF, -1.0, 1.0, rule=v),
+     (None,)),
+    ("classify_tail", "side", CHOICE, lambda v: classify_tail(CLF, 100.0, v), (None, "Right")),
     # selector
     ("SelectorConfig", "boot_iters", 1, lambda v: SelectorConfig(boot_iters=v), ()),
     ("SelectorConfig", "grid_per_dim", 2, lambda v: SelectorConfig(grid_per_dim=v), ()),
@@ -333,11 +337,7 @@ SITES = [
     ("cv_err", "h1", POSITIVE, lambda v: cv_err(X, Y, v, 0.5), ()),
     ("cv_err", "h2", POSITIVE, lambda v: cv_err(X, Y, 0.5, v), ()),
     ("cv_err", "kernel", TYPED, lambda v: cv_err(X, Y, 0.5, 0.5, kernel=v), (None,)),
-    ("bootstrap_err", "h1", POSITIVE, lambda v: bootstrap_err(X, Y, v, 0.5, config=TINY), ()),
-    ("bootstrap_err", "h2", POSITIVE, lambda v: bootstrap_err(X, Y, 0.5, v, config=TINY), ()),
     ("select_bandwidths", "seed", SEED, lambda v: select_bandwidths(X, Y, config=TINY, seed=v),
-     (0.5,)),
-    ("bootstrap_err", "seed", SEED, lambda v: bootstrap_err(X, Y, 0.5, 0.5, config=TINY, seed=v),
      (0.5,)),
     # risk
     ("empirical_risk", "reps", 1,
@@ -355,6 +355,8 @@ SITES = [
     ("empirical_risk", "interval", INTERVAL,
      lambda v: empirical_risk(CLASS1A, 20, 20, 0.5, 0.5, reps=1, seed=0, rule="body", interval=v),
      (("a", 1.0), (None, 1.0))),
+    ("empirical_risk", "rule", CHOICE,
+     lambda v: empirical_risk(CLASS1A, 20, 20, 0.5, 0.5, reps=1, seed=0, rule=v), (None,)),
     ("empirical_risk-ahat", "interval", INTERVAL,
      lambda v: empirical_risk(CLASS1A, 20, 20, 0.5, 0.5, reps=1, seed=0, interval=v),
      ((0.0, 1.0),)),

@@ -1,8 +1,9 @@
 """The package namespace: each module's `__all__` is the one list of its
 public names, and `kdeclass` re-exports exactly those names; no module
 imports a name it does not use; the private constants the README names
-exist; the README's dependency floors are the declared ones; and the
-numpy-only paths load no scipy module."""
+and the identifiers of its module table exist; the README's dependency
+floors are the declared ones; and the numpy-only paths load no scipy
+module."""
 
 import ast
 import importlib
@@ -14,6 +15,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import kdeclass
 from kdeclass import (TRIWEIGHT, Normal, bayes_risk, crossings, kde_mean_var, make_pair,
@@ -67,12 +70,21 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 def test_every_private_constant_the_readme_names_exists():
+    # and every identifier in the module table's rows, so a deleted name
+    # cannot stay documented: each is the package's own name or an
+    # attribute of a module, of an exported class or of numpy.polynomial's
+    # power series module, which the kernels row cites
     readme = (ROOT / "README.md").read_text()
     names = set(re.findall(r"`(_[A-Z][A-Z0-9_]*)`", readme))
+    rows = re.findall(r"^\| `kdeclass\..*$", readme, re.M)
+    listed = {name for row in rows for name in re.findall(r"`([A-Za-z_]\w*)`", row)}
     modules = [importlib.import_module(f"kdeclass.{info.name}")
                for info in pkgutil.iter_modules(kdeclass.__path__)]
-    assert names
-    missing = {name for name in names if not any(hasattr(m, name) for m in modules)}
+    classes = [obj for obj in map(kdeclass.__dict__.get, kdeclass.__all__) if inspect.isclass(obj)]
+    owners = [*modules, *classes, np.polynomial.polynomial]
+    assert names and rows
+    missing = {name for name in names | (listed - {"kdeclass"})
+               if not any(hasattr(owner, name) for owner in owners)}
     assert not missing, missing
 
 
@@ -98,6 +110,8 @@ def _theory_values(pair, cs):
 NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
 import numpy as np
+import numpy as np
+
 import kdeclass
 from kdeclass import cli
 config = kdeclass.SelectorConfig(boot_iters=4, grid_per_dim=3, quad_points=51)

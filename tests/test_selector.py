@@ -2,12 +2,10 @@
 leave-one-out negative control.
 
 Oracles: quadrature of squared Hermite-polynomial normal derivatives for the
-normal roughness constants, literal arithmetic for the scale rules, frozen
-full-precision pilot values, and exact common-random-number equalities
-between the single-cell and full-surface bootstrap paths.  The surface
-itself is held to a dense reference, one broadcast KDE fit per (replicate,
-bandwidth) and one mean over the whole comparison, within 1e-12 and with
-the same argmin: the engine's values differ from the dense fits only by
+normal roughness constants, literal arithmetic for the scale rules and
+frozen full-precision pilot values.  The bootstrap error surface is held
+to a dense reference, one broadcast KDE fit per (replicate, bandwidth) and
+one mean over the whole comparison, within 1e-12 and with the same argmin: the engine's values differ from the dense fits only by
 rounding (helpers.kde_rounding_bound), which flips no comparison here.
 """
 
@@ -31,7 +29,6 @@ from kdeclass import (
     Kernel,
     ParameterError,
     SelectorConfig,
-    bootstrap_err,
     cv_err,
     error_surface,
     kde_mean_var,
@@ -188,7 +185,7 @@ def test_selector_config_validation():
 
 
 # ----------------------------------------------------------------------
-# bootstrap_err
+# error_surface
 # ----------------------------------------------------------------------
 def _tight_config(**kwargs):
     defaults = dict(boot_iters=30, grid_per_dim=4, quad_points=101)
@@ -196,49 +193,36 @@ def _tight_config(**kwargs):
     return SelectorConfig(**defaults)
 
 
-def test_bootstrap_err_deterministic():
+def _cell(x, y, h1, h2, config, seed):
+    """The surface at the single cell (h1, h2), resampled from `seed`."""
+    return error_surface(x, y, [h1], [h2], 0.5, config, np.random.default_rng(seed))[0, 0]
+
+
+def test_error_surface_deterministic():
     rng = np.random.default_rng(31)
     x = rng.normal(0.0, 1.0, 35)
     y = rng.normal(1.0, 1.0, 35)
     cfg = _tight_config()
-    a = bootstrap_err(x, y, 0.5, 0.5, config=cfg, seed=4)
-    b = bootstrap_err(x, y, 0.5, 0.5, config=cfg, seed=4)
+    a = _cell(x, y, 0.5, 0.5, cfg, 4)
+    b = _cell(x, y, 0.5, 0.5, cfg, 4)
     assert a == b
-    c = bootstrap_err(x, y, 0.5, 0.5, config=cfg, seed=5)
+    c = _cell(x, y, 0.5, 0.5, cfg, 5)
     assert c != a
 
 
-def test_bootstrap_err_separated_samples_near_zero():
+def test_error_surface_separated_samples_near_zero():
     rng = np.random.default_rng(33)
     x = rng.normal(0.0, 0.5, 40)
     y = rng.normal(50.0, 0.5, 40)
-    err = bootstrap_err(x, y, 0.3, 0.3, config=_tight_config(boot_iters=20), seed=0)
+    err = _cell(x, y, 0.3, 0.3, _tight_config(boot_iters=20), 0)
     assert 0.0 <= err <= 0.01
 
 
-def test_bootstrap_err_identical_samples_near_half():
+def test_error_surface_identical_samples_near_half():
     rng = np.random.default_rng(35)
     x = rng.normal(0.0, 1.0, 40)
-    err = bootstrap_err(x, x.copy(), 0.5, 0.5,
-                        config=_tight_config(boot_iters=60), seed=1)
+    err = _cell(x, x.copy(), 0.5, 0.5, _tight_config(boot_iters=60), 1)
     assert err == pytest.approx(0.5, abs=0.05)
-
-
-def test_bootstrap_err_equals_surface_cell():
-    """Common random numbers make the single-cell path bit-identical to the
-    corresponding cell of a full surface computed at the same seed."""
-    rng = np.random.default_rng(37)
-    x = rng.normal(0.0, 1.0, 35)
-    y = rng.normal(1.0, 1.0, 30)
-    cfg = _tight_config(boot_iters=25)
-    gh1 = np.geomspace(0.2, 0.8, 3)
-    gh2 = np.geomspace(0.25, 0.9, 3)
-    surface = error_surface(x, y, gh1, gh2, 0.5, cfg, np.random.default_rng(7))
-    for i in range(3):
-        for j in range(3):
-            cell = bootstrap_err(x, y, float(gh1[i]), float(gh2[j]),
-                                 config=cfg, seed=7)
-            assert cell == surface[i, j]
 
 
 def assert_matches_dense_surface(got, want):
@@ -521,7 +505,7 @@ def test_smoothed_bootstrap_mean_is_the_exact_kde_mean():
     rng = np.random.default_rng(0)
     ftilde = KdeEstimate(make_pair("class1a").sample("f", 60, rng), 0.9)
     h, B = 0.4, 4000
-    points = np.linspace(*ftilde.support, 41)
+    points = np.linspace(ftilde.data[0] - ftilde.h, ftilde.data[-1] + ftilde.h, 41)
     resamples = smoothed_bootstrap(ftilde, 60 * B, rng).reshape(B, 60)
     fstar = _kde_many(resamples, [h], points)[:, 0]
     exact = [kde_mean_var(CustomDensity(ftilde), TRIWEIGHT, h, 60, t)[0] for t in points]
