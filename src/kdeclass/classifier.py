@@ -198,10 +198,12 @@ def classify_multivariate(x_data, y_data, h1: float, h2: float, x,
 # ----------------------------------------------------------------------
 def _interior_point(a: float, b: float) -> float:
     """A point inside (a, b): the midpoint when both ends are finite, one unit
-    in from the finite end when only one is, and 0 on the whole line."""
+    in from the finite end when only one is (one float spacing where that
+    is wider, above 2**53, so the step cannot round back onto the end), and
+    0 on the whole line."""
     if not math.isfinite(a):
-        return b - 1.0 if math.isfinite(b) else 0.0
-    return 0.5 * (a + b) if math.isfinite(b) else a + 1.0
+        return b - max(1.0, math.ulp(b)) if math.isfinite(b) else 0.0
+    return 0.5 * (a + b) if math.isfinite(b) else a + max(1.0, math.ulp(a))
 
 
 def _support_islands(clf: TrainedClassifier) -> tuple[np.ndarray, np.ndarray]:
@@ -218,10 +220,14 @@ def _support_islands(clf: TrainedClassifier) -> tuple[np.ndarray, np.ndarray]:
 
 _BASE_GRID = 2048
 _REFINE_WIDTH = 1e-10
+#: Newton steps after each flip's midpoint anchor (see _refine_flips)
+_NEWTON_STEPS = 3
 
 
 def _refine_flip(clf: TrainedClassifier, a: float, b: float, lab_a: int) -> float:
-    """Bisect the label flip inside (a, b) down to width 1e-10."""
+    """Bisect the label flip inside (a, b) down to width 1e-10, from one
+    scalar deltahat at every midpoint: the plain bisection that _refine_flips
+    reproduces bit for bit and falls back on."""
     while b - a > _REFINE_WIDTH:
         mid = 0.5 * (a + b)
         lab_mid = 0 if float(clf.deltahat(mid)) >= 0.0 else 1
@@ -230,6 +236,65 @@ def _refine_flip(clf: TrainedClassifier, a: float, b: float, lab_a: int) -> floa
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def _refine_flips(clf: TrainedClassifier, flips) -> list:
+    """[_refine_flip(clf, a, b, lab_a) for a, b, lab_a in flips], bit for bit;
+    see decision_segments for how the midpoint signs are certified."""
+    if not (clf.fhat.kernel._slope.smooth and clf.ghat.kernel._slope.smooth):
+        return [_refine_flip(clf, *flip) for flip in flips]
+    paths, rows = [], []
+    for a, b, lab_a in flips:
+        # anchors: the first midpoint, then Newton steps clipped to (a, b)
+        x, anchors = 0.5 * (a + b), []
+        for _ in range(_NEWTON_STEPS + 1):
+            d, s = _anchor(clf, float(x))
+            anchors.append((x, d, s))
+            # a step shorter than the final bracket is as near as it gets
+            if s == 0.0 or abs(d) < _REFINE_WIDTH * abs(s):
+                break
+            x = min(max(x - d / s, a), b)
+        # the bisection path, each midpoint labelled by the step _certify
+        # takes from its nearest anchor
+        path = []
+        while b - a > _REFINE_WIDTH:
+            mid = 0.5 * (a + b)
+            xk, dk, sk = min(anchors, key=lambda k: abs(mid - k[0]))
+            path.append((a, b))
+            rows.append((mid, xk, dk, sk))
+            if (0 if dk + sk * (mid - xk) >= 0.0 else 1) == lab_a:
+                a = mid
+            else:
+                b = mid
+        paths.append((path, 0.5 * (a + b), lab_a))
+    doubt = np.zeros(len(rows), bool)
+    if rows:  # _certify has a fixed cost, and many calls have no flips
+        doubt[_certify(clf, *np.array(rows).T)[1]] = True
+    cuts, first = [], 0
+    for path, cut, lab_a in paths:
+        bad = np.flatnonzero(doubt[first:first + len(path)])
+        first += len(path)
+        # from the last certain bracket on, plain bisection: exact by construction
+        cuts.append(_refine_flip(clf, *path[bad[0]], lab_a) if bad.size else cut)
+    return cuts
+
+
+def _anchor(clf: TrainedClassifier, x: float) -> tuple[float, float]:
+    """deltahat(x), bit for bit as its scalar call, and its slope within
+    _slope_at's rounding bound, from one binary-search window per estimate."""
+    vals = []
+    for est in (clf.fhat, clf.ghat):
+        reach = _reach(est.h, x)
+        lo, hi = est.data.searchsorted([x - reach, x + reach])
+        if hi <= lo:
+            vals += [0.0, 0.0]
+            continue
+        u = (x - est.data[lo:hi]) / est.h
+        scale = 1.0 / (est.count * est.h)
+        vals += [float(est.kernel(u).cumsum()[-1] * scale),
+                 float(est.kernel._slope(u).cumsum()[-1] * scale) / est.h]
+    fv, fs, gv, gs = vals
+    return clf.p * fv - (1.0 - clf.p) * gv, clf.p * fs - (1.0 - clf.p) * gs
 
 
 def _scan_labels(clf: TrainedClassifier, scans, spacing: float) -> np.ndarray:
@@ -322,7 +387,15 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
     engine's rounding of values and slopes).  The midpoints left in doubt,
     or all of them, are evaluated in one call per estimate; an engine value
     at a point does not depend on the other points, so these are the full
-    scan's values bit for bit.  Midpoints, not grid
+    scan's values bit for bit.  Each flip is bisected as by one scalar
+    deltahat per midpoint, and the cuts are exactly that bisection's, value
+    and type.  For the same kernels (any pitch) most of its signs are
+    certified the same way: deltahat and its slope are evaluated at the
+    flip's first midpoint and at up to three Newton steps from it (clipped
+    to the cell; they stop once a step would be shorter than 1e-10), each
+    midpoint on the path takes the Taylor step from its nearest anchor, and
+    one bound checks all flips' midpoints; a flip with a midpoint in doubt
+    is bisected plainly from the last bracket before it.  Midpoints, not grid
     points, since both estimates are exactly zero at island edges and where
     supports touch: a vacuous tie.  In the gaps the rule is piecewise
     constant, so one interior point labels the whole gap, all gaps by one
@@ -361,6 +434,11 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
     gap_f = _ahat_from_f(clf, at) if rule == "ahat" else np.ones(at.size, bool)
     gap_labels = iter(np.where(gap_f, FROM_F, FROM_G).tolist())
 
+    # every flip of every island, bisected at once
+    flips = [np.flatnonzero(lab[1:] != lab[:-1]) for lab in labs]
+    cuts = iter(_refine_flips(clf, [(x[i], x[i + 1], lab[i])
+                                    for x, lab, at in zip(scans, labs, flips) for i in at]))
+
     segs: list[tuple[float, float, str]] = []
     for k, (a, b) in enumerate(pieces):
         if not a < b:
@@ -368,10 +446,9 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
         if k % 2 == 0:
             segs.append((a, b, next(gap_labels)))
             continue
-        x, lab = scans[k // 2], labs[k // 2]
-        flips = np.flatnonzero(lab[1:] != lab[:-1])
-        cuts = [_refine_flip(clf, x[i], x[i + 1], lab[i]) for i in flips]
-        segs += zip([a, *cuts], [*cuts, b], [(FROM_F, FROM_G)[lab[i]] for i in [0, *(flips + 1)]])
+        lab, at = labs[k // 2], flips[k // 2]
+        cut = [next(cuts) for _ in at]
+        segs += zip([a, *cut], [*cut, b], [(FROM_F, FROM_G)[lab[i]] for i in [0, *(at + 1)]])
     # merge adjacent segments with equal labels
     runs = (list(run) for _, run in groupby(segs, key=itemgetter(2)))
     return [(run[0][0], run[-1][1], run[0][2]) for run in runs]

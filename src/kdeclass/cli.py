@@ -30,9 +30,11 @@ from .simulate import (
     run_tail_study,
 )
 
-#: the --pair choices of each subcommand that has the flag
+#: the --pair choices of each subcommand that has the flag; none of them
+#: takes the alpha and beta that "pareto" needs
 _PAIRS = {"study": ("class1a", "class1b", "class2a", "class2b"),
-          "cvcheck": PAIR_IDS, "risk-surface": PAIR_IDS}
+          "cvcheck": tuple(p for p in PAIR_IDS if p != "pareto")}
+_PAIRS["risk-surface"] = _PAIRS["cvcheck"]
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:

@@ -170,7 +170,9 @@ def scan_segments_oracle(clf, lo, hi, rule="ahat"):
             return "f"
         mid = 0.5 * (gl + gr)
         if not np.isfinite(mid):
-            mid = gr - 1.0 if np.isfinite(gr) else gl + 1.0
+            # one unit in, or one float spacing where that is wider
+            mid = (gr - max(1.0, np.spacing(abs(gr))) if np.isfinite(gr)
+                   else gl + max(1.0, np.spacing(abs(gl))))
         return classify_ahat(clf, float(mid)).population
 
     segs, cursor = [], lo

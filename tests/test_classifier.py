@@ -631,13 +631,18 @@ def test_decision_segments_many_gaps_take_classify_ahat_labels(p):
 def scan_records(monkeypatch):
     """Record each scan of decision_segments: its labels, the full scan's
     labels np.where(deltahat(mids) >= 0, 0, 1), and how many midpoints
-    the Taylor bound left to deltahat (None where the full scan ran)."""
-    records = []
+    the Taylor bound left to deltahat (None where the full scan ran).  Only
+    the scan's own _certify call counts, not the flip bisection's."""
+    records, scanning = [], []
     scan, certify = classifier._scan_labels, classifier._certify
 
     def spy_scan(clf, islands, spacing):
         records.append({"unsure": None})
-        labs = scan(clf, islands, spacing)
+        scanning.append(True)
+        try:
+            labs = scan(clf, islands, spacing)
+        finally:
+            scanning.pop()
         mids = np.concatenate([np.empty(0), *islands])
         records[-1].update(labs=labs, mids=mids,
                            want=np.where(clf.deltahat(mids) >= 0.0, 0, 1))
@@ -645,7 +650,8 @@ def scan_records(monkeypatch):
 
     def spy_certify(*args):
         labs, unsure = certify(*args)
-        records[-1]["unsure"] = unsure.size
+        if scanning:
+            records[-1]["unsure"] = unsure.size
         return labs, unsure
 
     monkeypatch.setattr(classifier, "_scan_labels", spy_scan)
@@ -719,6 +725,151 @@ def test_certified_scan_needs_a_smooth_kernel_edge(scan_records):
     decision_segments(clf, -np.inf, np.inf)
     _assert_exact(scan_records)
     assert scan_records[0]["unsure"] is None
+
+
+# ----------------------------------------------------------------------
+# the certified flip bisection: cuts exactly those of plain bisection
+# ----------------------------------------------------------------------
+@pytest.fixture
+def flip_records(monkeypatch):
+    """Record each _refine_flips call's brackets and cuts, the anchors it
+    evaluates and its fallbacks to _refine_flip."""
+    records = {"calls": [], "anchors": 0, "fallbacks": 0}
+    refine_flips, refine_flip, anchor = (classifier._refine_flips, classifier._refine_flip,
+                                         classifier._anchor)
+
+    def spy_flips(clf, flips):
+        cuts = refine_flips(clf, flips)
+        records["calls"].append((clf, flips, cuts))
+        return cuts
+
+    def spy_flip(*args):
+        records["fallbacks"] += 1
+        return refine_flip(*args)
+
+    def spy_anchor(*args):
+        records["anchors"] += 1
+        return anchor(*args)
+
+    monkeypatch.setattr(classifier, "_refine_flips", spy_flips)
+    monkeypatch.setattr(classifier, "_refine_flip", spy_flip)
+    monkeypatch.setattr(classifier, "_anchor", spy_anchor)
+    return records
+
+
+_REFINE_FLIP = classifier._refine_flip
+
+
+def _plain_cuts(clf, flips):
+    """The plain bisection of each flip, by the unpatched _refine_flip."""
+    return [_REFINE_FLIP(clf, *flip) for flip in flips]
+
+
+@pytest.mark.parametrize("kernel", [TRIWEIGHT, BIWEIGHT], ids=lambda k: k.name)
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_bisection_equals_plain_bisection(flip_records, kernel, seed):
+    rng = np.random.default_rng(100 + seed)
+    pair = make_pair(["class1a", "class1b", "class2a", "class2b"][seed])
+    for n in (30, 300, 2000):
+        x, y = pair.sample("f", n, rng), pair.sample("g", n, rng)
+        h1, h2 = np.exp(rng.uniform(np.log(0.05), np.log(1.0), 2))
+        clf = fit_classifier(x, y, h1, h2, rng.uniform(0.2, 0.8), kernel)
+        for lo, hi, rule in ((-np.inf, np.inf, "ahat"), (-2.0, 2.5, "body")):
+            segs = decision_segments(clf, lo, hi, rule)
+            assert repr(segs) == repr(scan_segments_oracle(clf, lo, hi, rule))
+    flips = [flip for _, fl, _ in flip_records["calls"] for flip in fl]
+    assert len(flips) > 3
+    for clf, fl, cuts in flip_records["calls"]:
+        assert repr(cuts) == repr(_plain_cuts(clf, fl))  # values and types
+    assert flip_records["anchors"] <= 4 * len(flips)
+
+
+def test_certified_bisection_takes_the_fast_path_on_class1a(flip_records, monkeypatch):
+    # the benchmark's class1a replicate at n = 2000: plain bisection makes
+    # 58 scalar deltahat calls for its two flips; the anchors leave none
+    # in doubt here (0 calls), and the bound allows a few
+    pair = make_pair("class1a")
+    plan = optimal_bandwidths(pair, crossings(pair), n=2000)
+    rng = np.random.default_rng(0)
+    clf = fit_classifier(pair.sample("f", 2000, rng), pair.sample("g", 2000, rng),
+                         plan.h1, plan.h2, pair.p)
+    scalar = []
+    deltahat = classifier.TrainedClassifier.deltahat
+
+    def spy(self, x):
+        if np.ndim(x) == 0:
+            scalar.append(x)
+        return deltahat(self, x)
+
+    monkeypatch.setattr(classifier.TrainedClassifier, "deltahat", spy)
+    segs = decision_segments(clf, -np.inf, np.inf)
+    (call,) = flip_records["calls"]
+    assert len(call[1]) == 2
+    assert len(scalar) <= 4
+    assert repr(call[2]) == repr(_plain_cuts(clf, call[1]))
+    assert repr(segs) == repr(scan_segments_oracle(clf, -np.inf, np.inf))
+
+
+_W = 2.0 ** -6
+
+
+@pytest.mark.parametrize("clf, flips", [
+    # deltahat(0.15) is exactly 0 and 0.15 the second midpoint of each
+    # bracket: the Newton anchors land near it, not on it
+    (fit_classifier([0.0], [0.3], 1.0, 1.0),
+     [(0.15 - 3 * _W, 0.15 + _W, 0), (0.15 - _W, 0.15 + 3 * _W, 0),
+      (0.15 - 7 * _W, 0.15 + _W, 0)]),
+    # touches 0 without crossing at 0 (the touching-zero classifier)
+    (fit_classifier([0.0], [0.0, 5.0], 1.0, 1.5, p=0.25),
+     [(-0.3, 0.2, 1), (-0.3, 0.2, 0), (-0.01, 0.02, 1)]),
+    # identical samples with p = 1/2: deltahat and its slope are 0
+    (fit_classifier(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9), 0.7, 0.7),
+     [(-0.5, 0.3, 0), (-0.5, 0.3, 1)]),
+], ids=["root-at-dyadic-midpoint", "touching-zero", "identical-samples"])
+def test_certified_bisection_falls_back_where_a_sign_is_in_doubt(flip_records, clf, flips):
+    want = _plain_cuts(clf, flips)
+    assert repr(classifier._refine_flips(clf, flips)) == repr(want)
+    assert flip_records["fallbacks"] == len(flips)
+
+
+def test_certified_bisection_root_at_the_first_midpoint_needs_no_fallback(flip_records):
+    # the first midpoint is evaluated, so its sign is exact even at a root
+    clf = fit_classifier([0.0], [0.3], 1.0, 1.0)
+    assert clf.deltahat(0.15) == 0.0
+    flips = [(0.15 - _W, 0.15 + _W, 0), (0.15 - _W, 0.15 + _W, 1)]
+    assert repr(classifier._refine_flips(clf, flips)) == repr(_plain_cuts(clf, flips))
+    assert flip_records["fallbacks"] == 0
+
+
+def test_certified_bisection_needs_a_smooth_kernel_edge(flip_records):
+    # Epanechnikov's K' jumps at +-1: every flip is bisected plainly
+    rng = np.random.default_rng(5)
+    clf = fit_classifier(rng.normal(0.0, 1.0, 500), rng.normal(1.0, 1.0, 500), 0.2, 0.2,
+                         kernel=EPANECHNIKOV)
+    segs = decision_segments(clf, -np.inf, np.inf)
+    assert repr(segs) == repr(scan_segments_oracle(clf, -np.inf, np.inf))
+    (call,) = flip_records["calls"]
+    assert len(call[1]) > 0
+    assert flip_records["anchors"] == 0
+    assert flip_records["fallbacks"] == len(call[1])
+
+
+def test_decision_segments_huge_magnitude_gaps_take_classify_ahat_labels():
+    # one unit in from an island edge at 1e17 rounds back onto the edge,
+    # where the body rule gives "g"; the gaps' tail rule gives "f"
+    clf = fit_classifier([1e17], [1e17], 1.0, 1.0, p=0.3)
+    segs = decision_segments(clf, -np.inf, np.inf)
+    assert segs == [(-np.inf, np.inf, FROM_F)]
+    for t in (0.0, -1e18, 2e17, 1e18):
+        assert classify_ahat(clf, t).population == FROM_F
+    assert repr(segs) == repr(scan_segments_oracle(clf, -np.inf, np.inf))
+    # the interior point stays one unit in below 2**53, and is never the edge
+    for end in (-1e17, -3.0, 0.5, 2.0 ** 53, 2.0 ** 54, 1e17, 1e300):
+        below, above = (classifier._interior_point(-np.inf, end),
+                        classifier._interior_point(end, np.inf))
+        assert below < end < above
+        if abs(end) < 2.0 ** 53:
+            assert (below, above) == (end - 1.0, end + 1.0)
 
 
 def test_decision_segments_validation():

@@ -205,6 +205,20 @@ def test_cli_rejects_bad_arguments():
         main([])  # a subcommand is required
 
 
+@pytest.mark.parametrize("command", ["cvcheck", "risk-surface"])
+def test_pareto_is_not_a_pair_choice(capsys, command):
+    # neither subcommand passes alpha and beta, which the pareto pair needs
+    with pytest.raises(SystemExit) as info:
+        main([command, "--pair", "pareto"])
+    assert info.value.code == 2
+    assert f"kdeclass {command}: error: argument --pair: invalid choice: 'pareto'" in (
+        capsys.readouterr().err)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = capsys.readouterr().out
+    assert "class2b" in help_text and "pareto" not in help_text
+
+
 @pytest.mark.parametrize("command, absent, present", [
     ("tail", ("--boot-iters", "--grid", "--c2", "--threads"), ("--alpha", "--beta")),
     ("risk-surface", ("--threads",), ("--boot-iters", "--grid", "--c2")),
