@@ -350,13 +350,16 @@ def _allowances(est: KdeEstimate, weight: float, lo, hi):
     roundings each for deltahat's products and difference, one more for the
     slope's division by h), and on |est''| there, from the m data whose
     support meets it: est' is Lipschitz with constant m max|K''| / (n h**3)."""
-    k, eps = est.kernel, np.finfo(float).eps
+    k = est.kernel
+    if ("allowances", 0) not in k._exact:  # the kernel's constants, once
+        eps, curve = np.finfo(float).eps, float(k._max_abs_deriv(2))
+        spread = float(sum(abs(a) for a in k.poly_coeffs))
+        k._exact["allowances", 0] = (
+            spread, curve, 2 * len(k.poly_coeffs) * spread * eps + 2.001 * eps * k._slope.top,
+            k._slope.err + 2.001 * eps * curve)
+    spread, curve, value_err, slope_err = k._exact["allowances", 0]
     reach = _reach(est.h, np.maximum(np.abs(lo), np.abs(hi)) + est.h)
     m = est.data.searchsorted(hi + reach, "right") - est.data.searchsorted(lo - reach)
-    curve = float(k._max_abs_deriv(2))
-    spread = float(sum(abs(a) for a in k.poly_coeffs))
-    value_err = 2 * len(k.poly_coeffs) * spread * eps + 2.001 * eps * k._slope.top
-    slope_err = k._slope.err + 2.001 * eps * curve
     w = weight / (est.count * est.h)
     return (w * _exact_slack(m, spread, value_err, 7),
             w / est.h * _exact_slack(m, k._slope.top, slope_err, 8),
@@ -371,7 +374,10 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
     the data); rule "body" uses the plug-in rule alone with its tie-break,
     so both-vanish regions are labeled toward the first population.  lo may
     be -inf and hi +inf.  Returns a list of (a, b, population) triples in
-    increasing order whose union is exactly [lo, hi].
+    increasing order whose union is exactly [lo, hi].  An island of zero
+    width, where every kernel support rounds onto one point (data at 1e17
+    with h = 1), has no midpoints and is dropped: that point takes the label
+    of the gaps around it, which the rule need not give there.
 
     Inside the support islands the sign of deltahat is sampled at the cell
     midpoints of a uniform scan (pitch min(total span/2048, smaller

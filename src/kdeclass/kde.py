@@ -9,14 +9,16 @@ contribute.  Array evaluation goes through one scatter engine,
 `_kde_many`, shared by the classifier, cross-validation, risk and the
 bootstrap selector: each datum adds its kernel values to the contiguous run
 of sorted points it reaches.  Only the live columns, the sorted data from
-the first to the last datum that reaches some point, are evaluated, each on
-the widest run, so work grows with live columns x widest run rather than
-with points x data.  Each block of at most _BLOCK_ELEMENTS values adds them
-straight into the output with one np.add.at, which adds in array order, so
-each point adds its values in sorted-data order and the results do not
-depend on the block size or on how the samples are split.  They
-differ from the dense (point x datum) sum by rounding only: per point at
-most eps * (n * sum_i |K(u_i)| + 4 * d * S * m) / (n * h), with d, S as in
+the first to the last datum that reaches some point, are evaluated, each
+run of their rows on its own widest run (see `_kde_many`), so work grows
+with live rows x their runs' widths rather than with points x data; the
+pairs left out would add exact zeros.  Each block of at most
+_BLOCK_ELEMENTS values adds them straight into the output with one
+np.add.at, which adds in array order, so each point adds its values in
+sorted-data order and the results do not depend on the runs, the block
+size or how the samples are split.  They differ from the dense (point x
+datum) sum by rounding only: per point at most
+eps * (n * sum_i |K(u_i)| + 4 * d * S * m) / (n * h), with d, S as in
 `kernels` and m the number of data with |u_i| <= 1; where no datum reaches
 a point the estimate is exactly 0.0.  From the exact estimate (exact u,
 exact K) a value differs by at most `_exact_slack(m, S, e)` / (n * h),
@@ -62,6 +64,12 @@ __all__ = [
 #: 1.8x at 12.5k) and no longer speed the single-thread risk ops; 100k
 #: buys nothing for 3.6 MiB
 _BLOCK_ELEMENTS = 50_000
+#: rows per tile of `_kde_many`, each maximal run of tiles evaluated on its
+#: own widest run.  perfbench risk ops/s at 32 / 64 / 128, 6 alternating
+#: rounds on a 2-vCPU VM: medians 239 / 235 / 241, runs spread 222-246, all
+#: within the machine's drift.  Kernel values in one traced risk run (16
+#: ops): 641k / 654k / 663k, against 1,162k untiled
+_TILE = 64
 #: free scratch pairs (index, u) of `_kde_many`, two flat arrays of one size
 #: each, none above _BLOCK_ELEMENTS elements; list.pop and append are atomic
 _SCRATCH: list[tuple[np.ndarray, np.ndarray]] = []
@@ -109,19 +117,28 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
     contiguous run of points; one searchsorted per bandwidth finds it.  The
     live columns run from the first to the last sorted datum whose run is
     nonempty in some sample (the others would add exact zeros); their
-    (sample, datum) rows, raveled sample-major, are evaluated on the widest
-    run in blocks of whole rows with the same u as the dense sum over all
-    pairs.  `points` is tiled once per call, B copies end to end, so one
-    index, run start + b*T + window, both gathers row b's points and
-    addresses sample b's row of out[g]; one np.add.at per block adds the
-    values there in array order, so every point adds its values in
-    sorted-data order whatever the blocks.  Each bandwidth is then scaled
-    once by 1 / (n * h).  out is laid out (G, B, T) and returned as its
-    (B, G, T) transpose view.  The scratch pair comes off `_SCRATCH` and
+    (sample, datum) rows, raveled sample-major, are one run on the widest
+    if every row's run is more than half the widest (one min pass), as on a
+    uniform grid, or if they fill at most two tiles of _TILE rows.
+    Otherwise they are cut into such tiles: tiles whose runs are all empty
+    are skipped, and each maximal run of the others, all at most half the
+    widest or all wider, is evaluated on its own widest run w.  Each row's
+    window is shifted to start at min(run start, N - w), N the points that
+    are not NaN, and evaluated in blocks of whole rows with the same u as
+    the dense sum over all pairs.  The positions a window holds beyond its
+    run add exact zeros, and no window reaches a NaN point.  `points` is
+    tiled once per call, B copies end to end, so one index, window start +
+    b*T + k (k < w), both gathers row b's points and addresses sample b's
+    row of out[g]; one np.add.at per block adds the values there in array
+    order, and the runs go in row order, so every point adds its values in
+    sorted-data order whatever the tiles and blocks.  Each bandwidth is then
+    scaled once by 1 / (n * h).  out is laid out (G, B, T) and returned as
+    its (B, G, T) transpose view.  The scratch pair comes off `_SCRATCH` and
     goes back unless it is above _BLOCK_ELEMENTS elements.
     The result is within the rounding bound of the module docstring of
     `kernel((points[:, None] - np.sort(sample)) / h).sum(axis=-1) * (1 / (n * h))`,
-    and exactly 0.0 where no datum reaches; NaN and infinite points give 0.
+    and exactly 0.0 where no datum reaches; NaN and infinite points give 0,
+    for K' (`Kernel._slope`) too.
     """
     samples = np.asarray(samples, dtype=float)
     _require_positive(bandwidths=hs)
@@ -142,7 +159,9 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
         return out.transpose(1, 0, 2)
     data = np.sort(samples, axis=1)
     tiled = np.tile(points, B)
-    offset = np.arange(0, B * T, T)[:, None]  # sample b's row starts at b*T
+    # b*T for sample b's rows: where its copy of the points starts in
+    # tiled, and its row in out[g]
+    rows = np.repeat(np.arange(0, B * T, T), n).reshape(B, n)
     try:
         index, u = pair = _SCRATCH.pop()
     except IndexError:  # every kept pair is in use, or none is kept yet
@@ -156,28 +175,43 @@ def _kde_many(samples, hs, points, kernel: Kernel = TRIWEIGHT) -> np.ndarray:
         if live.size == 0:
             continue
         cols = slice(live[0], live[-1] + 1)
-        width = int(runs.max())
-        # shifting a run left to fit the row only adds points below
-        # X - h, whose kernel values are exact zeros
-        start = (np.minimum(lo[:, cols], T - width) + offset).ravel()
-        x = data[:, cols].ravel()
-        window = np.arange(width)
-        step = max(1, _BLOCK_ELEMENTS // width)
-        need = min(step, x.size) * width
-        if index.size < need:
-            index, u = np.empty(need, np.intp), np.empty(need)
-            if need <= _BLOCK_ELEMENTS:
-                pair = index, u
+        # the (sample, datum) rows, raveled sample-major
+        lo, run, x, row0 = (a[:, cols].ravel() for a in (lo, runs, data, rows))
+        width = int(run.max())
+        spans = [(0, x.size, width)]
+        # more than two tiles of _TILE rows, some row reaching at most
+        # width/2: skip the tiles that reach nothing, and give each maximal
+        # run of tiles at most width/2 wide, and each of wider ones, its own
+        # widest run (with fewer tiles a second kernel call costs more than
+        # skipping part of a tile saves)
+        if x.size > 2 * _TILE and 2 * int(run.min()) <= width:
+            tops = np.maximum.reduceat(run, np.arange(0, x.size, _TILE))
+            kind = np.sign(tops) + (2 * tops > width)  # 0 empty, 1 narrow, 2 wide
+            cut = np.r_[0, np.flatnonzero(np.diff(kind)) + 1, kind.size]
+            spans = [(a * _TILE, min(b * _TILE, x.size), int(tops[a:b].max()))
+                     for a, b in zip(cut[:-1], cut[1:]) if kind[a]]
         into = out[g].reshape(-1)
-        for r0 in range(0, x.size, step):
-            first = start[r0:r0 + step, None]
-            m = first.size * width
-            pos = np.add(first, window, out=index[:m].reshape(-1, width))
-            # (t - X) / h in place: the dense sum's two roundings
-            blk = np.take(tiled, pos, out=u[:m].reshape(pos.shape), mode="clip")
-            blk -= x[r0:r0 + step, None]
-            blk /= h
-            np.add.at(into, index[:m], kernel(blk).ravel())
+        for a, b, w in spans:
+            # shifting a run left to end by the last number only adds
+            # points below X - h, whose kernel values are exact zeros; no
+            # window reaches a NaN point, which so gets 0 from any callable
+            start = np.minimum(lo[a:b], numbered - w) + row0[a:b]
+            window = np.arange(w)
+            step = max(1, _BLOCK_ELEMENTS // w)
+            need = min(step, b - a) * w
+            if index.size < need:
+                index, u = np.empty(need, np.intp), np.empty(need)
+                if need <= _BLOCK_ELEMENTS:
+                    pair = index, u
+            for r0 in range(a, b, step):
+                first = start[r0 - a:r0 - a + step, None]
+                m = first.size * w
+                pos = np.add(first, window, out=index[:m].reshape(-1, w))
+                # (t - X) / h in place: the dense sum's two roundings
+                blk = np.take(tiled, pos, out=u[:m].reshape(pos.shape), mode="clip")
+                blk -= x[r0:r0 + first.size, None]
+                blk /= h
+                np.add.at(into, index[:m], kernel(blk).ravel())
         out[g] *= 1.0 / (n * h)
     _SCRATCH.append(pair)
     return out.transpose(1, 0, 2)

@@ -104,7 +104,8 @@ class Kernel:
         full[::2] = self.poly_coeffs
         self._full = full
         #: exact functionals already computed, by (name, order): the
-        #: bandwidth formulas ask for the same few on every evaluation
+        #: bandwidth formulas ask for the same few on every evaluation, and
+        #: decision_segments' sign certificate for its rounding constants
         self._exact = {}
         # K(u) = sum_k a_k (1 - t)**k = sum_j b_j t**j with t = 1 - u**2,
         # expanded exactly (Horner in t)

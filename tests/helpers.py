@@ -47,6 +47,25 @@ def naive_kde(data, h, kernel, x):
     return polyval_kernel(kernel, (x[..., None] - data) / h).sum(axis=-1) * (1.0 / (data.size * h))
 
 
+def ordered_kde(samples, hs, kernel, points):
+    """Dense estimates of shape (B, G, T) in the engine's own arithmetic:
+    the library callable `kernel` (K or K') at every (point, datum) pair,
+    u = (x - X_i) / h formed as naive_kde forms it, a running sum over each
+    sorted sample in data order and the scaling by 1 / (n * h); 0.0 at NaN
+    points, as the engine promises for any callable.  The pairs the engine
+    leaves out add exact zeros here, so the engine must give these values
+    bit for bit."""
+    samples = np.sort(np.atleast_2d(np.asarray(samples, dtype=float)), axis=1)
+    points = np.asarray(points, dtype=float)
+    known = ~np.isnan(points)
+    out = np.zeros((samples.shape[0], len(hs), points.size))
+    for b, data in enumerate(samples):
+        for g, h in enumerate(hs):
+            running = np.cumsum(kernel((points[known, None] - data) / h), axis=1)
+            out[b, g, known] = running[:, -1] * (1.0 / (data.size * h))
+    return out
+
+
 def kde_rounding_bound(data, h, kernel, points):
     """Per-point bound on |library estimate - naive_kde| at every point of
     `points` (any shape):

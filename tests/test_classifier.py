@@ -872,6 +872,16 @@ def test_decision_segments_huge_magnitude_gaps_take_classify_ahat_labels():
             assert (below, above) == (end - 1.0, end + 1.0)
 
 
+def test_decision_segments_drop_a_zero_width_island():
+    # both supports round onto the point 1e17, an island of zero width: it
+    # has no midpoints, so the partition gives that point its gaps' label
+    # "f", where the rule itself gives the body rule's "g" (deltahat < 0)
+    clf = fit_classifier([1e17], [1e17], 1.0, 1.0, p=0.3)
+    for lo, hi in [(-np.inf, np.inf), (0.0, 2e17)]:
+        assert decision_segments(clf, lo, hi) == [(lo, hi, FROM_F)]
+    assert classify_ahat(clf, 1e17) == Label(FROM_G, "body")
+
+
 def test_decision_segments_validation():
     clf = fit_classifier([0.0], [1.0], 0.5, 0.5)
     with pytest.raises(ParameterError):

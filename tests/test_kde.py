@@ -21,7 +21,7 @@ from numpy.polynomial import polynomial as P
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from helpers import kde_rounding_bound, kernel_cdf, naive_kde
+from helpers import kde_rounding_bound, kernel_cdf, naive_kde, ordered_kde
 from kdeclass import (
     BIWEIGHT,
     EPANECHNIKOV,
@@ -151,13 +151,14 @@ def test_kde_many_within_rounding_bound_at_every_edge(seed, n, B, G, kernel):
 
 
 class CountingKernel(Kernel):
-    """The triweight kernel, counting the values it evaluates."""
+    """The triweight kernel, counting its calls and the values it evaluates."""
 
     def __init__(self):
         super().__init__("counting-triweight", TRIWEIGHT.poly_coeffs)
-        self.evaluated = 0
+        self.calls = self.evaluated = 0
 
     def __call__(self, u):
+        self.calls += 1
         self.evaluated += np.size(u)
         return super().__call__(u)
 
@@ -248,8 +249,8 @@ def test_kde_many_disjoint_live_spans(kernel, cap, monkeypatch):
 
 
 def test_kde_many_evaluates_only_the_live_span():
-    # a narrow run of points at n = 2000: the engine evaluates the live
-    # columns times the widest run, not all n columns
+    # a narrow run of points at n = 2000: the engine evaluates at most the
+    # live columns times the widest run, not all n columns
     rng = np.random.default_rng(4)
     data = np.sort(rng.normal(size=2000))
     h = 0.01
@@ -267,18 +268,125 @@ def test_kde_many_evaluates_only_the_live_span():
 
 def test_kde_many_evaluates_every_column_when_all_are_live():
     # study-shaped: B replicates, G bandwidths, a 201-point grid over the
-    # data, every datum reaching some point; the count is B * n * (the sum
-    # over bandwidths of the widest run), every column evaluated once
+    # data, every datum reaching more than half the widest run; each
+    # bandwidth is one run of rows on its widest run, in blocks of
+    # _BLOCK_ELEMENTS // width rows: B * n * width values, every column once
     rng = np.random.default_rng(6)
     samples = rng.normal(size=(20, 60))
     hs = np.geomspace(0.2, 1.0, 5)
     points = np.linspace(samples.min() - 1.0, samples.max() + 1.0, 201)
-    widths = [np.max(np.searchsorted(points, samples + h, side="right")
-                     - np.searchsorted(points, samples - h, side="left")) for h in hs]
+    runs = [np.searchsorted(points, samples + h, side="right")
+            - np.searchsorted(points, samples - h, side="left") for h in hs]
+    assert all(2 * run.min() > run.max() for run in runs)
+    widths = [int(run.max()) for run in runs]
     kernel = CountingKernel()
     got = _kde_many(samples, hs, points, kernel)
     assert kernel.evaluated == samples.size * sum(widths)
+    assert kernel.calls == sum(-(-samples.size // (kde_module._BLOCK_ELEMENTS // w))
+                               for w in widths)
     assert_matches_dense(got[7, 3], samples[7], hs[3], TRIWEIGHT, points)
+
+
+def clustered_case(rng, B=1, n=2000):
+    """class2b-shaped: n data of a main body under a coarse grid (about 6
+    points per datum), and six outliers, each with 64 points across its
+    support (the widest run)."""
+    outliers = np.array([-300.0, -120.0, -60.0, 70.0, 150.0, 400.0])
+    samples = np.concatenate([rng.normal(0.0, 2.0, (B, n)),
+                              outliers + rng.uniform(-1.0, 1.0, (B, 6))], axis=1)
+    h = 1.2
+    fine = [np.linspace(x - h, x + h, 64) for x in samples[0, -6:]]
+    return samples, [h], np.sort(np.concatenate([np.arange(-8.0, 8.0, 0.4), *fine]))
+
+
+def half_width_case(above, right_end=False):
+    """64 data at h = 1 each reaching 64 points of a grid of pitch 1/32,
+    then 200 data on a grid of pitch 2/33 or 1/16, reaching 33 or 32 of its
+    points: just above or at half the widest run.  right_end runs the data
+    past the last point, so the last rows' windows, 32 wide, are shifted
+    left to end there."""
+    dense = np.arange(0, 129) / 32.0
+    coarse = 10.0 + np.arange(0, 400) * (2.0 / 33 if above else 1.0 / 16)
+    data = np.r_[(np.arange(32, 96) + 0.5) / 32.0, coarse[20:220] + (0 if above else 1.0 / 32)]
+    if right_end:
+        coarse = coarse[:200]
+    return data[None, :], [1.0], np.r_[dense, coarse]
+
+
+def nonfinite_tails(samples, hs, points):
+    """The same call with -inf before the points and inf, NaN, NaN after."""
+    return samples, hs, np.r_[-np.inf, points, np.inf, np.nan, np.nan]
+
+
+RAGGED = {
+    "coarse-grid-and-clusters": lambda rng: clustered_case(rng, n=600),
+    # 100 points by each of two data 1,000 rows apart: the rows between reach nothing
+    "idle-rows-between": lambda rng: (np.sort(rng.normal(size=(1, 1500))), [0.01, 0.002],
+                                      np.r_[np.linspace(-1.2, -1.18, 100),
+                                            np.linspace(0.9, 0.92, 100)]),
+    "several-samples": lambda rng: clustered_case(rng, B=3, n=200),
+    "half-width-below": lambda rng: half_width_case(False),
+    "half-width-above": lambda rng: half_width_case(True),
+    "right-end-shift": lambda rng: half_width_case(False, right_end=True),
+    "nonfinite-tails": lambda rng: nonfinite_tails(*clustered_case(rng, n=300)),
+}
+
+
+@pytest.mark.parametrize("phi", [TRIWEIGHT, BIWEIGHT, EPANECHNIKOV, TRIWEIGHT._slope,
+                                 EPANECHNIKOV._slope],
+                         ids=["triweight", "biweight", "epanechnikov", "triweight-slope",
+                              "epanechnikov-slope"])
+@pytest.mark.parametrize("case", RAGGED)
+@pytest.mark.parametrize("cap", [None, 500])
+def test_kde_many_ragged_runs_equal_the_ordered_dense_sum(phi, case, cap, monkeypatch):
+    # runs of tiles evaluated each at its own widest run leave out only
+    # pairs whose values are exact zeros, so the engine equals the dense sum
+    # in its own arithmetic bit for bit, in any blocks
+    if cap is not None:
+        monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", cap)
+    samples, hs, points = RAGGED[case](np.random.default_rng(len(case)))
+    got = _kde_many(samples, hs, points, phi)
+    assert np.array_equal(got, ordered_kde(samples, hs, phi, points))
+    assert np.all(got[..., ~np.isfinite(points)] == 0.0)
+    if isinstance(phi, Kernel):
+        assert_matches_dense(got[-1, -1], samples[-1], hs[-1], phi, points)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_half_width_cases_straddle_half_the_widest_run(above):
+    # the cases above: the coarse rows reach 32 of the widest run's 64
+    # points (a run of tiles of its own) or 33 (evaluated with the others)
+    samples, (h,), points = half_width_case(above)
+    runs = (np.searchsorted(points, samples[0] + h, side="right")
+            - np.searchsorted(points, samples[0] - h, side="left"))
+    assert runs[:64].max() == 64 and np.all(runs[64:] == (33 if above else 32))
+    kernel = CountingKernel()
+    _kde_many(samples, [h], points, kernel)
+    assert kernel.evaluated == 64 * 64 + 200 * (64 if above else 32)
+
+
+@pytest.mark.parametrize("case", ["class2b-shaped", "idle-rows-between"])
+def test_kde_many_evaluates_a_small_multiple_of_the_pairs_in_reach(case):
+    # one run of rows on the widest run would evaluate over 10 times the
+    # pairs in reach; runs of 64-row tiles, each on its own widest run, with
+    # the tiles that reach nothing skipped, evaluate under 1.5 times as many
+    # on the class2b-shaped scan at n = 2,006, and two tiles on the widest
+    # run for the two clusters 1,000 rows apart
+    rng = np.random.default_rng(1)
+    samples, (h, *_), points = (clustered_case(rng) if case == "class2b-shaped"
+                                else RAGGED[case](rng))
+    in_reach = np.count_nonzero(np.abs((points[:, None] - samples[0]) / h) <= 1.0)
+    runs = (np.searchsorted(points, samples[0] + h, side="right")
+            - np.searchsorted(points, samples[0] - h, side="left"))
+    live = np.flatnonzero(runs)
+    assert (live[-1] + 1 - live[0]) * runs.max() > 10 * in_reach
+    kernel = CountingKernel()
+    _kde_many(samples, [h], points, kernel)
+    assert in_reach <= kernel.evaluated
+    if case == "class2b-shaped":
+        assert kernel.evaluated < 1.5 * in_reach
+    else:
+        assert kernel.evaluated <= 2 * kde_module._TILE * runs.max()
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -649,6 +757,17 @@ def test_kde_many_value_at_a_point_does_not_depend_on_the_others(kernel):
                      np.arange(points.size) % 7 == 3, np.arange(points.size) == 400):
             got = _kde_many(data, [0.3], points[keep], phi)[0, 0]
             assert got.tobytes() == whole[keep].tobytes()
+
+
+def test_kde_many_slope_at_a_nan_point_is_zero_whatever_the_other_rows():
+    # the datum 1.05 reaches the last three numbers; with 0.5 in the sample
+    # the widest run is 7, and 1.05's row, shifted left to fit, must end by
+    # the last number: K' is NaN at a NaN u, and the engine promises 0 there
+    points = np.r_[np.linspace(0.0, 1.0, 11), np.nan]
+    alone = _kde_many([[1.05]], [0.3], points, TRIWEIGHT._slope)[0, 0]
+    got = _kde_many([[0.5, 1.05]], [0.3], points, TRIWEIGHT._slope)[0, 0]
+    assert got[-1] == alone[-1] == 0.0 and np.all(np.isfinite(got))
+    assert np.isnan(TRIWEIGHT._slope(np.array([np.nan])))[0]
 
 
 def _exact_sum(coeffs, data, h, x):
