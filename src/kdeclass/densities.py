@@ -25,14 +25,20 @@ All benchmark priors are 1/2.  The class1b mixture is
 crossing with the standard normal sits at 0.70666 with curvatures
 -0.1556 / +0.3271, and it crosses exactly once on [-4, 5].
 
-scipy is imported where it is used, on the first call: the normal cdf and
-quantile (scipy.special's ndtr and ndtri) and the numeric cdf inversion
-behind the default `ppf` and `pooled_ppf` (scipy.optimize.brentq).  Densities,
-samples and derivatives use numpy alone.
+Roots are found to the last float: the crossings of delta and the numeric
+cdf inversion behind the default `ppf` and `pooled_ppf` bisect a
+sign-change bracket until its ends are adjacent floats, and keep the end
+with the smaller |value| (or a midpoint where the value is exactly 0).
+
+Only the normal quantile imports scipy (scipy.special.ndtri, on the first
+call).  The normal cdf is cephes' erf/erfc split on the standard library's
+math.erf and math.erfc, so densities, cdfs, samples, derivatives,
+`pooled_ppf` and `crossings` use numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,22 +146,53 @@ class Density:
 
 def _invert_cdf(cdf, q: float, lo: float, hi: float) -> float:
     """Solve cdf(x) = q: step lo down and hi up until they bracket q, then
-    refine with Brent's method.  Raises NumericError when 300 steps on
-    either side do not bracket q."""
+    bisect the bracket to the last float.  Raises NumericError when 300
+    steps on either side do not bracket q."""
     for _ in range(300):
-        if cdf(lo) < q:
+        f_lo = cdf(lo) - q
+        if f_lo < 0.0:
             break
         lo = lo * 2 if lo < 0 else lo - max(1.0, abs(lo))
     else:
         raise NumericError(f"no x with cdf(x) < {q:g} found down to {lo:.6g}")
     for _ in range(300):
-        if cdf(hi) > q:
+        f_hi = cdf(hi) - q
+        if f_hi > 0.0:
             break
         hi = hi * 2 if hi > 0 else hi + max(1.0, abs(hi))
     else:
         raise NumericError(f"no x with cdf(x) > {q:g} found up to {hi:.6g}")
-    from scipy.optimize import brentq
-    return brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-12, rtol=1e-14)
+    return _bisect(lambda x: cdf(x) - q, lo, hi, f_lo, f_hi)
+
+
+def _bisect(fn, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of fn in [a, b], where fa = fn(a) and fb = fn(b) have opposite
+    signs: bisect until a and b are adjacent floats and return the one with
+    the smaller |fn|, or return a midpoint where fn is exactly 0."""
+    while True:
+        mid = 0.5 * a + 0.5 * b  # a + b may overflow
+        if not a < mid < b:
+            return a if abs(fa) <= abs(fb) else b
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
+
+
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _ndtr(z: float) -> float:
+    """Standard normal cdf by cephes' ndtr split: 0.5 + 0.5 erf(x) for
+    |x| < sqrt(1/2), x = z / sqrt(2), else 0.5 erfc(|x|) reflected for x > 0."""
+    x = z * _SQRT1_2
+    if abs(x) < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0.0 else y
 
 
 class Normal(Density):
@@ -174,8 +211,10 @@ class Normal(Density):
         return sign * _HERMITE[order](z) * phi / self.sigma ** (order + 1)
 
     def _cdf(self, x):
-        from scipy.special import ndtr
-        return ndtr((x - self.mu) / self.sigma)
+        z = (x - self.mu) / self.sigma
+        if z.ndim == 0:
+            return _ndtr(float(z))
+        return np.array([_ndtr(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
     def _ppf(self, q):
         from scipy.special import ndtri
@@ -485,8 +524,6 @@ class CrossingSet:
         return len(self.points)
 
 
-_DELTA_TOL = 1e-12
-_WIDTH_TOL = 1e-13
 _SLOPE_TOL = 1e-6
 _RATIO_RTOL = 1e-6
 _CURV_TOL = 1e-12
@@ -528,8 +565,9 @@ def crossings(pair: DensityPair, interval: tuple[float, float] | None = None,
 
     The default interval runs between the 1e-4 and 1 - 1e-4 quantiles of the
     pooled mixture p F + (1-p) G.  A uniform scan with `grid_points` nodes
-    brackets sign changes; each bracket is refined by bisection until
-    |delta| <= 1e-12 or the bracket is narrower than 1e-13.  A refined root
+    brackets sign changes; each bracket is bisected until its ends are
+    adjacent floats, and the root is the end with the smaller |delta| (or a
+    midpoint where delta is exactly 0).  A refined root
     whose analytic slope disagrees with the bracket's endpoint signs means
     the cell hid additional roots and raises ResolutionError; a slope below
     1e-6 in absolute value raises DegenerateCrossingError.
@@ -566,7 +604,7 @@ def crossings(pair: DensityPair, interval: tuple[float, float] | None = None,
                 "increase grid_points or shrink the interval"
             )
         else:
-            root = _bisect(pair, a, b, fa)
+            root = _bisect(pair.delta, a, b, fa, fb)
         slope = pair.delta_deriv(1, root)
         if abs(slope) < _SLOPE_TOL:
             raise DegenerateCrossingError(
@@ -593,16 +631,3 @@ def crossings(pair: DensityPair, interval: tuple[float, float] | None = None,
     return CrossingSet(points=pts, interval=(lo, hi), regime=regime,
                        ratio=ratio, t_factor=t_factor)
 
-
-def _bisect(pair: DensityPair, a: float, b: float, fa: float) -> float:
-    """Bisect a sign-change bracket of delta to the module tolerances."""
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = pair.delta(mid)
-        if abs(fm) <= _DELTA_TOL or (b - a) <= _WIDTH_TOL:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)

@@ -21,11 +21,12 @@ Notation used throughout (p is the prior of the first population, q = 1-p):
   the optimal rate degrades to n^(-1/13); constants at that order are out of
   scope, so the plan only records the rate.
 
+The class1 and multi-population optima restart a numpy port of scipy's
+Nelder-Mead (_nelder_mead), and the crossings bisect to the last float (see
+`densities`), so the risks, the crossings and the plans use numpy alone.
 scipy is imported where it is used, on the first call: the quadrature for a
 density without a cdf (scipy.integrate.quad, in _segment_mass) and the
-Nelder-Mead restarts of the class1 and multi-population optima
-(scipy.optimize.minimize).  The risks also reach it through the normal cdf
-and `crossings` (see `densities`).
+exact KDE moments of `expansion_excess` (see `kde.kde_mean_var`).
 """
 
 from __future__ import annotations
@@ -324,17 +325,68 @@ def predicted_excess(pair: DensityPair, cs: CrossingSet, m: int, n: int,
 _DEGENERATE_RTOL = 1e-9
 
 
+def _nelder_mead(fun, x0, maxiter: int, maxfev: int) -> tuple[float, np.ndarray]:
+    """(minimum, minimizer) of fun by Nelder-Mead from x0, step for step as
+    scipy.optimize.minimize(method="Nelder-Mead", options={"xatol": 1e-10,
+    "fatol": 1e-14, ...}) takes them: reflection, expansion, contraction and
+    shrink coefficients 1, 2, 1/2, 1/2, an initial simplex that scales each
+    coordinate by 1.05 (0 becomes 0.00025), and a stop once the simplex is
+    within 1e-10 of its best vertex and its values within 1e-14, or after
+    maxiter iterations or maxfev calls (checked between iterations)."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.array(x0, dtype=float).ravel()
+    N = len(x0)
+    sim = np.tile(x0, (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([fun(v) for v in sim])
+    nfev = N + 1
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-10
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = fun(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = fun(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = fun(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = fun(xc)
+                accept = fxc < fsim[-1]
+            nfev += 1
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = fun(sim[j])
+                nfev += N
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return np.min(fsim), sim[0]
+
+
 def _multistart_nelder_mead(fun, starts, maxiter: int, maxfev: int,
                             context: str) -> np.ndarray:
     """Best Nelder-Mead minimizer over the starts; OptimizationError (message
     ending in `context`) when their minima differ by over 1e-8 relative."""
-    from scipy.optimize import minimize
-    results = []
-    for x0 in starts:
-        res = minimize(fun, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14,
-                                "maxiter": maxiter, "maxfev": maxfev})
-        results.append((res.fun, res.x))
+    results = [_nelder_mead(fun, x0, maxiter, maxfev) for x0 in starts]
     best_val = min(v for v, _ in results)
     spread = max(v for v, _ in results) - best_val
     if spread > 1e-8 * max(1.0, abs(best_val)):

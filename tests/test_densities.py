@@ -1,10 +1,12 @@
 """Densities, benchmark pairs, and crossing analysis.
 
-Oracles: scipy.stats for the classical distributions, central finite
-differences for the analytic derivatives, and independent Brent root
-refinement for the crossing locations.  Crossing locations and local
-curvatures of the benchmark pairs are also frozen at full precision so any
-drift in the density definitions is caught immediately.
+Oracles: scipy.stats for the classical distributions, scipy.special.ndtr
+for the normal cdf into its tail, central finite differences for the
+analytic derivatives, and independent Brent root refinement at full
+precision for the crossing locations and the pooled quantiles.  Crossing
+locations and local curvatures of the benchmark pairs are also frozen at
+full precision so any drift in the density definitions is caught
+immediately.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from kdeclass import (
     Cauchy,
@@ -32,15 +35,17 @@ from kdeclass import (
 )
 
 # frozen benchmark geometry: crossing locations of p f - (1-p) g and the
-# local curvatures there, all at the package's bisection tolerance
-CLASS1A_ROOTS = (-3.2315779842926355, -0.5184220159757026)
-CLASS1B_ROOT = 0.7066568524137833
-CLASS2B_ROOT = 1.8512291248628423
-CLASS1A_CURV = (-0.25504005223456416, 0.28135994963269617)   # f'', g'' at upper root
-CLASS1B_CURV = (-0.15559539077180226, 0.32705381497036823)
+# local curvatures there, at roots found to the last float
+CLASS1A_ROOTS = (-3.231577984023307, -0.5184220159766931)
+CLASS1B_ROOT = 0.7066568524159268
+CLASS2B_ROOT = 1.8512291248772523
+CLASS1A_CURV = (-0.25504005223407494, 0.28135994962958993)   # f'', g'' at upper root
+CLASS1B_CURV = (-0.15559539077062506, 0.32705381496825225)
 CLASS2A_CURV = -0.2640489950732016                           # shared by f and g
-CLASS2B_CURV = (0.17450760770580587, 0.06809868811956533)
-CLASS2B_RATIO = 2.5625693023544214
+CLASS2B_CURV = (0.1745076077045573, 0.0680986881176025)
+CLASS2B_RATIO = 2.562569302409949
+#: a few units in the last place, relative
+ULPS = 4 * np.finfo(float).eps
 
 
 def _fd(fn, x, order, step):
@@ -66,6 +71,20 @@ def test_normal_matches_scipy():
     assert d.pdf(xs) == pytest.approx(stats.norm.pdf(xs, 0.7, 1.3), abs=1e-14)
     assert d.cdf(xs) == pytest.approx(stats.norm.cdf(xs, 0.7, 1.3), abs=1e-14)
     assert d.ppf(0.31) == pytest.approx(stats.norm.ppf(0.31, 0.7, 1.3), abs=1e-12)
+
+
+def test_normal_cdf_matches_ndtr_into_the_tail():
+    # the rounding of z / sqrt(2) is amplified by about z^2 in the relative
+    # error of the tail, so the bound grows with z^2
+    z = np.linspace(-37.0, 9.0, 46001)
+    got = Normal(0.0, 1.0).cdf(z)
+    want = ndtr(z)
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * (1.0 + z * z) * want)
+    assert Normal(0.0, 1.0).cdf(np.inf) == 1.0 and Normal(0.0, 1.0).cdf(-np.inf) == 0.0
+    assert np.isnan(Normal(0.0, 1.0).cdf(np.nan))
+    assert type(Normal(0.0, 1.0).cdf(0.3)) is float
+    grid = z[:46000].reshape(46, 1000)
+    assert np.array_equal(Normal(0.0, 1.0).cdf(grid), got[:46000].reshape(46, 1000))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -266,6 +285,21 @@ def test_pair_delta_and_pooled():
         DensityPair(pair.f, pair.g, 1.0)
 
 
+@pytest.mark.parametrize("pair_id", PAIR_IDS)
+def test_pooled_ppf_matches_brent(pair_id):
+    pair = (make_pair(pair_id, alpha=2.0, beta=2.5) if pair_id == "pareto"
+            else make_pair(pair_id))
+    lo = 1.0 if pair_id == "pareto" else -1e4
+    for q in (1e-4, 0.25, 0.5, 1.0 - 1e-4):
+        x = pair.pooled_ppf(q)
+        ref = brentq(lambda v: pair.pooled_cdf(v) - q, lo, 1e12, xtol=1e-14, rtol=ULPS,
+                     maxiter=500)
+        # near q = 1 the float cdf is flat over about ulp(q) / pdf: every x
+        # there solves cdf(x) = q equally well
+        flat = 4 * np.spacing(q) / (pair.p * pair.f.pdf(x) + (1 - pair.p) * pair.g.pdf(x))
+        assert abs(x - ref) <= 1e-12 + 1e-14 * abs(x) + flat, (q, x, ref)
+
+
 def test_pair_density_dispatch():
     pair = make_pair("class2a")
     assert pair.density("f") is pair.f and pair.density("g") is pair.g
@@ -276,20 +310,27 @@ def test_pair_density_dispatch():
 # crossings
 # ----------------------------------------------------------------------
 def _brent_roots(pair, brackets):
-    return [brentq(pair.delta, a, b, xtol=1e-13) for a, b in brackets]
+    """Brent's method at full precision: the smallest xtol and rtol it takes."""
+    return [brentq(pair.delta, a, b, xtol=1e-300, rtol=ULPS, maxiter=500)
+            for a, b in brackets]
+
+
+def _curvatures(pair, y):
+    return (pair.f.deriv(2, y), pair.g.deriv(2, y))
 
 
 def test_class1a_crossings_frozen_and_brent():
     pair = make_pair("class1a")
     cs = crossings(pair)
     ys = [pt.y for pt in cs.points]
-    assert ys == pytest.approx(CLASS1A_ROOTS, abs=1e-9)
+    assert ys == pytest.approx(CLASS1A_ROOTS, rel=ULPS, abs=0.0)
     # closed-form upper root of 0.64 y^2 + 2.4 y + 1.44 - 0.72 ln(5/3) = 0
     closed = (-15.0 + np.sqrt(81.0 + 72.0 * np.log(5.0 / 3.0))) / 8.0
-    assert CLASS1A_ROOTS[1] == pytest.approx(closed, abs=1e-12)
+    assert CLASS1A_ROOTS[1] == pytest.approx(closed, rel=ULPS, abs=0.0)
+    assert CLASS1A_CURV == pytest.approx(_curvatures(pair, closed), abs=1e-14)
     # independent refinement of the same zeros
     ref = _brent_roots(pair, [(-3.5, -3.0), (-1.0, 0.0)])
-    assert ys == pytest.approx(ref, abs=1e-9)
+    assert ys == pytest.approx(ref, rel=ULPS, abs=0.0)
     assert cs.regime == "class1"
     assert cs.ratio is None and cs.t_factor is None
     upper = cs.points[1]
@@ -304,7 +345,10 @@ def test_class1b_crossing_unique_on_wide_interval():
     pair = make_pair("class1b")
     cs = crossings(pair, interval=(-4.0, 5.0))
     assert cs.nu == 1
-    assert cs.points[0].y == pytest.approx(CLASS1B_ROOT, abs=1e-9)
+    assert cs.points[0].y == pytest.approx(CLASS1B_ROOT, rel=ULPS, abs=0.0)
+    (ref,) = _brent_roots(pair, [(0.5, 1.0)])
+    assert CLASS1B_ROOT == pytest.approx(ref, rel=ULPS, abs=0.0)
+    assert CLASS1B_CURV == pytest.approx(_curvatures(pair, ref), abs=1e-14)
     assert cs.points[0].f2 == pytest.approx(CLASS1B_CURV[0], abs=1e-12)
     assert cs.points[0].g2 == pytest.approx(CLASS1B_CURV[1], abs=1e-12)
     assert cs.regime == "class1"
@@ -325,10 +369,13 @@ def test_class2b_symmetric_crossings():
     pair = make_pair("class2b")
     cs = crossings(pair)
     ys = [pt.y for pt in cs.points]
-    assert ys == pytest.approx([-CLASS2B_ROOT, CLASS2B_ROOT], abs=1e-9)
+    assert ys == pytest.approx([-CLASS2B_ROOT, CLASS2B_ROOT], rel=ULPS, abs=0.0)
+    ref = _brent_roots(pair, [(-2.0, -1.5), (1.5, 2.0)])
+    assert [-CLASS2B_ROOT, CLASS2B_ROOT] == pytest.approx(ref, rel=ULPS, abs=0.0)
+    assert CLASS2B_CURV == pytest.approx(_curvatures(pair, ref[1]), abs=1e-14)
     assert cs.regime == "class2"
     assert cs.ratio == pytest.approx(CLASS2B_RATIO, rel=1e-9)
-    assert cs.t_factor == pytest.approx(-0.5845927398628586, rel=1e-9)
+    assert cs.t_factor == pytest.approx(-0.5845927398627577, rel=1e-9)
     assert cs.points[1].f2 == pytest.approx(CLASS2B_CURV[0], abs=1e-12)
     assert cs.points[1].g2 == pytest.approx(CLASS2B_CURV[1], abs=1e-12)
 

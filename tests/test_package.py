@@ -2,8 +2,8 @@
 public names, and `kdeclass` re-exports exactly those names; no module
 imports a name it does not use; the private constants the README names
 and the identifiers of its module table exist; the README's dependency
-floors are the declared ones; and the numpy-only paths load no scipy
-module."""
+floors are the declared ones; and the numpy-only paths, the risk path
+among them, load no scipy module."""
 
 import ast
 import importlib
@@ -100,7 +100,8 @@ def test_readme_dependency_floors_match_pyproject():
 
 
 def _theory_values(pair, cs):
-    """Values from the four scipy-backed functions, as JSON numbers."""
+    """Theory values as JSON numbers; kde_mean_var is the one of them that
+    loads scipy."""
     plan = optimal_bandwidths(pair, cs, n=100)
     return [[pt.y for pt in cs.points], bayes_risk(pair, cs=cs),
             list(kde_mean_var(Normal(0.0, 1.0), TRIWEIGHT, 0.5, 10, 0.3)), [plan.h1, plan.h2]]
@@ -123,6 +124,16 @@ kdeclass.run_study(kdeclass.ExperimentConfig("class1a", n_list=(20, 30), reps=1,
 clf = kdeclass.fit_classifier(x, y, 0.5, 0.5)
 kdeclass.decision_segments(clf, -np.inf, np.inf)
 kdeclass.classify_ahat(clf, 9.0)
+for pid in ("class2b", "class1a"):
+    pair = kdeclass.make_pair(pid)
+    cs = kdeclass.crossings(pair)
+    kdeclass.bayes_risk(pair, cs=cs)
+    kdeclass.optimal_bandwidths(pair, cs, n=100)
+    pair.pooled_ppf(0.3)
+    for rule in ("ahat", "body"):
+        kdeclass.empirical_risk(pair, 50, 50, 0.5, 0.5, reps=1, seed=0, rule=rule)
+kdeclass.multi_optimal_constants([(pair.f, 0.5), (pair.g, 0.5)],  # class1a
+                                 {(0, 1): [pt.y for pt in cs.points]}, r=(1.0, 1.0))
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
     cli.main(["--help"])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -141,6 +152,28 @@ def test_numpy_only_paths_load_no_scipy():
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
     assert out["loaded"] == []
-    # the first call of each scipy-backed function imports scipy there
+    # kde_mean_var's first call imports scipy there
     pair = make_pair("class1a")
     assert out["values"] == _theory_values(pair, crossings(pair))
+
+
+def _imports_scipy(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "scipy"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "scipy" for alias in node.names)
+
+
+def test_scipy_is_imported_in_three_functions_only():
+    sites = []
+    for path in sorted((ROOT / "src" / "kdeclass").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = [(f"{cls.name}.", cls.body) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef)]
+        found = [prefix + fn.name for prefix, body in [("", tree.body), *methods]
+                 for fn in body if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn) if _imports_scipy(node)]
+        # none at module level, nor anywhere but a function or method
+        assert len(found) == sum(map(_imports_scipy, ast.walk(tree))), path.name
+        sites += found
+    assert sorted(sites) == ["Normal._ppf", "_segment_mass", "kde_mean_var"]

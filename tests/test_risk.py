@@ -3,8 +3,8 @@
 Oracles: scipy quadrature of min(p f, q g) for the optimal risk (the
 implementation uses cdf differences split at the crossings), the standard
 normal cdf for the symmetric shifted pair, golden-section search next to the
-closed-form second-order constant, and frozen full-precision constants for
-every benchmark plan.
+closed-form second-order constant, scipy's Nelder-Mead for its numpy port,
+and frozen full-precision constants for every benchmark plan.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from kdeclass import (
     BandwidthPlan,
@@ -373,6 +373,44 @@ def test_multi_optimal_constants_match_pairwise_plan(class1a):
     H = multi_optimal_constants(models, {(0, 1): roots}, r=(1.0, 1.0))
     assert H[0] == pytest.approx(plan.H1, rel=1e-5)
     assert H[1] == pytest.approx(plan.H2, rel=1e-5)
+
+
+def test_nelder_mead_port_matches_scipy_from_every_start(class1a, monkeypatch):
+    # every start of optimal_bandwidths (class1a, class1b, contrast) and of
+    # multi_optimal_constants, replayed through scipy's Nelder-Mead
+    port = risk_module._nelder_mead
+    runs = []
+
+    def replay(fun, x0, maxiter, maxfev):
+        runs.append((fun, np.array(x0), maxiter, maxfev))
+        return port(fun, x0, maxiter, maxfev)
+
+    monkeypatch.setattr(risk_module, "_nelder_mead", replay)
+    for pair_id in ("class1a", "class1b", "contrast"):
+        pair = make_pair(pair_id)
+        optimal_bandwidths(pair, crossings(pair), n=100)
+    pair, cs = class1a
+    models = [(pair.f, pair.p), (pair.g, 1.0 - pair.p)]
+    multi_optimal_constants(models, {(0, 1): [pt.y for pt in cs.points]}, r=(1.0, 2.0))
+    assert len(runs) == 4 * 16
+    for fun, x0, maxiter, maxfev in runs:
+        got_fun, got_x = port(fun, x0, maxiter, maxfev)
+        res = minimize(fun, x0, method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-14,
+                                "maxiter": maxiter, "maxfev": maxfev})
+        assert got_fun == res.fun and np.array_equal(got_x, res.x), x0
+
+
+def test_restart_spread_raises_optimization_error():
+    # a double well: the restarts settle in minima 0.2 apart
+    def fun(x):
+        return (x[0] ** 2 - 1.0) ** 2 + 0.1 * x[0]
+
+    with pytest.raises(OptimizationError, match="restart spread .* in a double well"):
+        risk_module._multistart_nelder_mead(fun, [[-2.0], [2.0]], 400, 800,
+                                            " in a double well")
+    best = risk_module._multistart_nelder_mead(fun, [[-2.0], [-0.5]], 400, 800, "")
+    assert best[0] == pytest.approx(-1.0, abs=0.03)
 
 
 def test_multi_t_validation(class1a):
