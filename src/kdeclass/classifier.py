@@ -332,14 +332,26 @@ def _certify(clf: TrainedClassifier, x, xk, dk, sk):
     deltahat(x).  Their difference is at most twice the rounding of a
     value, plus that of the slope times |x - xk|, plus (1/2) max|deltahat''|
     (x - xk)**2 on [x, xk], plus 4 eps (|dk| + |sk (x - xk)|) for the
-    step's own roundings; the bound is widened by 1e-12 for its own."""
+    step's own roundings; the bound is widened by 1e-12 for its own.
+
+    These roundings are relative, which holds while values and slopes are
+    normal floats; an underflow loses at most 2**-1075 each, far inside the
+    widening while each estimate's scales weight / (n h) and weight / (n h**2)
+    lie in [2**-900, 2**900].  Outside it (a bandwidth beyond about
+    1e135 / sqrt(n) or below 1e-135, or a tiny weight) every point with
+    x != xk is unsure."""
     gap = x - xk
     step = dk + sk * gap
+    ests = ((clf.fhat, clf.p), (clf.ghat, 1.0 - clf.p))
+    if not all(2.0 ** -900 <= s <= 2.0 ** 900 for est, weight in ests
+               for s in (weight / (est.count * est.h), weight / (est.count * est.h) / est.h)):
+        return np.where(step >= 0.0, 0, 1), np.flatnonzero(gap != 0.0)
     bound = 4.0 * np.finfo(float).eps * (np.abs(dk) + np.abs(sk * gap))
     lo, hi = np.minimum(x, xk), np.maximum(x, xk)
-    for est, weight in ((clf.fhat, clf.p), (clf.ghat, 1.0 - clf.p)):
+    for est, weight in ests:
         value, slope, curve = _allowances(est, weight, lo, hi)
-        bound += 2.0 * value + slope * np.abs(gap) + 0.5 * curve * gap * gap
+        r = np.abs(gap) / est.h
+        bound += 2.0 * value + (slope + 0.5 * curve * r) * r
     unsure = np.flatnonzero((np.abs(step) <= bound * (1.0 + 1e-12)) & (gap != 0.0))
     return np.where(step >= 0.0, 0, 1), unsure
 
@@ -349,7 +361,9 @@ def _allowances(est: KdeEstimate, weight: float, lo, hi):
     computed value and slope anywhere in it (`kde._exact_slack`, three more
     roundings each for deltahat's products and difference, one more for the
     slope's division by h), and on |est''| there, from the m data whose
-    support meets it: est' is Lipschitz with constant m max|K''| / (n h**3)."""
+    support meets it: est' is Lipschitz with constant m max|K''| / (n h**3).
+    The slope's bound is per unit of r = |x - xk| / h and the curvature's
+    per unit of r**2, so that neither takes a power of a huge h."""
     k = est.kernel
     if ("allowances", 0) not in k._exact:  # the kernel's constants, once
         eps, curve = np.finfo(float).eps, float(k._max_abs_deriv(2))
@@ -362,8 +376,8 @@ def _allowances(est: KdeEstimate, weight: float, lo, hi):
     m = est.data.searchsorted(hi + reach, "right") - est.data.searchsorted(lo - reach)
     w = weight / (est.count * est.h)
     return (w * _exact_slack(m, spread, value_err, 7),
-            w / est.h * _exact_slack(m, k._slope.top, slope_err, 8),
-            w / est.h**2 * curve * m)
+            w * _exact_slack(m, k._slope.top, slope_err, 8),
+            w * curve * m)
 
 
 def decision_segments(clf: TrainedClassifier, lo: float, hi: float,

@@ -28,7 +28,10 @@ crossing with the standard normal sits at 0.70666 with curvatures
 Roots are found to the last float: the crossings of delta and the numeric
 cdf inversion behind the default `ppf` and `pooled_ppf` bisect a
 sign-change bracket until its ends are adjacent floats, and keep the end
-with the smaller |value| (or a midpoint where the value is exactly 0).
+with the smaller |value| (or a midpoint where the value is exactly 0).  A
+pair keeps its crossings at the defaults once found, so the plans, the
+Bayes risk and the Monte-Carlo risk of one pair share one search (which
+assumes its densities' parameters are not changed afterwards).
 
 Only the normal quantile imports scipy (scipy.special.ndtri, on the first
 call).  The normal cdf is cephes' erf/erfc split on the standard library's
@@ -571,8 +574,17 @@ def crossings(pair: DensityPair, interval: tuple[float, float] | None = None,
     whose analytic slope disagrees with the bracket's endpoint signs means
     the cell hid additional roots and raises ResolutionError; a slope below
     1e-6 in absolute value raises DegenerateCrossingError.
+
+    At the defaults (interval None, 4096 grid points) the set is found on
+    the first call and kept on the pair: later calls, `bayes_risk`'s among
+    them, return that same object.  The pair's fields are frozen but its
+    densities' parameters are plain attributes; the kept set assumes they
+    are not changed afterwards.
     """
     _require_integers(grid_points=grid_points, minimum=8)
+    memo = interval is None and grid_points == 4096
+    if memo and "_crossings" in vars(pair):
+        return vars(pair)["_crossings"]
     if interval is None:
         interval = (pair.pooled_ppf(1e-4), pair.pooled_ppf(1.0 - 1e-4))
     lo, hi = _checked_interval("interval", interval, finite=True)
@@ -628,6 +640,9 @@ def crossings(pair: DensityPair, interval: tuple[float, float] | None = None,
         for r, slope in roots
     )
     regime, ratio, t_factor = regime_detect(pair, pts) if pts else (None, None, None)
-    return CrossingSet(points=pts, interval=(lo, hi), regime=regime,
-                       ratio=ratio, t_factor=t_factor)
+    cs = CrossingSet(points=pts, interval=(lo, hi), regime=regime,
+                     ratio=ratio, t_factor=t_factor)
+    if memo:
+        vars(pair)["_crossings"] = cs
+    return cs
 

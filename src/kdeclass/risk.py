@@ -21,9 +21,13 @@ Notation used throughout (p is the prior of the first population, q = 1-p):
   the optimal rate degrades to n^(-1/13); constants at that order are out of
   scope, so the plan only records the rate.
 
-The class1 and multi-population optima restart a numpy port of scipy's
-Nelder-Mead (_nelder_mead), and the crossings bisect to the last float (see
-`densities`), so the risks, the crossings and the plans use numpy alone.
+The class1 and multi-population optima restart a port of scipy's
+Nelder-Mead on Python floats (_nelder_mead, step for step), over objectives
+prepared once per plan: `_b1_b2_form` and `_multi_form` check their inputs
+and read each crossing's values once, so each of a plan's thousands of
+calls is a few float operations.  The crossings bisect to the last float,
+and those at the defaults are kept on the pair (see `densities.crossings`),
+so the risks, the crossings and the plans use numpy alone.
 scipy is imported where it is used, on the first call: the quadrature for a
 density without a cdf (scipy.integrate.quad, in _segment_mass) and the
 exact KDE moments of `expansion_excess` (see `kde.kde_mean_var`).
@@ -31,12 +35,13 @@ exact KDE moments of `expansion_excess` (see `kde.kde_mean_var`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import FROM_F, FROM_G, _interior_point, decision_segments, fit_classifier
-from .densities import CrossingSet, DensityPair, crossings
+from .densities import _RATIO_RTOL, CrossingSet, DensityPair, crossings
 from .errors import (
     NumericError,
     OptimizationError,
@@ -138,14 +143,6 @@ def _labelled_risk(pair: DensityPair, segs) -> float:
     return total
 
 
-def _default_crossings(pair: DensityPair) -> CrossingSet:
-    """crossings(pair) at its defaults, found on the first call and kept on
-    the (frozen) pair."""
-    if "_crossings" not in vars(pair):
-        vars(pair)["_crossings"] = crossings(pair)
-    return vars(pair)["_crossings"]
-
-
 def bayes_risk(pair: DensityPair, interval: tuple[float, float] | None = None,
                cs: CrossingSet | None = None) -> float:
     """Risk of the optimal rule: integral of min(p f, q g) over the region.
@@ -154,11 +151,11 @@ def bayes_risk(pair: DensityPair, interval: tuple[float, float] | None = None,
     points of delta so that on each piece the minimum is a single density,
     whose mass is then a cdf difference (exact; quadrature only for custom
     densities without a cdf).  cs None means crossings(pair) at its
-    defaults, found once per pair (see _default_crossings).
+    defaults, which the pair keeps once found.
     """
     lo, hi = (-np.inf, np.inf) if interval is None else _checked_interval("interval", interval)
     if cs is None:
-        cs = _default_crossings(pair)
+        cs = crossings(pair)
     cuts = [y.y for y in cs.points if lo < y.y < hi]
     edges = [lo, *cuts, hi]
     return _labelled_risk(pair, [
@@ -245,24 +242,39 @@ def expansion_excess(pair: DensityPair, cs: CrossingSet, m: int, n: int,
     return total
 
 
+def _b1_b2_form(pair: DensityPair, cs: CrossingSet, r: float, kernel: Kernel):
+    """expansion_b1_b2 at fixed (pair, cs, r, kernel): those are checked and
+    kappa, mu2, p, q and each crossing's 1/|delta'|, f, g, f'', g'' read
+    once, and the returned function of (H1, H2) checks H1 and H2 and gives
+    (B1, B2).  The class1 objective calls it thousands of times per plan."""
+    _check_cs(cs)
+    _require_positive(r=r)
+    _require_kernel(kernel)
+    half_kappa = 0.5 * kernel.roughness(0)
+    mu2 = kernel.moment(2)
+    bias_scale = 0.125 * mu2 * mu2
+    p, q = pair.p, 1.0 - pair.p
+    terms = [(1.0 / abs(float(pt.delta_prime)), p * p * float(pt.f_value),
+              q * q * float(pt.g_value), float(pt.f2), float(pt.g2)) for pt in cs.points]
+
+    def b1_b2(H1: float, H2: float) -> tuple[float, float]:
+        _require_positive(H1=H1, H2=H2)
+        b1 = 0.0
+        b2 = 0.0
+        for w, ppf, qqg, f2, g2 in terms:
+            b1 += w * (ppf / (r * H1) + qqg / H2)
+            bias = H1 * H1 * p * f2 - H2 * H2 * q * g2
+            b2 += w * bias * bias
+        return half_kappa * b1, bias_scale * b2
+
+    return b1_b2
+
+
 def expansion_b1_b2(pair: DensityPair, cs: CrossingSet, H1: float, H2: float,
                     r: float = 1.0, kernel: Kernel = TRIWEIGHT) -> tuple[float, float]:
     """First-order regime constants (B1, B2); excess ~ B1/(n h) + B2 h^4
     at h = n^(-1/5), h_j = H_j h."""
-    _check_cs(cs)
-    _require_positive(H1=H1, H2=H2, r=r)
-    _require_kernel(kernel)
-    kappa = kernel.roughness(0)
-    mu2 = kernel.moment(2)
-    p, q = pair.p, 1.0 - pair.p
-    b1 = 0.0
-    b2 = 0.0
-    for pt in cs.points:
-        w = 1.0 / abs(pt.delta_prime)
-        b1 += w * (p * p * pt.f_value / (r * H1) + q * q * pt.g_value / H2)
-        bias = H1 * H1 * p * pt.f2 - H2 * H2 * q * pt.g2
-        b2 += w * bias * bias
-    return 0.5 * kappa * b1, 0.125 * mu2 * mu2 * b2
+    return _b1_b2_form(pair, cs, r, kernel)(H1, H2)
 
 
 def class1_objective(pair: DensityPair, cs: CrossingSet, r: float = 1.0,
@@ -270,10 +282,13 @@ def class1_objective(pair: DensityPair, cs: CrossingSet, r: float = 1.0,
     """The first-order objective as a function of (H1, H2): twice B1 + B2.
 
     Minimizing it matches minimizing the leading excess at the n^(-1/5)
-    scale; the factor 2 keeps the classical normalization.
+    scale; the factor 2 keeps the classical normalization.  The pair, the
+    crossing set, r and the kernel are checked here, once.
     """
+    b1_b2 = _b1_b2_form(pair, cs, r, kernel)
+
     def objective(H1: float, H2: float) -> float:
-        b1, b2 = expansion_b1_b2(pair, cs, H1, H2, r, kernel)
+        b1, b2 = b1_b2(H1, H2)
         return 2.0 * (b1 + b2)
 
     return objective
@@ -325,35 +340,44 @@ def predicted_excess(pair: DensityPair, cs: CrossingSet, m: int, n: int,
 _DEGENERATE_RTOL = 1e-9
 
 
-def _nelder_mead(fun, x0, maxiter: int, maxfev: int) -> tuple[float, np.ndarray]:
+def _nelder_mead(fun, x0, maxiter: int, maxfev: int) -> tuple[float, list[float]]:
     """(minimum, minimizer) of fun by Nelder-Mead from x0, step for step as
     scipy.optimize.minimize(method="Nelder-Mead", options={"xatol": 1e-10,
     "fatol": 1e-14, ...}) takes them: reflection, expansion, contraction and
     shrink coefficients 1, 2, 1/2, 1/2, an initial simplex that scales each
-    coordinate by 1.05 (0 becomes 0.00025), and a stop once the simplex is
-    within 1e-10 of its best vertex and its values within 1e-14, or after
-    maxiter iterations or maxfev calls (checked between iterations)."""
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.array(x0, dtype=float).ravel()
+    coordinate by 1.05 (0 becomes 0.00025), vertices ordered by np.argsort
+    of their values, and a stop once the simplex is within 1e-10 of its best
+    vertex and its values within 1e-14, or after maxiter iterations or
+    maxfev calls (checked between iterations).  The vertices are lists of
+    floats, and fun is called with one; each coordinate takes the roundings
+    numpy's array arithmetic gives it."""
+    x0 = np.asarray(x0, dtype=float).ravel().tolist()
     N = len(x0)
-    sim = np.tile(x0, (N + 1, 1))
+    sim = [x0]
     for k in range(N):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([fun(v) for v in sim])
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [fun(v) for v in sim]
     nfev = N + 1
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
+    order = np.argsort(fsim).tolist()
+    sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
     iterations = 1
     while nfev < maxfev and iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-10
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
+        best = sim[0]
+        if (all(abs(a - b) <= 1e-10 for v in sim[1:] for a, b in zip(v, best))
+                and all(abs(fsim[0] - f) <= 1e-14 for f in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
+        xbar = best
+        for v in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, v)]
+        xbar = [a / N for a in xbar]
+        worst = sim[-1]
+        xr = [2 * a - b for a, b in zip(xbar, worst)]  # reflection
         fxr = fun(xr)
         nfev += 1
         if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]  # expansion
             fxe = fun(xe)
             nfev += 1
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
@@ -361,29 +385,30 @@ def _nelder_mead(fun, x0, maxiter: int, maxfev: int) -> tuple[float, np.ndarray]
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
                 fxc = fun(xc)
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = (1 - psi) * xbar + psi * sim[-1]
+                xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
                 fxc = fun(xc)
                 accept = fxc < fsim[-1]
             nfev += 1
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex
+            else:  # shrink halfway towards the best vertex
                 for j in range(1, N + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
                     fsim[j] = fun(sim[j])
                 nfev += N
         iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return np.min(fsim), sim[0]
+        order = np.argsort(fsim).tolist()
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    # np.min(fsim): NaN, which sorts last, wins
+    return (math.nan if math.isnan(fsim[-1]) else fsim[0]), sim[0]
 
 
 def _multistart_nelder_mead(fun, starts, maxiter: int, maxfev: int,
-                            context: str) -> np.ndarray:
+                            context: str) -> list[float]:
     """Best Nelder-Mead minimizer over the starts; OptimizationError (message
     ending in `context`) when their minima differ by over 1e-8 relative."""
     results = [_nelder_mead(fun, x0, maxiter, maxfev) for x0 in starts]
@@ -481,25 +506,19 @@ def _validate_multi(models, crossing_table, r):
     return models, table, r
 
 
-def multi_t(models, crossing_table, H, r, kernel: Kernel = TRIWEIGHT) -> float:
-    """Leading excess-risk objective for N >= 2 populations.
-
-    models: sequence of (density, prior); crossing_table: {(i, j): [y, ...]}
-    with i < j listing the crossings of p_i f_i - p_j f_j (all crossings
-    pairwise distinct across the table); H: per-population constants;
-    r: per-population sampling ratios.  Each unordered pair contributes both
-    ordered terms, which halves the classical per-pair coefficients to
-    kappa/4 and mu2^2/16; with N = 2 the sum collapses to B1 + B2 exactly.
-    """
+def _multi_form(models, crossing_table, r, kernel: Kernel):
+    """multi_t at fixed (models, crossing_table, r, kernel): those are
+    checked and each crossing's densities, slope and curvatures read once.
+    Returns the objective as a function of a sequence of N floats H, which
+    checks only that each is positive and finite, and the crossings' terms
+    (i, j, 2/|slope|, p_i^2 f_i, p_j^2 f_j, p_i, p_j, f_i'', f_j'')."""
     models, table, r = _validate_multi(models, crossing_table, r)
-    _require_positive(H=H)
-    H = np.asarray(H, dtype=float)
-    if H.shape != (len(models),):
-        raise ParameterError("H must give one constant per population")
     _require_kernel(kernel)
-    kappa = kernel.roughness(0)
+    kappa4 = kernel.roughness(0) / 4.0
     mu2 = kernel.moment(2)
-    total = 0.0
+    bias_scale = mu2 * mu2 / 16.0
+    r = r.tolist()
+    terms = []
     for (i, j), ys in table.items():
         di, wi = models[i]
         dj, wj = models[j]
@@ -512,21 +531,63 @@ def multi_t(models, crossing_table, H, r, kernel: Kernel = TRIWEIGHT) -> float:
             slope = wi * float(di.deriv(1, y)) - wj * float(dj.deriv(1, y))
             if abs(slope) < 1e-12:
                 raise ParameterError(f"zero slope at crossing y = {y:.6g}")
-            w = 1.0 / abs(slope)
-            var = (kappa / 4.0) * (wi * wi * fi / (r[i] * H[i]) + wj * wj * fj / (r[j] * H[j]))
-            bias = H[i] ** 2 * wi * float(di.deriv(2, y)) - H[j] ** 2 * wj * float(dj.deriv(2, y))
-            total += 2.0 * w * (var + (mu2 * mu2 / 16.0) * bias * bias)
-    return total
+            terms.append((i, j, 2.0 * (1.0 / abs(slope)), wi * wi * fi, wj * wj * fj,
+                          wi, wj, float(di.deriv(2, y)), float(dj.deriv(2, y))))
+
+    def objective(H) -> float:
+        if not all(0.0 < h < math.inf for h in H):
+            _require_positive(H=H)
+        total = 0.0
+        for i, j, w2, ai, aj, wi, wj, ci, cj in terms:
+            var = kappa4 * (ai / (r[i] * H[i]) + aj / (r[j] * H[j]))
+            bias = H[i] ** 2 * wi * ci - H[j] ** 2 * wj * cj
+            total += w2 * (var + bias_scale * bias * bias)
+        return total
+
+    return objective, terms
+
+
+def multi_t(models, crossing_table, H, r, kernel: Kernel = TRIWEIGHT) -> float:
+    """Leading excess-risk objective for N >= 2 populations.
+
+    models: sequence of (density, prior); crossing_table: {(i, j): [y, ...]}
+    with i < j listing the crossings of p_i f_i - p_j f_j (all crossings
+    pairwise distinct across the table); H: per-population constants;
+    r: per-population sampling ratios.  Each unordered pair contributes both
+    ordered terms, which halves the classical per-pair coefficients to
+    kappa/4 and mu2^2/16; with N = 2 the sum collapses to B1 + B2 exactly.
+    """
+    models = list(models)
+    objective, _ = _multi_form(models, crossing_table, r, kernel)
+    _require_positive(H=H)
+    H = np.asarray(H, dtype=float)
+    if H.shape != (len(models),):
+        raise ParameterError("H must give one constant per population")
+    return objective(H.tolist())
 
 
 def multi_optimal_constants(models, crossing_table, r,
                             kernel: Kernel = TRIWEIGHT) -> np.ndarray:
-    """Minimize multi_t over the vector H by restarted Nelder-Mead."""
-    models, table, r = _validate_multi(models, crossing_table, r)
+    """Minimize multi_t over the vector H by restarted Nelder-Mead.
+
+    Two populations whose crossings share one curvature ratio R (a class2
+    table, by regime_detect's rule: same-sign curvatures and ratios equal
+    within _RATIO_RTOL) raise RegimeError: the objective falls towards 0
+    along H2 = sqrt(R) H1 and has no finite minimizer, and
+    `optimal_bandwidths` gives that geometry's plan in closed form."""
+    models = list(models)
+    objective, terms = _multi_form(models, crossing_table, r, kernel)
     N = len(models)
+    ratios = [wi * ci / (wj * cj) for _, _, _, _, _, wi, wj, ci, cj in terms if ci * cj > 0.0]
+    if N == 2 and len(ratios) == len(terms) and all(
+            abs(R - ratios[0]) <= _RATIO_RTOL * abs(ratios[0]) for R in ratios):
+        raise RegimeError(
+            f"the crossings share the curvature ratio R = {ratios[0]:.6g} (class2): the "
+            "first-order objective has no finite minimizer; use the class2 plan of "
+            "optimal_bandwidths")
 
     def fun(logh):
-        return multi_t(models, table, np.exp(logh), r, kernel)
+        return objective(np.exp(logh).tolist())
 
     rng = np.random.default_rng(0)
     starts = [np.zeros(N)]

@@ -17,7 +17,6 @@ writes only its own array, so the surface does not depend on that.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import factorial, sqrt, pi
 
@@ -252,6 +251,7 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
         ys[b] = smoothed_bootstrap(gtilde, y_data.size, rng)
     # the two calls spend most of their time in numpy code that releases
     # the GIL, so the y call on a worker overlaps the x call here
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) as pool:
         g_future = pool.submit(_kde_many, ys, grid_h2, grid, config.kernel)
         pf = _kde_many(xs, grid_h1, grid, config.kernel)

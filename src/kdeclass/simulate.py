@@ -9,8 +9,6 @@ threads of `run_study`), and reruns produce byte-identical CSV files.
 
 from __future__ import annotations
 
-import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -155,6 +153,7 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
         return _study_cell(pair, cfg.pair_id, *c, cfg)
 
     if cfg.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             rows = tuple(pool.map(cell, cells))
     else:
@@ -186,6 +185,7 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """CSV file with a header line and one line per dict row; csv writes
     each float as its shortest round-trip repr.  Creates the file's directory."""
+    import csv
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, header)

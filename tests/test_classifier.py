@@ -693,6 +693,28 @@ def test_certified_scan_takes_the_fast_path_on_class1a(scan_records):
     assert 0 < rec["unsure"] < rec["mids"].size / 10
 
 
+@pytest.mark.parametrize("log_h", [108, 120, 133, 140, 155, 200, 300])
+def test_certified_scan_labels_equal_full_scan_at_huge_bandwidths(log_h):
+    # the rows span where weight / (n h**3) underflows (from about 1e107)
+    # and where the estimates' slopes are subnormal (from about 1e154 /
+    # sqrt(n)); the certificate's bounds must hold there too
+    rng = np.random.default_rng(log_h)
+    for _ in range(6):
+        h = 10.0 ** log_h * rng.uniform(1.0, 10.0)
+        x = rng.normal(0.0, h * rng.uniform(0.0, 1.0), rng.integers(1, 6))
+        y = rng.normal(0.0, h * rng.uniform(0.0, 1.0), rng.integers(1, 6))
+        clf = fit_classifier(x, y, h, h * rng.uniform(0.5, 2.0), rng.uniform(0.2, 0.8))
+        starts, ends = classifier._support_islands(clf)
+        spacing = min((ends[-1] - starts[0]) / classifier._BASE_GRID,
+                      min(clf.fhat.h, clf.ghat.h) / 4.0)
+        scans = [0.5 * (xs[:-1] + xs[1:]) for xs in
+                 (np.linspace(a, b, max(int(np.ceil((b - a) / spacing)) + 1, 65))
+                  for a, b in zip(starts, ends))]
+        mids = np.concatenate(scans)
+        want = np.where(clf.deltahat(mids) >= 0.0, 0, 1)
+        assert classifier._scan_labels(clf, scans, spacing).tobytes() == want.tobytes()
+
+
 def _touches_zero(clf, mids):
     near = mids[np.abs(mids) < 1.5]
     return abs(clf.deltahat(0.0)) < 1e-15 and np.all(clf.deltahat(near) <= 1e-15)

@@ -29,10 +29,12 @@ from kdeclass import (
     ParameterError,
     Pareto,
     ResolutionError,
+    bayes_risk,
     crossings,
     make_pair,
     regime_detect,
 )
+from kdeclass import densities as densities_module
 
 # frozen benchmark geometry: crossing locations of p f - (1-p) g and the
 # local curvatures there, at roots found to the last float
@@ -339,6 +341,34 @@ def test_class1a_crossings_frozen_and_brent():
     # stored local values match direct evaluation
     assert upper.delta_prime == pytest.approx(pair.delta_deriv(1, upper.y), abs=1e-12)
     assert upper.f_value == pytest.approx(pair.f.pdf(upper.y), abs=1e-15)
+
+
+def test_crossings_at_the_defaults_are_kept_on_the_pair(monkeypatch):
+    pair = make_pair("class1a")
+    cs = crossings(pair)
+    assert crossings(pair) is cs
+    assert crossings(pair, grid_points=4096.0) is cs  # the default's value
+    # an explicit interval or grid is searched afresh, every time
+    for kwargs in ({"interval": cs.interval}, {"grid_points": 2048}):
+        again = crossings(pair, **kwargs)
+        assert again is not cs and again is not crossings(pair, **kwargs)
+        assert again.points == cs.points
+    assert crossings(pair) is cs
+    # another pair of the same id keeps its own set; bayes_risk uses the
+    # kept one and searches for no root
+    fresh = make_pair("class1a")
+    assert crossings(fresh) is not cs
+    calls = []
+    bisect = densities_module._bisect
+    monkeypatch.setattr(densities_module, "_bisect",
+                        lambda *args: calls.append(args) or bisect(*args))
+    assert bayes_risk(pair) == bayes_risk(fresh, cs=cs)
+    assert calls == []
+    other = make_pair("class1b")
+    crossings(other)
+    assert len(calls) == 3  # the two pooled quantiles and one crossing
+    bayes_risk(other)
+    assert len(calls) == 3
 
 
 def test_class1b_crossing_unique_on_wide_interval():

@@ -58,6 +58,7 @@ from kdeclass import (
     select_bandwidths,
     smoothed_bootstrap,
 )
+from kdeclass import classifier
 from kdeclass.errors import (_require_finite, _require_integers, _require_open_unit,
                              _require_positive)
 from kdeclass.kde import _kde_many
@@ -452,6 +453,40 @@ def test_bad_argument_raises_parameter_error_naming_it(name, value, call):
     with pytest.raises(ParameterError) as info:
         call(value)
     assert str(info.value).startswith(name + " "), str(info.value)
+
+
+#: valid arguments near the ends of the float range, each with a check of
+#: its finite answer; h**2 overflows from h = 1.34e154 on, and the
+#: estimates' slopes are subnormal floats from about 1e154 / sqrt(n) on
+EXTREME = [
+    pytest.param(lambda: decision_segments(fit_classifier([0.0, 1.0], [2.0], 1e155, 1e155),
+                                           -INF, INF),
+                 lambda segs: (segs[0][0], segs[-1][1]) == (-INF, INF)
+                 and all(a < b for a, b, _ in segs),
+                 id="decision_segments-h=1e155"),
+    pytest.param(lambda: empirical_risk(make_pair("class1a"), 50, 50, 1e300, 1e300,
+                                        reps=1, seed=0),
+                 lambda rep: 0.0 <= rep.err_rule <= 1.0,
+                 id="empirical_risk-h=1e300"),
+]
+
+
+@pytest.mark.parametrize("call, finite", EXTREME)
+def test_extreme_valid_arguments_give_a_finite_answer(call, finite, monkeypatch):
+    # and the decision scan's labels are those of evaluating every midpoint
+    scan, scans = classifier._scan_labels, []
+
+    def spy(clf, islands, spacing):
+        labs = scan(clf, islands, spacing)
+        mids = np.concatenate([np.empty(0), *islands])
+        scans.append((labs, np.where(clf.deltahat(mids) >= 0.0, 0, 1)))
+        return labs
+
+    monkeypatch.setattr(classifier, "_scan_labels", spy)
+    assert finite(call())
+    assert scans
+    for labs, want in scans:
+        assert labs.tobytes() == want.tobytes()
 
 
 def test_a_config_of_none_is_the_default():

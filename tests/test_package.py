@@ -2,8 +2,10 @@
 public names, and `kdeclass` re-exports exactly those names; no module
 imports a name it does not use; the private constants the README names
 and the identifiers of its module table exist; the README's dependency
-floors are the declared ones; and the numpy-only paths, the risk path
-among them, load no scipy module."""
+floors are the declared ones; the numpy-only paths, the risk path among
+them, load no scipy module, and the import and the risk path no thread
+pool or csv; scipy, concurrent.futures and csv are imported only inside
+the functions that use them."""
 
 import ast
 import importlib
@@ -113,14 +115,13 @@ import contextlib, io, json, sys
 import numpy as np
 import numpy as np
 
+def unused():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "logging", "csv"))
+
 import kdeclass
-from kdeclass import cli
-config = kdeclass.SelectorConfig(boot_iters=4, grid_per_dim=3, quad_points=51)
+on_import = unused()
 rng = np.random.default_rng(0)
 x, y = rng.normal(0.0, 1.0, 20), rng.normal(1.0, 1.0, 20)
-kdeclass.select_bandwidths(x, y, config=config, seed=0)
-kdeclass.run_cv_comparison(n=20, reps=1, seed=0, config=config)
-kdeclass.run_study(kdeclass.ExperimentConfig("class1a", n_list=(20, 30), reps=1, selector=config))
 clf = kdeclass.fit_classifier(x, y, 0.5, 0.5)
 kdeclass.decision_segments(clf, -np.inf, np.inf)
 kdeclass.classify_ahat(clf, 9.0)
@@ -134,13 +135,20 @@ for pid in ("class2b", "class1a"):
         kdeclass.empirical_risk(pair, 50, 50, 0.5, 0.5, reps=1, seed=0, rule=rule)
 kdeclass.multi_optimal_constants([(pair.f, 0.5), (pair.g, 0.5)],  # class1a
                                  {(0, 1): [pt.y for pt in cs.points]}, r=(1.0, 1.0))
+on_risk = unused()
+from kdeclass import cli
+config = kdeclass.SelectorConfig(boot_iters=4, grid_per_dim=3, quad_points=51)
+kdeclass.select_bandwidths(x, y, config=config, seed=0)
+kdeclass.run_cv_comparison(n=20, reps=1, seed=0, config=config)
+kdeclass.run_study(kdeclass.ExperimentConfig("class1a", n_list=(20, 30), reps=1, selector=config))
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
     cli.main(["--help"])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 sys.path.insert(0, sys.argv[1])
 from test_package import _theory_values
 pair = kdeclass.make_pair("class1a")
-print(json.dumps({"loaded": loaded, "values": _theory_values(pair, kdeclass.crossings(pair))}))
+print(json.dumps({"loaded": loaded, "values": _theory_values(pair, kdeclass.crossings(pair)),
+                  "on_import": on_import, "on_risk": on_risk}))
 """
 
 
@@ -152,19 +160,26 @@ def test_numpy_only_paths_load_no_scipy():
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
     assert out["loaded"] == []
+    # nor do the import and the risk path load the selector's and the
+    # studies' thread pool (with logging) or csv
+    assert out["on_import"] == out["on_risk"] == []
     # kde_mean_var's first call imports scipy there
     pair = make_pair("class1a")
     assert out["values"] == _theory_values(pair, crossings(pair))
 
 
-def _imports_scipy(node) -> bool:
+def _imports(node, package: str) -> bool:
+    """Whether node imports the top-level `package` or a module in it."""
     if isinstance(node, ast.ImportFrom):
-        return (node.module or "").split(".")[0] == "scipy"
-    return isinstance(node, ast.Import) and any(
-        alias.name.split(".")[0] == "scipy" for alias in node.names)
+        names = [node.module or ""]
+    else:
+        names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+    return any(name.split(".")[0] == package for name in names)
 
 
-def test_scipy_is_imported_in_three_functions_only():
+def _import_sites(package: str) -> list[str]:
+    """The functions and methods of kdeclass that import `package`, after
+    checking that nothing else does (no module-level import)."""
     sites = []
     for path in sorted((ROOT / "src" / "kdeclass").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -172,8 +187,17 @@ def test_scipy_is_imported_in_three_functions_only():
                    if isinstance(cls, ast.ClassDef)]
         found = [prefix + fn.name for prefix, body in [("", tree.body), *methods]
                  for fn in body if isinstance(fn, ast.FunctionDef)
-                 for node in ast.walk(fn) if _imports_scipy(node)]
+                 for node in ast.walk(fn) if _imports(node, package)]
         # none at module level, nor anywhere but a function or method
-        assert len(found) == sum(map(_imports_scipy, ast.walk(tree))), path.name
+        assert len(found) == sum(_imports(node, package) for node in ast.walk(tree)), path.name
         sites += found
-    assert sorted(sites) == ["Normal._ppf", "_segment_mass", "kde_mean_var"]
+    return sorted(sites)
+
+
+def test_scipy_is_imported_in_three_functions_only():
+    assert _import_sites("scipy") == ["Normal._ppf", "_segment_mass", "kde_mean_var"]
+
+
+def test_thread_pool_and_csv_are_imported_where_used_only():
+    assert _import_sites("concurrent") == ["error_surface", "run_study"]
+    assert _import_sites("csv") == ["_write_csv"]

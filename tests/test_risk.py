@@ -8,6 +8,7 @@ and frozen full-precision constants for every benchmark plan.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from kdeclass import (
     optimal_bandwidths,
     predicted_excess,
 )
+from kdeclass import densities as densities_module
 from kdeclass import risk as risk_module
 from kdeclass.kernels import TRIWEIGHT
 from kdeclass.risk import PILOT_RATE
@@ -173,26 +175,29 @@ def test_empirical_risk_body_rule_interval(class1a):
 
 def test_empirical_risk_finds_the_crossings_once_per_pair(monkeypatch):
     # err_bayes needs crossings(pair) at its defaults: found on the first
-    # call and kept on the pair, whose fields cannot be reassigned
-    calls = []
-
-    def counted(pair, *args, **kwargs):
-        calls.append(pair.p)
-        return crossings(pair, *args, **kwargs)
-
-    monkeypatch.setattr(risk_module, "crossings", counted)
+    # call and kept on the pair, whose fields cannot be reassigned; each
+    # root search bisects delta once per crossing
     pair = make_pair("class1a")
+    searches = []
+    bisect = densities_module._bisect
+
+    def counted(fn, *args):
+        if getattr(fn, "__self__", None) is pair:
+            searches.append(fn.__name__)
+        return bisect(fn, *args)
+
+    monkeypatch.setattr(densities_module, "_bisect", counted)
     first = empirical_risk(pair, 30, 30, 0.5, 0.5, reps=1, seed=0)
     second = empirical_risk(pair, 30, 30, 0.5, 0.5, reps=2, seed=1)
     body = empirical_risk(pair, 30, 30, 0.5, 0.5, reps=1, seed=1, rule="body")
-    assert calls == [pair.p]
+    assert searches == ["delta", "delta"]  # class1a crosses twice
     fresh = make_pair("class1a")
     assert first.err_bayes == second.err_bayes == bayes_risk(fresh, cs=crossings(fresh))
     assert body.err_bayes == bayes_risk(fresh, body.region, cs=crossings(fresh))
     with pytest.raises(dataclasses.FrozenInstanceError):
         pair.p = 0.4
     assert bayes_risk(pair) == first.err_bayes
-    assert calls == [pair.p]
+    assert searches == ["delta", "delta"]
 
 
 def test_empirical_risk_validation(class1a):
@@ -375,9 +380,78 @@ def test_multi_optimal_constants_match_pairwise_plan(class1a):
     assert H[1] == pytest.approx(plan.H2, rel=1e-5)
 
 
+def test_multi_optimal_constants_class2_table_raises_regime_error(class2b):
+    # both crossings share one curvature ratio: the objective falls towards
+    # 0 along H2 = sqrt(R) H1 and has no finite minimizer
+    pair, cs = class2b
+    models = [(pair.f, pair.p), (pair.g, 1.0 - pair.p)]
+    with pytest.raises(RegimeError, match=r"ratio R = 2\.56257 .*class2 plan of optimal_bandwidths"):
+        multi_optimal_constants(models, {(0, 1): [pt.y for pt in cs.points]}, r=(1.0, 1.0))
+    with pytest.raises(RegimeError, match="ratio R = 2.56257"):  # one crossing alone
+        multi_optimal_constants(models, {(0, 1): [cs.points[1].y]}, r=(2.0, 1.0))
+
+
+def test_multi_optimal_constants_class1a_unchanged(class1a):
+    # the constants before the prepared objective, to the last bit
+    pair, cs = class1a
+    models = [(pair.f, pair.p), (pair.g, 1.0 - pair.p)]
+    table = {(0, 1): [pt.y for pt in cs.points]}
+    H = multi_optimal_constants(models, table, r=(1.0, 1.0))
+    assert [float(h).hex() for h in H] == ["0x1.d79914d7287bep+1", "0x1.45b62f3928a8cp+1"]
+
+
+def _old_b1_b2(pair, cs, H1, H2, r, kernel=TRIWEIGHT):
+    """expansion_b1_b2 as it was before the prepared form: every value read
+    from the crossing set and the kernel on each call."""
+    kappa, mu2 = kernel.roughness(0), kernel.moment(2)
+    p, q = pair.p, 1.0 - pair.p
+    b1 = b2 = 0.0
+    for pt in cs.points:
+        w = 1.0 / abs(pt.delta_prime)
+        b1 += w * (p * p * pt.f_value / (r * H1) + q * q * pt.g_value / H2)
+        bias = H1 * H1 * p * pt.f2 - H2 * H2 * q * pt.g2
+        b2 += w * bias * bias
+    return 0.5 * kappa * b1, 0.125 * mu2 * mu2 * b2
+
+
+def _old_multi_t(models, table, H, r, kernel=TRIWEIGHT):
+    """multi_t as it was before the prepared form, on numpy scalars."""
+    H, r = np.asarray(H, dtype=float), np.asarray(r, dtype=float)
+    kappa, mu2 = kernel.roughness(0), kernel.moment(2)
+    total = 0.0
+    for (i, j), ys in table.items():
+        (di, wi), (dj, wj) = models[i], models[j]
+        for y in ys:
+            fi, fj = float(di.pdf(y)), float(dj.pdf(y))
+            w = 1.0 / abs(wi * float(di.deriv(1, y)) - wj * float(dj.deriv(1, y)))
+            var = (kappa / 4.0) * (wi * wi * fi / (r[i] * H[i]) + wj * wj * fj / (r[j] * H[j]))
+            bias = H[i] ** 2 * wi * float(di.deriv(2, y)) - H[j] ** 2 * wj * float(dj.deriv(2, y))
+            total += 2.0 * w * (var + (mu2 * mu2 / 16.0) * bias * bias)
+    return total
+
+
+@pytest.mark.parametrize("pair_id", ["class1a", "class1b", "contrast"])
+def test_prepared_objectives_equal_the_per_call_formulas(pair_id):
+    # bit for bit at random constants, against the formulas evaluated afresh
+    pair = make_pair(pair_id)
+    cs = crossings(pair)
+    models = [(pair.f, pair.p), (pair.g, 1.0 - pair.p)]
+    table = {(0, 1): [pt.y for pt in cs.points]}
+    objective = class1_objective(pair, cs, r=1.7)
+    prepared, _ = risk_module._multi_form(models, table, (1.7, 0.6), TRIWEIGHT)
+    rng = np.random.default_rng(5)
+    for H1, H2 in np.exp(rng.uniform(-4.0, 4.0, size=(200, 2))).tolist():
+        b1, b2 = _old_b1_b2(pair, cs, H1, H2, 1.7)
+        assert expansion_b1_b2(pair, cs, H1, H2, r=1.7) == (b1, b2)
+        assert objective(H1, H2) == 2.0 * (b1 + b2)
+        old = _old_multi_t(models, table, (H1, H2), (1.7, 0.6))
+        assert prepared([H1, H2]) == multi_t(models, table, (H1, H2), (1.7, 0.6)) == old
+
+
 def test_nelder_mead_port_matches_scipy_from_every_start(class1a, monkeypatch):
     # every start of optimal_bandwidths (class1a, class1b, contrast) and of
-    # multi_optimal_constants, replayed through scipy's Nelder-Mead
+    # multi_optimal_constants, through their prepared objectives, replayed
+    # through scipy's Nelder-Mead
     port = risk_module._nelder_mead
     runs = []
 
@@ -393,12 +467,24 @@ def test_nelder_mead_port_matches_scipy_from_every_start(class1a, monkeypatch):
     models = [(pair.f, pair.p), (pair.g, 1.0 - pair.p)]
     multi_optimal_constants(models, {(0, 1): [pt.y for pt in cs.points]}, r=(1.0, 2.0))
     assert len(runs) == 4 * 16
+
+    # a staircase (ties at every step) and a NaN region, where the vertex
+    # order comes from np.argsort itself
+    def staircase(x):
+        return float(np.floor(8.0 * ((x[0] - 1.0) ** 2 + 3.0 * x[1] ** 2)))
+
+    def nan_beyond_two(x):
+        return math.nan if x[0] > 2.0 else (x[0] - 1.5) ** 2 + abs(x[1])
+
+    runs += [(staircase, np.array(x0), 400, 800) for x0 in ([3.0, 2.0], [0.0, 0.0], [-2.0, 1.0])]
+    runs += [(nan_beyond_two, np.array(x0), 400, 800) for x0 in ([1.9, 0.5], [0.0, 0.0])]
     for fun, x0, maxiter, maxfev in runs:
         got_fun, got_x = port(fun, x0, maxiter, maxfev)
         res = minimize(fun, x0, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-14,
                                 "maxiter": maxiter, "maxfev": maxfev})
-        assert got_fun == res.fun and np.array_equal(got_x, res.x), x0
+        assert np.array_equal(got_fun, res.fun, equal_nan=True), x0
+        assert np.array_equal(got_x, res.x), x0
 
 
 def test_restart_spread_raises_optimization_error():
