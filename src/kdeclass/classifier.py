@@ -224,24 +224,42 @@ _REFINE_WIDTH = 1e-10
 _NEWTON_STEPS = 3
 
 
-def _refine_flip(clf: TrainedClassifier, a: float, b: float, lab_a: int) -> float:
-    """Bisect the label flip inside (a, b) down to width 1e-10, from one
-    scalar deltahat at every midpoint: the plain bisection that _refine_flips
-    reproduces bit for bit and falls back on."""
-    while b - a > _REFINE_WIDTH:
-        mid = 0.5 * (a + b)
-        lab_mid = 0 if float(clf.deltahat(mid)) >= 0.0 else 1
-        if lab_mid == lab_a:
-            a = mid
-        else:
-            b = mid
+def _bisect(a: float, b: float, lab_a: int, label) -> float:
+    """Bisect the label flip inside (a, b): while b - a > 1e-10 and the
+    midpoint lies strictly between them (not so once they are adjacent
+    floats, beyond |x| of about 5e5), the bracket end whose label the
+    midpoint has, label(a, b, mid), moves there.  Returns the last
+    midpoint 0.5 * (a + b)."""
+    while b - a > _REFINE_WIDTH and a < (mid := 0.5 * (a + b)) < b:
+        a, b = (mid, b) if label(a, b, mid) == lab_a else (a, mid)
     return 0.5 * (a + b)
+
+
+def _refine_flip(clf: TrainedClassifier, a: float, b: float, lab_a: int) -> float:
+    """The plain bisection of the label flip inside (a, b), from one scalar
+    deltahat at every midpoint, which _refine_flips reproduces bit for bit
+    and falls back on."""
+    return _bisect(a, b, lab_a, lambda a, b, mid: 0 if float(clf.deltahat(mid)) >= 0.0 else 1)
+
+
+def _certifiable(clf: TrainedClassifier) -> bool:
+    """Whether decision_segments may take signs from Taylor steps (see
+    _certify): K and K' vanish at +-1 for both kernels, so that K' is
+    Lipschitz with constant max|K''|, and each estimate's scales
+    weight / (n h) and weight / (n h**2) lie in [2**-900, 2**900], where
+    its values and slopes are normal floats or lose at most 2**-1075 to an
+    underflow.  That fails for a bandwidth beyond about 1e135 / sqrt(n) or
+    below 1e-135, or a tiny weight; then no slope is formed at all."""
+    return all(est.kernel._slope.smooth
+               and 2.0 ** -900 <= weight / (est.count * est.h) <= 2.0 ** 900
+               and 2.0 ** -900 <= weight / (est.count * est.h) / est.h <= 2.0 ** 900
+               for est, weight in ((clf.fhat, clf.p), (clf.ghat, 1.0 - clf.p)))
 
 
 def _refine_flips(clf: TrainedClassifier, flips) -> list:
     """[_refine_flip(clf, a, b, lab_a) for a, b, lab_a in flips], bit for bit;
     see decision_segments for how the midpoint signs are certified."""
-    if not (clf.fhat.kernel._slope.smooth and clf.ghat.kernel._slope.smooth):
+    if not _certifiable(clf):
         return [_refine_flip(clf, *flip) for flip in flips]
     paths, rows = [], []
     for a, b, lab_a in flips:
@@ -254,19 +272,17 @@ def _refine_flips(clf: TrainedClassifier, flips) -> list:
             if s == 0.0 or abs(d) < _REFINE_WIDTH * abs(s):
                 break
             x = min(max(x - d / s, a), b)
-        # the bisection path, each midpoint labelled by the step _certify
-        # takes from its nearest anchor
         path = []
-        while b - a > _REFINE_WIDTH:
-            mid = 0.5 * (a + b)
+
+        def taylor(a, b, mid):
+            # the bisection path, each midpoint labelled by the step
+            # _certify takes from its nearest anchor
             xk, dk, sk = min(anchors, key=lambda k: abs(mid - k[0]))
             path.append((a, b))
             rows.append((mid, xk, dk, sk))
-            if (0 if dk + sk * (mid - xk) >= 0.0 else 1) == lab_a:
-                a = mid
-            else:
-                b = mid
-        paths.append((path, 0.5 * (a + b), lab_a))
+            return 0 if dk + sk * (mid - xk) >= 0.0 else 1
+
+        paths.append((path, _bisect(a, b, lab_a, taylor), lab_a))
     doubt = np.zeros(len(rows), bool)
     if rows:  # _certify has a fixed cost, and many calls have no flips
         doubt[_certify(clf, *np.array(rows).T)[1]] = True
@@ -284,12 +300,10 @@ def _anchor(clf: TrainedClassifier, x: float) -> tuple[float, float]:
     _slope_at's rounding bound, from one binary-search window per estimate."""
     vals = []
     for est in (clf.fhat, clf.ghat):
-        reach = _reach(est.h, x)
-        lo, hi = est.data.searchsorted([x - reach, x + reach])
-        if hi <= lo:
+        u = est._window(x)
+        if not u.size:
             vals += [0.0, 0.0]
             continue
-        u = (x - est.data[lo:hi]) / est.h
         scale = 1.0 / (est.count * est.h)
         vals += [float(est.kernel(u).cumsum()[-1] * scale),
                  float(est.kernel._slope(u).cumsum()[-1] * scale) / est.h]
@@ -303,7 +317,7 @@ def _scan_labels(clf: TrainedClassifier, scans, spacing: float) -> np.ndarray:
     mids = np.concatenate([np.empty(0), *scans])
     # the pitch is 0 only when every island has zero width, and so no midpoints
     c = min(int(min(clf.fhat.h, clf.ghat.h) / (8.0 * spacing)), 32) if mids.size else 0
-    if c < 4 or not (clf.fhat.kernel._slope.smooth and clf.ghat.kernel._slope.smooth):
+    if c < 4 or not _certifiable(clf):
         return np.where(clf.deltahat(mids) >= 0.0, 0, 1)
     # each midpoint's nearest coarse point: every c-th of its island, or the last
     first = np.cumsum([0] + [m.size for m in scans[:-1]])
@@ -334,21 +348,13 @@ def _certify(clf: TrainedClassifier, x, xk, dk, sk):
     (x - xk)**2 on [x, xk], plus 4 eps (|dk| + |sk (x - xk)|) for the
     step's own roundings; the bound is widened by 1e-12 for its own.
 
-    These roundings are relative, which holds while values and slopes are
-    normal floats; an underflow loses at most 2**-1075 each, far inside the
-    widening while each estimate's scales weight / (n h) and weight / (n h**2)
-    lie in [2**-900, 2**900].  Outside it (a bandwidth beyond about
-    1e135 / sqrt(n) or below 1e-135, or a tiny weight) every point with
-    x != xk is unsure."""
+    These roundings are relative, which holds within _certifiable's scales:
+    an underflow there loses at most 2**-1075 each, far inside the widening."""
     gap = x - xk
     step = dk + sk * gap
-    ests = ((clf.fhat, clf.p), (clf.ghat, 1.0 - clf.p))
-    if not all(2.0 ** -900 <= s <= 2.0 ** 900 for est, weight in ests
-               for s in (weight / (est.count * est.h), weight / (est.count * est.h) / est.h)):
-        return np.where(step >= 0.0, 0, 1), np.flatnonzero(gap != 0.0)
     bound = 4.0 * np.finfo(float).eps * (np.abs(dk) + np.abs(sk * gap))
     lo, hi = np.minimum(x, xk), np.maximum(x, xk)
-    for est, weight in ests:
+    for est, weight in ((clf.fhat, clf.p), (clf.ghat, 1.0 - clf.p)):
         value, slope, curve = _allowances(est, weight, lo, hi)
         r = np.abs(gap) / est.h
         bound += 2.0 * value + (slope + 0.5 * curve * r) * r
@@ -358,24 +364,20 @@ def _certify(clf: TrainedClassifier, x, xk, dk, sk):
 
 def _allowances(est: KdeEstimate, weight: float, lo, hi):
     """Per interval [lo, hi], times weight: bounds on the rounding of est's
-    computed value and slope anywhere in it (`kde._exact_slack`, three more
-    roundings each for deltahat's products and difference, one more for the
-    slope's division by h), and on |est''| there, from the m data whose
-    support meets it: est' is Lipschitz with constant m max|K''| / (n h**3).
-    The slope's bound is per unit of r = |x - xk| / h and the curvature's
-    per unit of r**2, so that neither takes a power of a huge h."""
+    computed value and slope anywhere in it (`kde._exact_slack` from the
+    kernel's per-term errors, three more roundings each for deltahat's
+    products and difference, one more for the slope's division by h), and
+    on |est''| there, from the m data whose support meets it: est' is
+    Lipschitz with constant m max|K''| / (n h**3).  The slope's bound is per
+    unit of r = |x - xk| / h and the curvature's per unit of r**2, so that
+    neither takes a power of a huge h."""
     k = est.kernel
-    if ("allowances", 0) not in k._exact:  # the kernel's constants, once
-        eps, curve = np.finfo(float).eps, float(k._max_abs_deriv(2))
-        spread = float(sum(abs(a) for a in k.poly_coeffs))
-        k._exact["allowances", 0] = (
-            spread, curve, 2 * len(k.poly_coeffs) * spread * eps + 2.001 * eps * k._slope.top,
-            k._slope.err + 2.001 * eps * curve)
-    spread, curve, value_err, slope_err = k._exact["allowances", 0]
+    curve = float(k._max_abs_deriv(2))
+    slope_err = k._slope.err + 2.001 * np.finfo(float).eps * curve
     reach = _reach(est.h, np.maximum(np.abs(lo), np.abs(hi)) + est.h)
     m = est.data.searchsorted(hi + reach, "right") - est.data.searchsorted(lo - reach)
     w = weight / (est.count * est.h)
-    return (w * _exact_slack(m, spread, value_err, 7),
+    return (w * _exact_slack(m, k._spread, k._value_err, 7),
             w * _exact_slack(m, k._slope.top, slope_err, 8),
             w * curve * m)
 
@@ -396,33 +398,37 @@ def decision_segments(clf: TrainedClassifier, lo: float, hi: float,
     Inside the support islands the sign of deltahat is sampled at the cell
     midpoints of a uniform scan (pitch min(total span/2048, smaller
     bandwidth/4), at least 64 and at most 999,999 cells per island), and
-    each sign flip is bisected to width 1e-10.  The labels are exactly those
-    of evaluating deltahat at every midpoint.  Where K and K' both vanish at
-    +-1 (triweight, biweight) and the pitch is at most 1/32 of the smaller
-    bandwidth, most are certified instead: deltahat and its slope are
-    evaluated at every c-th midpoint of each island and at its last,
-    c = min(smaller bandwidth / (8 * pitch), 32), and a Taylor step from the
-    nearest of these gives each other midpoint's sign wherever the step
-    clears its error bound (max|K''| times the data nearby, plus the
-    engine's rounding of values and slopes).  The midpoints left in doubt,
-    or all of them, are evaluated in one call per estimate; an engine value
-    at a point does not depend on the other points, so these are the full
-    scan's values bit for bit.  Each flip is bisected as by one scalar
-    deltahat per midpoint, and the cuts are exactly that bisection's, value
-    and type.  For the same kernels (any pitch) most of its signs are
-    certified the same way: deltahat and its slope are evaluated at the
-    flip's first midpoint and at up to three Newton steps from it (clipped
-    to the cell; they stop once a step would be shorter than 1e-10), each
-    midpoint on the path takes the Taylor step from its nearest anchor, and
-    one bound checks all flips' midpoints; a flip with a midpoint in doubt
-    is bisected plainly from the last bracket before it.  Midpoints, not grid
-    points, since both estimates are exactly zero at island edges and where
-    supports touch: a vacuous tie.  In the gaps the rule is piecewise
-    constant, so one interior point labels the whole gap, all gaps by one
-    call per estimate.  A region narrower than the scan pitch can fall
-    between two midpoints and is then missed, with no warning; an island
-    wider than about 250,000 times the smaller bandwidth hits the cell cap
-    and is scanned at the coarser pitch width/999,999, also with no warning.
+    each sign flip is bisected to width 1e-10, or, for a cut beyond |x| of
+    about 5e5, until its bracket's ends are adjacent floats.  The labels are
+    exactly those of evaluating deltahat at every midpoint.  Where the gate
+    `_certifiable` holds (K and K' both vanish at +-1, as for the triweight
+    and biweight, and each estimate's scales weight / (n h) and
+    weight / (n h**2) are in [2**-900, 2**900]) and the pitch is at most
+    1/32 of the smaller bandwidth, most are certified instead: deltahat and
+    its slope are evaluated at every c-th midpoint of each island and at
+    its last, c = min(smaller bandwidth / (8 * pitch), 32), and a Taylor
+    step from the nearest of these gives each other midpoint's sign
+    wherever the step clears its error bound (max|K''| times the data
+    nearby, plus the engine's rounding of values and slopes).  The
+    midpoints left in doubt, or all of them, are evaluated in one call per
+    estimate; an engine value at a point does not depend on the other
+    points, so these are the full scan's values bit for bit.  Each flip is
+    bisected as by one scalar deltahat per midpoint, and the cuts are
+    exactly that bisection's, value and type.  Under the same gate (any
+    pitch) most of its signs are certified the same way: deltahat and its
+    slope are evaluated at the flip's first midpoint and at up to three
+    Newton steps from it (clipped to the cell; they stop once a step would
+    be shorter than 1e-10), each midpoint on the path takes the Taylor step
+    from its nearest anchor, and one bound checks all flips' midpoints; a
+    flip with a midpoint in doubt is bisected plainly from the last bracket
+    before it.  Midpoints, not grid points, since both estimates are
+    exactly zero at island edges and where supports touch: a vacuous tie.
+    In the gaps the rule is piecewise constant, so one interior point labels
+    the whole gap, all gaps by one call per estimate.  A region narrower
+    than the scan pitch can fall between two midpoints and is then missed,
+    with no warning; an island wider than about 250,000 times the smaller
+    bandwidth hits the cell cap and is scanned at the coarser pitch
+    width/999,999, also with no warning.
     """
     if rule not in ("ahat", "body"):
         raise ParameterError("rule must be 'ahat' or 'body'")

@@ -302,10 +302,8 @@ class Cauchy(Density):
     def _ppf(self, q):
         return self.loc + self.gamma * np.tan(np.pi * (q - 0.5))
 
-    def _sample(self, n, rng):
-        # quantile transform of uniforms
-        u = rng.uniform(0.0, 1.0, size=n)
-        return self.loc + self.gamma * np.tan(np.pi * (u - 0.5))
+    def _sample(self, n, rng):  # quantile transform of uniforms
+        return self._ppf(rng.uniform(0.0, 1.0, size=n))
 
     def __repr__(self):
         return f"Cauchy({self.loc:g}, {self.gamma:g})"
@@ -342,9 +340,8 @@ class Pareto(Density):
     def _ppf(self, q):
         return (1.0 - q) ** (-1.0 / (self.alpha - 1.0))
 
-    def _sample(self, n, rng):
-        u = rng.uniform(0.0, 1.0, size=n)
-        return (1.0 - u) ** (-1.0 / (self.alpha - 1.0))
+    def _sample(self, n, rng):  # quantile transform of uniforms
+        return self._ppf(rng.uniform(0.0, 1.0, size=n))
 
     def __repr__(self):
         return f"Pareto({self.alpha:g})"
@@ -549,17 +546,23 @@ def regime_detect(pair: DensityPair, points) -> tuple[str, float | None, float |
                 f"both curvatures vanish at crossing {pt.y:.6g}; "
                 "the bandwidth expansions do not cover this pair"
             )
-    ratios = []
-    for pt in pts:
-        if pt.f2 * pt.g2 <= 0.0:
-            return "class1", None, None
-        ratios.append((p * pt.f2) / (q * pt.g2))
-    r0 = ratios[0]
-    for r in ratios[1:]:
-        if abs(r - r0) > _RATIO_RTOL * abs(r0):
-            return "class1", None, None
+    r0 = _shared_ratio((p, pt.f2, q, pt.g2) for pt in pts)
+    if r0 is None:
+        return "class1", None, None
     t = p * pts[0].f4 - r0 * r0 * q * pts[0].g4
     return "class2", r0, t
+
+
+def _shared_ratio(curvatures) -> float | None:
+    """The class2 test: given (w1, c1, w2, c2) per crossing, priors w and
+    curvatures c, the ratio R = w1 c1 / (w2 c2) shared by every crossing,
+    that is the first crossing's, when the curvatures have one sign at each
+    and every ratio is within _RATIO_RTOL of the first; None otherwise."""
+    ratios = [None if c1 * c2 <= 0.0 else (w1 * c1) / (w2 * c2) for w1, c1, w2, c2 in curvatures]
+    r0 = ratios[0]
+    if None in ratios or any(abs(r - r0) > _RATIO_RTOL * abs(r0) for r in ratios):
+        return None
+    return r0
 
 
 def crossings(pair: DensityPair, interval: tuple[float, float] | None = None,

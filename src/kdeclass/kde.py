@@ -22,9 +22,10 @@ eps * (n * sum_i |K(u_i)| + 4 * d * S * m) / (n * h), with d, S as in
 `kernels` and m the number of data with |u_i| <= 1; where no datum reaches
 a point the estimate is exactly 0.0.  From the exact estimate (exact u,
 exact K) a value differs by at most `_exact_slack(m, S, e)` / (n * h),
-with e = 2 * d * S * eps + 2.001 * eps * max|K'| the error of one term:
-the kernel's rounding plus that of u, whose two roundings move it by at
-most 2.0001 * eps * |u|.  A scalar call adds the same values in
+with S and e = 2 * d * S * eps + 2.001 * eps * max|K'| the kernel's
+`_spread` and `_value_err`: e is the error of one term, the kernel's
+rounding plus that of u, whose two roundings move it by at most
+2.0001 * eps * |u|.  A scalar call adds the same values in
 the same order, with a running sum rather than np.sum's pairwise one, over a
 binary-search window, so it equals the array value bit for bit.
 
@@ -95,6 +96,22 @@ def _reach(h: float, at):
     """h widened past the rounding of u and of window edges near `at`, so no
     pair with |u| <= 1 is left out; extra pairs add exact zeros."""
     return h * (1.0 + 1e-14) + 1e-15 * abs(at)
+
+
+def _require_bandwidths(kernel: Kernel, count: int, **bandwidths) -> None:
+    """Raise ParameterError unless `kernel` is a Kernel and each bandwidth,
+    a number or an array, is positive and finite and so large that
+    1 / (count * h) and max|K| / h are finite: the engine scales its sums
+    by the one, and a value of the estimate can reach the other.  max|K| is
+    `Kernel._max_abs_deriv(0)`, computed once per kernel."""
+    _require_positive(**bandwidths)
+    _require_kernel(kernel)
+    top = float(kernel._max_abs_deriv(0))
+    for name, hs in bandwidths.items():
+        h = float(np.min(hs, initial=math.inf))
+        if not (math.isfinite(1.0 / (count * h)) and math.isfinite(top / h)):
+            raise ParameterError(f"{name} = {h!r} is too small for {count} data: "
+                                 "1 / (n h) or max|K| / h is not a finite float")
 
 
 def _exact_slack(m, top: float, err: float, roundings: int = 4):
@@ -233,15 +250,15 @@ class KdeEstimate:
     data : array_like
         Observations; stored sorted.  Must be nonempty and finite.
     h : float
-        Bandwidth, strictly positive.
+        Bandwidth, strictly positive, and large enough that 1 / (n h) and
+        max|K| / h are finite floats.
     kernel : Kernel
         Smoothing kernel (triweight by default).
     """
 
     def __init__(self, data, h: float, kernel: Kernel = TRIWEIGHT):
         arr = _checked_sample(data).ravel()
-        _require_positive(h=h)
-        _require_kernel(kernel)
+        _require_bandwidths(kernel, arr.size, h=h)
         self.data = np.sort(arr)
         self.h = float(h)
         self.kernel = kernel
@@ -260,14 +277,20 @@ class KdeEstimate:
         out[order] = _kde_many(self.data[None, :], [self.h], flat[order], self.kernel)[0, 0]
         return out.reshape(x.shape)
 
+    def _window(self, x: float) -> np.ndarray:
+        """u = (x - X_i) / h over the binary-search window of the sorted data
+        that can reach the finite x, as the engine forms it; empty where none
+        can."""
+        reach = _reach(self.h, x)
+        lo, hi = self.data.searchsorted([x - reach, x + reach])
+        return (x - self.data[lo:hi]) / self.h
+
     def _eval_scalar(self, x: float) -> float:
         if not math.isfinite(x):  # no datum reaches +-inf or NaN
             return 0.0
-        reach = _reach(self.h, x)
-        lo, hi = self.data.searchsorted([x - reach, x + reach])
-        if hi <= lo:
+        u = self._window(x)
+        if not u.size:
             return 0.0
-        u = (x - self.data[lo:hi]) / self.h
         return float(self.kernel(u).cumsum()[-1] * (1.0 / (self.count * self.h)))
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ Conventions
   value lies within 2 * d * S * eps of the exact K at the same u,
   d = len(poly_coeffs), S = sum_k |a_k| (0.36 * S * eps at most,
   measured for the built-ins), so within 4 * d * S * eps of np.polyval's
-  value, which the tests check.
+  value, which the tests check.  Each kernel keeps S as `_spread`.
 * Derivatives are classical derivatives of the interior polynomial on the
   open support; roughness(r) integrates their square over [-1, 1].
 """
@@ -104,8 +104,7 @@ class Kernel:
         full[::2] = self.poly_coeffs
         self._full = full
         #: exact functionals already computed, by (name, order): the
-        #: bandwidth formulas ask for the same few on every evaluation, and
-        #: decision_segments' sign certificate for its rounding constants
+        #: bandwidth formulas ask for the same few on every evaluation
         self._exact = {}
         # K(u) = sum_k a_k (1 - t)**k = sum_j b_j t**j with t = 1 - u**2,
         # expanded exactly (Horner in t)
@@ -114,6 +113,12 @@ class Kernel:
             b = P.polyadd(P.polymul(b, [Fraction(1), -1]), [c])
         self._t_coeffs = np.asarray(b)[::-1].astype(float)  # Horner order
         self._slope = _Slope(np.asarray(b))
+        #: S = sum_k |a_k|, and e = 2 d S eps + 2.001 eps max|K'|: how far a
+        #: term K(u) of an estimate lies from the exact K at the exact u,
+        #: the kernel's own rounding plus that of u (see `kde`)
+        self._spread = float(sum(abs(a) for a in self.poly_coeffs))
+        self._value_err = (2 * len(self.poly_coeffs) * self._spread * np.finfo(float).eps
+                           + 2.001 * np.finfo(float).eps * self._slope.top)
         self.at_zero = float(self.poly_coeffs[0])
         # K at 1 itself is never zeroed, so this is the Horner sequence at t = 0
         edge = _horner_in_t(1.0, self._t_coeffs, True)

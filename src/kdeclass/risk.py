@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import FROM_F, FROM_G, _interior_point, decision_segments, fit_classifier
-from .densities import _RATIO_RTOL, CrossingSet, DensityPair, crossings
+from .densities import CrossingSet, DensityPair, _shared_ratio, crossings
 from .errors import (
     NumericError,
     OptimizationError,
@@ -571,18 +571,18 @@ def multi_optimal_constants(models, crossing_table, r,
     """Minimize multi_t over the vector H by restarted Nelder-Mead.
 
     Two populations whose crossings share one curvature ratio R (a class2
-    table, by regime_detect's rule: same-sign curvatures and ratios equal
-    within _RATIO_RTOL) raise RegimeError: the objective falls towards 0
-    along H2 = sqrt(R) H1 and has no finite minimizer, and
-    `optimal_bandwidths` gives that geometry's plan in closed form."""
+    table, by regime_detect's test `densities._shared_ratio`: same-sign
+    curvatures and ratios equal within _RATIO_RTOL) raise RegimeError: the
+    objective falls towards 0 along H2 = sqrt(R) H1 and has no finite
+    minimizer, and `optimal_bandwidths` gives that geometry's plan in closed
+    form."""
     models = list(models)
     objective, terms = _multi_form(models, crossing_table, r, kernel)
     N = len(models)
-    ratios = [wi * ci / (wj * cj) for _, _, _, _, _, wi, wj, ci, cj in terms if ci * cj > 0.0]
-    if N == 2 and len(ratios) == len(terms) and all(
-            abs(R - ratios[0]) <= _RATIO_RTOL * abs(ratios[0]) for R in ratios):
+    ratio = _shared_ratio((wi, ci, wj, cj) for *_, wi, wj, ci, cj in terms)
+    if N == 2 and ratio is not None:
         raise RegimeError(
-            f"the crossings share the curvature ratio R = {ratios[0]:.6g} (class2): the "
+            f"the crossings share the curvature ratio R = {ratio:.6g} (class2): the "
             "first-order objective has no finite minimizer; use the class2 plan of "
             "optimal_bandwidths")
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import (DegenerateSampleError, ParameterError, _require_generator,
                      _require_integers, _require_open_unit, _require_positive)
-from .kde import KdeEstimate, _checked_sample, _kde_many, _loo, smoothed_bootstrap
+from .kde import (KdeEstimate, _checked_sample, _kde_many, _loo, _require_bandwidths,
+                  smoothed_bootstrap)
 from .kernels import TRIWEIGHT, Kernel, _require_kernel
 
 __all__ = [
@@ -188,12 +189,14 @@ def _first_argmin(surface: np.ndarray) -> tuple[int, int]:
     return divmod(int(np.argmin(surface)), surface.shape[1])
 
 
-def _surface_args(x_data, y_data, grid_h1, grid_h2, p):
-    """Samples and grids of a surface as flat arrays, checked in that order after p."""
+def _surface_args(x_data, y_data, grid_h1, grid_h2, p, kernel):
+    """Samples and grids of a surface as flat arrays, checked in that order
+    after p, the grids with the kernel as `KdeEstimate` checks a bandwidth."""
     _require_open_unit(p=p)
     x_data = _checked_sample(x_data).ravel()
     y_data = _checked_sample(y_data).ravel()
-    _require_positive(grid_h1=grid_h1, grid_h2=grid_h2)
+    _require_bandwidths(kernel, x_data.size, grid_h1=grid_h1)
+    _require_bandwidths(kernel, y_data.size, grid_h2=grid_h2)
     grid_h1 = np.asarray(grid_h1, dtype=float).ravel()
     grid_h2 = np.asarray(grid_h2, dtype=float).ravel()
     if grid_h1.size == 0 or grid_h2.size == 0:
@@ -225,7 +228,8 @@ def error_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
     not depend on that.
     """
     config = _selector_config(config)
-    x_data, y_data, grid_h1, grid_h2 = _surface_args(x_data, y_data, grid_h1, grid_h2, p)
+    x_data, y_data, grid_h1, grid_h2 = _surface_args(x_data, y_data, grid_h1, grid_h2, p,
+                                                     config.kernel)
     if rng is None:
         rng = np.random.default_rng(0)
     _require_generator(rng)
@@ -324,8 +328,7 @@ def _cv_surface(x_data: np.ndarray, y_data: np.ndarray, grid_h1, grid_h2,
     (grid_h1[i], grid_h2[j]).  Each sorted sample is evaluated at all its
     candidates at its own data and at the other sample, and the comparisons
     run one grid_h1 row at a time."""
-    x_data, y_data, grid_h1, grid_h2 = _surface_args(x_data, y_data, grid_h1, grid_h2, p)
-    _require_kernel(kernel)
+    x_data, y_data, grid_h1, grid_h2 = _surface_args(x_data, y_data, grid_h1, grid_h2, p, kernel)
     x, y = np.sort(x_data), np.sort(y_data)
     q = 1.0 - p
     f_loo = p * _loo(_kde_many(x[None], grid_h1, x, kernel)[0], x.size, grid_h1[:, None], kernel)

@@ -141,8 +141,9 @@ def scan_segments_oracle(clf, lo, hi, rule="ahat"):
     """Reference decision segments: the island-by-island scan the library
     used before it evaluated all islands at once.  A Python merge of the
     support intervals, then per island one evaluation of each estimate at
-    the scan-cell midpoints, a bisection of each sign flip, and a cursor
-    walk that labels the gaps; adjacent equal labels merge at the end."""
+    the scan-cell midpoints, a bisection of each sign flip (to width 1e-10
+    or adjacent floats), and a cursor walk that labels the gaps; adjacent
+    equal labels merge at the end."""
     half_f, half_g = clf.fhat.h, clf.ghat.h
     starts = np.concatenate([clf.fhat.data - half_f, clf.ghat.data - half_g])
     ends = np.concatenate([clf.fhat.data + half_f, clf.ghat.data + half_g])
@@ -161,8 +162,12 @@ def scan_segments_oracle(clf, lo, hi, rule="ahat"):
     spacing = min(span / 2048, min(half_f, half_g) / 4.0)
 
     def refine(a, b, lab_a):
+        # down to width 1e-10, or to adjacent floats, where no midpoint is
+        # strictly inside
         while b - a > 1e-10:
             mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break
             if (0 if float(clf.deltahat(mid)) >= 0.0 else 1) == lab_a:
                 a = mid
             else:

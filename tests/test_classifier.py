@@ -5,7 +5,12 @@ locates the nearest point of positive estimated density by scanning and
 bisection (tests/helpers.py), never by endpoint arithmetic.
 """
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -874,6 +879,44 @@ def test_certified_bisection_needs_a_smooth_kernel_edge(flip_records):
     assert len(call[1]) > 0
     assert flip_records["anchors"] == 0
     assert flip_records["fallbacks"] == len(call[1])
+
+
+ADJACENT_FLOATS_SCRIPT = """
+import json, math, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from helpers import scan_segments_oracle
+from kdeclass import classifier, decision_segments, fit_classifier
+clf = fit_classifier([1e7, 1e7 + 0.5], [1e7 + 1.2], 1.0, 1.0)
+segs = decision_segments(clf, -math.inf, math.inf)
+a = 1e7 + 1.5
+b = float(np.nextafter(a, math.inf))
+cut = float(classifier._refine_flip(clf, a, b, 0))
+plain = scan_segments_oracle(clf, -math.inf, math.inf)
+print(json.dumps({"segs": repr(segs), "plain": repr(plain), "flips": len(segs) - 1,
+                  "cut": [a, b, cut]}))
+"""
+
+
+def test_flip_bisection_stops_at_adjacent_floats():
+    # near 1e7 adjacent floats are 1.9e-9 apart, so the bracket never gets
+    # narrower than 1e-10: the bisection ends where no midpoint lies
+    # strictly inside.  A subprocess with a timeout turns a hang into a
+    # failure
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    try:
+        done = subprocess.run([sys.executable, "-c", ADJACENT_FLOATS_SCRIPT, str(root / "tests")],
+                              env=env, capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the flip bisection did not end within 60 s")
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["flips"] == 1
+    assert out["segs"] == out["plain"]  # the certified bisection's cut is the plain one
+    a, b, cut = out["cut"]
+    assert cut in (a, b)
 
 
 def test_decision_segments_huge_magnitude_gaps_take_classify_ahat_labels():

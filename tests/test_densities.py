@@ -9,6 +9,8 @@ full precision so any drift in the density definitions is caught
 immediately.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -461,6 +463,17 @@ def test_regime_detect_rules():
     unequal = pts + (CrossingPoint(y=9.0, delta_prime=1.0, f_value=0.1,
                                    g_value=0.1, f2=1.0, g2=1.0, f4=0.0, g4=0.0),)
     assert regime_detect(pair, unequal)[0] == "class1"
+    # a third crossing whose ratio is just inside or just outside
+    # _RATIO_RTOL = 1e-6 of the first's (p = 1/2, so the ratio is f2 / g2)
+    r0 = regime_detect(pair, pts)[1]
+    for rel, regime in ((0.5e-6, "class2"), (-0.5e-6, "class2"),
+                        (2e-6, "class1"), (-2e-6, "class1")):
+        third = CrossingPoint(y=9.0, delta_prime=1.0, f_value=0.1, g_value=0.1,
+                              f2=r0 * (1.0 + rel), g2=1.0, f4=0.0, g4=0.0)
+        assert regime_detect(pair, pts + (third,))[0] == regime
+    # the second crossing's curvature of the first population flipped
+    second = dataclasses.replace(pts[1], f2=-pts[1].f2)
+    assert regime_detect(pair, (pts[0], second))[0] == "class1"
     with pytest.raises(ParameterError):
         regime_detect(pair, ())
     flat = (CrossingPoint(y=0.0, delta_prime=1.0, f_value=0.1, g_value=0.1,

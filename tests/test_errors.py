@@ -229,7 +229,7 @@ ORDER = "order"
 # a kind that is a number is the minimum of a whole-number argument
 SITES = [
     # kde
-    ("KdeEstimate", "h", POSITIVE, lambda v: KdeEstimate(X, v), ()),
+    ("KdeEstimate", "h", POSITIVE, lambda v: KdeEstimate(X, v), (1e-310, 1e-320, 5e-324)),
     ("KdeEstimate", "kernel", TYPED, lambda v: KdeEstimate(X, 0.5, v), (None, "triweight")),
     ("_kde_many", "bandwidths", POSITIVE, lambda v: _kde_many(X[None, :], [0.3, v], [0.0]), ()),
     ("kde_mean_var", "h", POSITIVE, lambda v: kde_mean_var(Normal(0, 1), TRIWEIGHT, v, 10, 0.0), ()),
@@ -326,9 +326,9 @@ SITES = [
     ("error_surface", "p", OPEN_UNIT,
      lambda v: error_surface(X, Y, [0.5], [0.5], p=v, config=TINY), ()),
     ("error_surface", "grid_h1", POSITIVE,
-     lambda v: error_surface(X, Y, [0.5, v], [0.5], config=TINY), ()),
+     lambda v: error_surface(X, Y, [0.5, v], [0.5], config=TINY), (1e-310, 5e-324)),
     ("error_surface", "grid_h2", POSITIVE,
-     lambda v: error_surface(X, Y, [0.5], [v, 0.5], config=TINY), ()),
+     lambda v: error_surface(X, Y, [0.5], [v, 0.5], config=TINY), (1e-310, 5e-324)),
     ("error_surface", "rng", TYPED,
      lambda v: error_surface(X, Y, [0.5], [0.5], config=TINY, rng=v),
      (0, np.random.RandomState(0))),
@@ -468,6 +468,15 @@ EXTREME = [
                                         reps=1, seed=0),
                  lambda rep: 0.0 <= rep.err_rule <= 1.0,
                  id="empirical_risk-h=1e300"),
+    # tiny bandwidths: 1 / (n h) and max|K| / h are finite, but the
+    # certificate's scales are not, so the scan and the bisection evaluate
+    *(pytest.param(lambda data=data, h=h: decision_segments(fit_classifier(*data, h, h),
+                                                           -INF, INF),
+                   lambda segs: (segs[0][0], segs[-1][1]) == (-INF, INF)
+                   and all(a < b for a, b, _ in segs),
+                   id=f"decision_segments-{name}-h={h!r}")
+      for name, data in (("one-point", ([0.0], [0.0])), ("apart", ([0.0, 1e-300], [2e-300])))
+      for h in (1e-308, 1e-300)),
 ]
 
 
@@ -487,6 +496,15 @@ def test_extreme_valid_arguments_give_a_finite_answer(call, finite, monkeypatch)
     assert scans
     for labs, want in scans:
         assert labs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("data", [([0.0], [0.0]), ([0.0, 1e-300], [2e-300])],
+                         ids=["one-point", "apart"])
+@pytest.mark.parametrize("h", [5e-324, 1e-310])
+def test_bandwidth_with_an_infinite_scale_raises_parameter_error(data, h):
+    # 1 / (n h) overflows, so the engine's values would be inf or NaN
+    with pytest.raises(ParameterError, match=f"^h = {h!r} is too small"):
+        fit_classifier(*data, h, h)
 
 
 def test_a_config_of_none_is_the_default():

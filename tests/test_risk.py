@@ -390,6 +390,20 @@ def test_multi_optimal_constants_class2_table_raises_regime_error(class2b):
     with pytest.raises(RegimeError, match="ratio R = 2.56257"):  # one crossing alone
         multi_optimal_constants(models, {(0, 1): [cs.points[1].y]}, r=(2.0, 1.0))
 
+    # regime_detect's test on curvatures set by hand: value 0.1 at the
+    # crossings 0 and 1, slope 1/2, ratio 2 at 0 and `second` at 1
+    def curved(second):
+        flat = lambda v: lambda x: np.full(np.shape(x), v)  # noqa: E731
+        f = CustomDensity(flat(0.1), (flat(1.0), lambda x: np.where(x < 0.5, 2.0, second)))
+        return [(f, 0.5), (CustomDensity(flat(0.1), (flat(0.0), flat(1.0))), 0.5)]
+
+    for inside in (1.0 + 0.5e-6, 1.0 - 0.5e-6):  # within _RATIO_RTOL = 1e-6
+        with pytest.raises(RegimeError, match="ratio R = 2 "):
+            multi_optimal_constants(curved(2.0 * inside), {(0, 1): [0.0, 1.0]}, (1.0, 1.0))
+    for outside in (1.0 + 2e-6, 1.0 - 2e-6, -1.0):  # beyond it, or a sign flip at 1
+        H = multi_optimal_constants(curved(2.0 * outside), {(0, 1): [0.0, 1.0]}, (1.0, 1.0))
+        assert np.all((H > 0.0) & np.isfinite(H))
+
 
 def test_multi_optimal_constants_class1a_unchanged(class1a):
     # the constants before the prepared objective, to the last bit
